@@ -226,22 +226,7 @@ class Link:
     def busy(self) -> bool:
         return bool(self._in_flight)
 
-    # -- fast-kernel support ----------------------------------------------
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest cycle at which tick() can change observable state.
-
-        The base pipeline only acts when the head of the delay queue
-        completes its traversal (delivery, blackhole drop and burst
-        corruption all happen at that moment), so that cycle is the
-        whole story.  Credit returns stay out of the horizon on purpose:
-        ``_collect_credits`` is lazy and nothing reads the credit count
-        while the network is quiescent.  ``None`` means the link is
-        inert for any jump the other horizon terms allow.
-        """
-        if self._in_flight:
-            return self._in_flight[0][0]
-        return None
-
+    # -- clock-jump support ------------------------------------------------
     def on_idle_skip(self, elapsed: int) -> None:
         """The clock is jumping ``elapsed`` cycles over provably idle time.
 
@@ -593,18 +578,6 @@ class AckNackLink(Link):
     @property
     def busy(self) -> bool:
         return bool(self._in_flight) or bool(self._buffer) or bool(self._control)
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        # Go-back-N is live on every cycle while anything is buffered,
-        # flying, or awaiting a control response: transmissions, window
-        # timeouts and control processing can all fire next tick.
-        # Report "active right now" so the fast kernel falls back to
-        # stepping instead of modelling the protocol's timers here.
-        if self.failed:
-            return None  # fail() cleared all state; repairs are fault events
-        if self._buffer or self._in_flight or self._control:
-            return cycle
-        return None
 
 
 def make_link(

@@ -323,7 +323,7 @@ class InitiatorNI:
     def next_timeout_cycle(self) -> Optional[int]:
         """Earliest retransmission deadline among pending transfers.
 
-        A term of the fast kernel's idle-skip horizon:
+        A term of the event kernel's ``EventScheduler.jump_target``:
         :meth:`check_timeouts` is a no-op strictly before this cycle,
         because deadlines only move when a timeout fires or an ack
         lands — both of which happen on executed cycles.
@@ -496,17 +496,6 @@ class TargetNI:
     def backlog(self) -> int:
         """Flits waiting in the ejection buffer (drain census)."""
         return len(self._buffer)
-
-    def next_response_cycle(self) -> Optional[int]:
-        """Release cycle of the oldest pending response.
-
-        A term of the fast kernel's idle-skip horizon.  Responses enter
-        the deque in release order (one fixed service latency per
-        target), so the head is always the earliest.
-        """
-        if not self._pending_responses:
-            return None
-        return self._pending_responses[0][0]
 
     def set_responder(
         self,

@@ -321,7 +321,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             pattern=args.pattern, cycles=args.cycles, warmup=args.warmup,
             packet_size=args.packet_size, seed=args.seed,
             metrics_interval=args.metrics_interval,
-            kernel=(None if args.kernel == "fast" else args.kernel),
+            kernel=args.kernel,
         )
         print(f"Batch load curve on {args.topology} (size {args.size}), "
               f"{len(jobs)} rates")
@@ -333,7 +333,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             switch_faults=args.switch_faults,
             transient_bursts=args.transient_bursts,
             repair_after=args.repair_after, seed=args.seed,
-            kernel=(None if args.kernel == "fast" else args.kernel),
+            kernel=args.kernel,
         )
         print(f"Batch fault campaign on {args.topology} "
               f"(size {args.size}), {len(jobs)} runs")
@@ -342,7 +342,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             args.topology, args.size,
             pattern=args.pattern, cycles=args.cycles, warmup=args.warmup,
             packet_size=args.packet_size, seed=args.seed,
-            kernel=(None if args.kernel == "fast" else args.kernel),
+            kernel=args.kernel,
         )]
         print(f"Batch saturation search on {args.topology} "
               f"(size {args.size})")
@@ -717,7 +717,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         max_corruptions=args.max_corruptions,
         stall_streams=args.stall_streams,
         wait_timeout_s=args.wait_timeout,
-        kernel=(None if args.kernel == "fast" else args.kernel),
+        kernel=args.kernel,
     )
     print(f"chaos campaign: {config.jobs} jobs, seed {config.seed}, "
           f"{config.workers} process workers "
@@ -776,11 +776,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vcs", type=int, default=1)
     p.add_argument("--buffer-depth", type=int, default=4)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--kernel", default="fast",
-                   choices=("fast", "reference", "event"),
-                   help="simulation kernel (identical results; 'fast' "
-                        "skips provably idle cycles, 'event' schedules "
-                        "only woken components)")
+    p.add_argument("--kernel", default="event",
+                   choices=("event", "reference"),
+                   help="simulation kernel (identical results; 'event' "
+                        "schedules only woken components and jumps over "
+                        "idle cycles, 'reference' executes every cycle)")
     p.add_argument("--heatmap", action="store_true",
                    help="print an ASCII link-load heat map (mesh/torus)")
     p.set_defaults(func=_cmd_simulate)
@@ -832,11 +832,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "congestion.csv, summary.json")
     p.add_argument("--no-trace", action="store_true",
                    help="skip per-flit trace files (metrics only)")
-    p.add_argument("--kernel", default="fast",
-                   choices=("fast", "reference", "event"),
-                   help="simulation kernel (identical results; 'fast' "
-                        "skips provably idle cycles, 'event' schedules "
-                        "only woken components)")
+    p.add_argument("--kernel", default="event",
+                   choices=("event", "reference"),
+                   help="simulation kernel (identical results; 'event' "
+                        "schedules only woken components and jumps over "
+                        "idle cycles, 'reference' executes every cycle)")
     p.set_defaults(func=_cmd_observe)
 
     p = sub.add_parser(
@@ -891,10 +891,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transient-bursts", type=int, default=0)
     p.add_argument("--repair-after", type=int, default=None,
                    help="repair each hard fault after this many cycles")
-    p.add_argument("--kernel", default="fast",
-                   choices=("fast", "reference", "event"),
+    p.add_argument("--kernel", default=None,
+                   choices=("event", "reference"),
                    help="simulation kernel for the sweep jobs (identical "
-                        "results; cache keys are unchanged for 'fast')")
+                        "results; default: event, with the kernel left "
+                        "out of the cache key)")
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser(
@@ -1053,11 +1054,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stream connections opened and left unread")
     p.add_argument("--wait-timeout", type=float, default=300.0,
                    help="campaign-wide completion deadline (seconds)")
-    p.add_argument("--kernel", default="fast",
-                   choices=("fast", "reference", "event"),
+    p.add_argument("--kernel", default=None,
+                   choices=("event", "reference"),
                    help="simulation kernel for every campaign job "
-                        "(identical results; cache keys are unchanged "
-                        "for 'fast')")
+                        "(identical results; default: event, with the "
+                        "kernel left out of the cache key)")
     p.add_argument("--dir", default=None,
                    help="cache/checkpoint root (default: fresh temp dir)")
     p.add_argument("--json", action="store_true",

@@ -194,7 +194,7 @@ def load_curve_jobs(
     utilization-vs-load view :meth:`ResultStore.utilization_curve`
     replays.  ``None`` (the default) leaves the params — and therefore
     every cache key — exactly as before.  The same absent-by-default
-    convention applies to ``kernel`` (``"fast"`` / ``"reference"``);
+    convention applies to ``kernel`` (``"event"`` / ``"reference"``);
     both kernels produce byte-identical results, so cached points stay
     valid either way.
     """

@@ -117,9 +117,9 @@ class MetricsProbe:
     def next_sample_cycle(self) -> int:
         """First cycle whose :meth:`on_cycle` closes a window.
 
-        A term of the fast kernel's idle-skip horizon: window boundaries
-        must land on executed cycles so the sampled per-window deltas
-        match the reference kernel byte for byte.
+        A term of the event kernel's ``EventScheduler.jump_target``:
+        window boundaries must land on executed cycles so the sampled
+        per-window deltas match the reference kernel byte for byte.
         """
         return self._window_start + self.interval - 1
 

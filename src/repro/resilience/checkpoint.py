@@ -13,9 +13,10 @@ inside the body rejects capsules from an incompatible library.
 
 Byte-identity is the contract, leaning on two established invariants:
 
-* splitting ``sim.run(N)`` into chunks is result-identical (the fast
-  kernel's skip horizon only shrinks at chunk ends — skipping less is
-  always safe, PR 4);
+* splitting ``sim.run(N)`` into chunks is result-identical (the event
+  kernel's ``EventScheduler.jump_target`` only shrinks at chunk ends —
+  skipping less is always safe — and the scheduler is rebuilt from
+  component state at every run entry);
 * observation never changes results (PR 3), so capsules exclude
   recorders/probes and the host re-attaches them after restore.
 

@@ -1,10 +1,9 @@
 """The event-wheel scheduler behind ``NocSimulator(kernel="event")``.
 
-The reference kernel polls every component every cycle; the fast kernel
-keeps the polling loop but jumps over *provably quiescent* stretches.
-This module removes the polling: components **post wakeups** when their
-state changes, and each executed cycle touches only the components with
-pending work.
+The reference kernel polls every component every cycle.  This module
+removes the polling: components **post wakeups** when their state
+changes, each executed cycle touches only the components with pending
+work, and *provably quiescent* stretches are jumped over whole.
 
 Three structures drive the run loop:
 
@@ -560,8 +559,9 @@ class EventScheduler:
         Only called when :meth:`quiescent` holds; the timed terms — the
         wheels' next buckets, retransmission deadlines, scheduled
         faults, the controller's wakeup, the probe's window boundary,
-        and the traffic lookahead — bound the jump from above exactly
-        like the fast kernel's event horizon.
+        and the traffic lookahead — bound the jump from above.  A jump
+        never lands past the earliest of them, so every skipped cycle
+        is provably inert.
         """
         sim = self.sim
         c = sim.cycle

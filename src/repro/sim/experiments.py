@@ -53,7 +53,7 @@ def _run_point(
     warmup: int,
     packet_size: int,
     seed: int,
-    kernel: str = "fast",
+    kernel: str = "event",
     on_sim=None,
 ) -> Optional[LoadPoint]:
     sim = NocSimulator(
@@ -97,7 +97,7 @@ def load_latency_curve(
     packet_size: int = 4,
     seed: int = 1,
     executor=None,
-    kernel: str = "fast",
+    kernel: str = "event",
 ) -> List[LoadPoint]:
     """The latency/throughput curve across an injection-rate sweep.
 
@@ -106,7 +106,7 @@ def load_latency_curve(
     :class:`repro.lab.ProcessExecutor`) runs them concurrently;
     point order and values match the serial path exactly.  ``kernel``
     selects the simulation kernel per point (results are identical; the
-    fast kernel just reaches the low-load points sooner).
+    event kernel just reaches each point sooner).
     """
     if not rates:
         raise ValueError("need at least one rate")
@@ -136,7 +136,7 @@ def saturation_throughput(
     packet_size: int = 4,
     seed: int = 1,
     tolerance: float = 0.02,
-    kernel: str = "fast",
+    kernel: str = "event",
 ) -> float:
     """Saturation injection rate (flits/cycle/core) by bisection.
 

@@ -147,8 +147,8 @@ class FaultSchedule:
     def next_cycle(self) -> Optional[int]:
         """Cycle of the next undelivered event, or None when exhausted.
 
-        A term of the fast kernel's idle-skip horizon: the clock must
-        never jump past a scheduled fault.
+        A term of the event kernel's ``EventScheduler.jump_target``: the
+        clock must never jump past a scheduled fault.
         """
         if self._cursor >= len(self._events):
             return None
@@ -314,10 +314,11 @@ class RecoveryController:
     def next_wakeup(self, cycle: int) -> Optional[int]:
         """Earliest future cycle at which tick() could change state.
 
-        A term of the fast kernel's idle-skip horizon.  Between executed
-        cycles the controller's only inputs (timeout and ack callbacks)
-        cannot fire, so its next action is fully determined by pending
-        blame, the cooldown, and the current suspect counts.  Returning
+        A term of the event kernel's ``EventScheduler.jump_target``.
+        Between executed cycles the controller's only inputs (timeout
+        and ack callbacks) cannot fire, so its next action is fully
+        determined by pending blame, the cooldown, and the current
+        suspect counts.  Returning
         ``cycle`` means "may act right now — do not skip": blame
         localization reads the clock (the exoneration window), so any
         cycle with an over-threshold suspect must be executed.

@@ -18,27 +18,23 @@ This simulator is the stand-in for the authors' RTL/SystemC models (see
 DESIGN.md): slower but behaviourally equivalent at flit granularity,
 which is the level all the reproduced claims live at.
 
-Three run kernels share the per-cycle semantics of ``step()``:
+Two run kernels share the per-cycle semantics of ``step()``:
 
 * ``kernel="reference"`` — execute every cycle, one ``step()`` per tick;
-* ``kernel="fast"`` (the default) — identical per-cycle semantics, but
-  when the network is provably quiescent the clock jumps straight to
-  the *event horizon*: the earliest cycle at which any traffic
+  the oracle the differential tests compare against;
+* ``kernel="event"`` (the default) — components *post wakeups* instead
+  of being polled: an :class:`repro.sim.event_wheel.EventScheduler`
+  keeps active sets plus a bucketed delivery wheel, each executed cycle
+  ticks only the components with pending work (in the reference
+  kernel's sorted phase order), and when the network is fully quiescent
+  the clock jumps straight to the earliest cycle at which any traffic
   generator, in-flight link pipeline, NI retransmission timer, pending
   response, fault-schedule entry, recovery controller or metrics window
-  can act.  Every executed cycle runs the very same ``step()``, and
-  traffic lookahead buffers its draws for verbatim replay;
-* ``kernel="event"`` — components *post wakeups* instead of being
-  polled: an :class:`repro.sim.event_wheel.EventScheduler` keeps active
-  sets plus a bucketed delivery wheel, each executed cycle ticks only
-  the components with pending work (in the reference kernel's sorted
-  phase order), and fully quiescent stretches jump like the fast
-  kernel.  This is the kernel that stays fast at mid-load, where the
-  fast kernel's whole-network quiescence test never fires.
+  can act.  Traffic lookahead buffers its draws for verbatim replay.
 
-All three are byte-identical in stats, traces and recovery accounting
+Both are byte-identical in stats, traces and recovery accounting
 (``tests/sim/test_kernel_equivalence.py`` enforces this over a
-3-way configuration matrix).
+configuration matrix).
 """
 
 from __future__ import annotations
@@ -62,13 +58,13 @@ from repro.topology.graph import NodeKind, RoutingTable, Topology
 from repro.sim.stats import StatsCollector
 
 #: Valid ``NocSimulator(kernel=...)`` selectors.
-KERNELS = ("fast", "reference", "event")
+KERNELS = ("reference", "event")
 
-#: Cap on the idle-check backoff (cycles between quiescence probes while
-#: the network stays busy).  Skipping later than possible is always
-#: correct, so the only cost of a larger cap is a longer tail of
-#: executed no-op cycles after the network empties.
-_MAX_SKIP_BACKOFF = 16
+#: Retired kernel names, still accepted for one release so stored job
+#: specs, cache entries and checkpoint capsules keep loading.  The
+#: ``"fast"`` kernel's whole-network idle jump is the event kernel's
+#: quiescent jump, so it runs as ``"event"`` with identical results.
+_KERNEL_ALIASES = {"fast": "event"}
 
 
 class DrainTimeoutError(RuntimeError):
@@ -134,10 +130,10 @@ class NocSimulator:
     warmup_cycles:
         Packets injected before this cycle are excluded from statistics.
     kernel:
-        ``"fast"`` (default) skips provably idle cycles; ``"reference"``
-        executes every cycle; ``"event"`` schedules only components
-        with posted wakeups (see :mod:`repro.sim.event_wheel`).
-        Results are byte-identical across all three.
+        ``"event"`` (default) schedules only components with posted
+        wakeups and jumps over quiescent stretches (see
+        :mod:`repro.sim.event_wheel`); ``"reference"`` executes every
+        cycle.  Results are byte-identical across both.
     """
 
     def __init__(
@@ -148,8 +144,9 @@ class NocSimulator:
         vc_assignment: Optional[Dict[Tuple[str, str], Sequence[int]]] = None,
         warmup_cycles: int = 0,
         link_error_probability: float = 0.0,
-        kernel: str = "fast",
+        kernel: str = "event",
     ):
+        kernel = _KERNEL_ALIASES.get(kernel, kernel)
         if kernel not in KERNELS:
             raise ValueError(
                 f"unknown kernel {kernel!r}; choose from {KERNELS}"
@@ -160,7 +157,7 @@ class NocSimulator:
         self.link_error_probability = link_error_probability
         self.kernel = kernel
         self.cycle = 0
-        self.cycles_skipped = 0  # idle cycles the fast kernel jumped over
+        self.cycles_skipped = 0  # idle cycles the event kernel jumped over
         self.stats = StatsCollector(warmup_cycles=warmup_cycles)
 
         self.switches: Dict[str, SwitchModel] = {}
@@ -180,13 +177,8 @@ class NocSimulator:
         # closures attach_memory() installs (closures don't pickle).
         self._memory_attachments: Dict[str, Tuple[int, int]] = {}
 
-        # Idle-skip bookkeeping (fast kernel only).  The quiescence check
-        # is O(components); the exponential backoff keeps it off the hot
-        # path while the network is busy.  ``_skip_hook`` is an optional
-        # ``f(from_cycle, to_cycle)`` callback the invariant tests use to
-        # audit every jump.
-        self._skip_backoff = 1
-        self._next_skip_check = 0
+        # ``_skip_hook`` is an optional ``f(from_cycle, to_cycle)``
+        # callback the invariant tests use to audit every clock jump.
         self._skip_hook: Optional[Callable[[int, int], None]] = None
 
         # Event-kernel scheduler (built lazily by the first event-kernel
@@ -437,6 +429,7 @@ class NocSimulator:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self.kernel = _KERNEL_ALIASES.get(self.kernel, self.kernel)
         # Component __getstate__ hooks dropped the cross-object wiring;
         # rebuild it from the durable attachment records.
         if self._controller is not None:
@@ -527,8 +520,6 @@ class NocSimulator:
         """Run ``cycles`` cycles, then optionally drain in-flight traffic."""
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
-        if self.kernel == "fast":
-            return self._run_fast(cycles, traffic, drain, max_drain_cycles)
         if self.kernel == "event":
             return self._run_event(cycles, traffic, drain, max_drain_cycles)
         for __ in range(cycles):
@@ -540,52 +531,6 @@ class NocSimulator:
             while not self.idle and drained < max_drain_cycles:
                 self.step()
                 drained += 1
-            if not self.idle:
-                raise self._drain_timeout_error(max_drain_cycles)
-        return self.stats
-
-    # ------------------------------------------------------------------
-    # Fast kernel: identical per-cycle semantics, idle cycles skipped
-    # ------------------------------------------------------------------
-    def _run_fast(
-        self, cycles: int, traffic, drain: bool, max_drain_cycles: int
-    ) -> StatsCollector:
-        """The ``kernel="fast"`` run loop.
-
-        Every executed cycle goes through the very same :meth:`step` as
-        the reference kernel; the only difference is that the clock may
-        jump from a provably quiescent cycle directly to the event
-        horizon.  Skipping *less* than possible is always safe, so the
-        quiescence probe runs under an exponential backoff instead of
-        every cycle.
-        """
-        end = self.cycle + cycles
-        while self.cycle < end:
-            if self.cycle >= self._next_skip_check:
-                target = self._skip_horizon(traffic, end)
-                if target is not None:
-                    self._skip_to(target)
-                    continue
-                self._skip_backoff = min(
-                    self._skip_backoff * 2, _MAX_SKIP_BACKOFF
-                )
-                self._next_skip_check = self.cycle + self._skip_backoff
-            if traffic is not None:
-                traffic.tick(self.cycle, self)
-            self.step()
-        if drain:
-            end = self.cycle + max_drain_cycles
-            while not self.idle and self.cycle < end:
-                if self.cycle >= self._next_skip_check:
-                    target = self._skip_horizon(None, end)
-                    if target is not None:
-                        self._skip_to(target)
-                        continue
-                    self._skip_backoff = min(
-                        self._skip_backoff * 2, _MAX_SKIP_BACKOFF
-                    )
-                    self._next_skip_check = self.cycle + self._skip_backoff
-                self.step()
             if not self.idle:
                 raise self._drain_timeout_error(max_drain_cycles)
         return self.stats
@@ -635,74 +580,6 @@ class NocSimulator:
                 raise self._drain_timeout_error(max_drain_cycles)
         return self.stats
 
-    def _skip_horizon(self, traffic, limit: int) -> Optional[int]:
-        """Jump target ``t`` with ``cycle < t <= limit``, or None.
-
-        Returns a target only when every cycle in ``[cycle, t)`` is
-        provably inert: no component holds work right now, and the
-        earliest timed event (link delivery, retransmission deadline,
-        pending response, scheduled fault, controller wakeup, metrics
-        window boundary, traffic injection) lands at ``t`` or later.
-        Any doubt — an active go-back-N link, an opaque traffic source,
-        a controller with live suspects — collapses the horizon to the
-        current cycle and the kernel falls back to stepping.
-        """
-        c = self.cycle
-        if limit <= c + 1:
-            return None
-        # Work held right now means this cycle is live: bail fast.
-        for ni in self._initiator_seq:
-            if ni.backlog:
-                return None
-        for sw in self._switch_seq:
-            if sw.occupancy:
-                return None
-        for tgt in self._target_seq:
-            if tgt.backlog:
-                return None
-        # Timed events bound the jump from above.
-        horizon = limit
-        for link in self._link_seq:
-            nxt = link.next_event_cycle(c)
-            if nxt is not None and nxt < horizon:
-                horizon = nxt
-        for tgt in self._target_seq:
-            nxt = tgt.next_response_cycle()
-            if nxt is not None and nxt < horizon:
-                horizon = nxt
-        if self._retransmission is not None:
-            for ni in self._initiator_seq:
-                nxt = ni.next_timeout_cycle()
-                if nxt is not None and nxt < horizon:
-                    horizon = nxt
-        if self._fault_schedule is not None:
-            nxt = self._fault_schedule.next_cycle()
-            if nxt is not None and nxt < horizon:
-                horizon = nxt
-        if self._controller is not None:
-            nxt = self._controller.next_wakeup(c)
-            if nxt is not None and nxt < horizon:
-                horizon = nxt
-        if self._obs is not None:
-            nxt = self._obs.next_sample_cycle()
-            if nxt < horizon:
-                horizon = nxt
-        if horizon <= c:
-            return None
-        # Traffic lookahead last: it is the costliest term (it draws the
-        # skipped cycles' randomness), and the horizon found so far
-        # bounds how far ahead it needs to look.
-        if traffic is not None:
-            probe = getattr(traffic, "next_injection_cycle", None)
-            if probe is None:
-                return None  # opaque generator: never skip
-            nxt = probe(c, self, horizon)
-            if nxt is not None and nxt < horizon:
-                horizon = nxt
-        if horizon <= c:
-            return None
-        return horizon
-
     def _skip_to(self, target: int) -> None:
         """Jump the clock over ``[cycle, target)`` — all provably inert."""
         elapsed = target - self.cycle
@@ -712,8 +589,6 @@ class NocSimulator:
             link.on_idle_skip(elapsed)
         self.cycles_skipped += elapsed
         self.cycle = target
-        self._skip_backoff = 1
-        self._next_skip_check = target
 
     def _drain_timeout_error(self, max_drain_cycles: int) -> DrainTimeoutError:
         return DrainTimeoutError(

@@ -28,7 +28,7 @@ class TrafficSource(Protocol):
     """Per-cycle injection callback used by the simulator.
 
     Generators may additionally implement the *lookahead protocol* used
-    by the fast kernel's idle-cycle skipping::
+    by the event kernel's ``EventScheduler.jump_target``::
 
         def next_injection_cycle(self, cycle, simulator, limit):
             '''Earliest cycle in [cycle, limit) with an injection, or

@@ -163,6 +163,19 @@ class TestLoadCurveJobs:
         job = load_curve_jobs("mesh", 3, [0.1], cycles=300, warmup=60)[0]
         assert "metrics_interval" not in job.params
 
+    def test_stored_fast_kernel_job_runs_as_default(self):
+        """``"fast"`` is a retired kernel name accepted for one release:
+        a stored job carrying it keeps its cache key and gives the
+        default job's result (it runs on the event kernel)."""
+        kw = dict(cycles=400, warmup=100, seed=3)
+        default = load_curve_jobs("mesh", 4, [0.05], **kw)[0]
+        stored = load_curve_jobs("mesh", 4, [0.05], kernel="fast", **kw)[0]
+        assert stored.params["kernel"] == "fast"
+        assert stored.key == (
+            "0129206de75d137e6a9e603b6b8e41c77fe7b02d5cf3bb225811f2b10b140070"
+        )
+        assert run_jobs([stored]).results == run_jobs([default]).results
+
     def test_utilization_curve_from_batch(self):
         from repro.lab import utilization_curve_from_batch
 

@@ -131,13 +131,25 @@ class TestEventKernelCheckpoint:
         """A capsule taken under the reference kernel finishes under the
         event kernel with identical results: the capsule format is
         kernel-agnostic and the scheduler rebuild makes no assumptions
-        about who produced the state."""
+        about who produced the state.  The same holds for a capsule
+        saved by the retired ``"fast"`` kernel, which still carries
+        that kernel's idle-check backoff state: it restores as
+        ``"event"`` with no help from the host."""
         reference = _uninterrupted("reference")
-        sim, traffic = _build_sim("reference")
-        sim.run(1300, traffic)
-        capsule = sim.snapshot(traffic)
-        reset_packet_ids()
-        restored, restored_traffic = NocSimulator.restore(capsule)
-        restored.kernel = "event"
-        restored.run(CYCLES - restored.cycle, restored_traffic, drain=True)
-        assert _fingerprint(restored) == reference
+        for producer in ("reference", "fast"):
+            sim, traffic = _build_sim("reference")
+            sim.run(1300, traffic)
+            if producer == "fast":
+                sim.kernel = "fast"
+                sim._skip_backoff = 16
+                sim._next_skip_check = 1304
+            capsule = sim.snapshot(traffic)
+            reset_packet_ids()
+            restored, restored_traffic = NocSimulator.restore(capsule)
+            if producer == "reference":
+                restored.kernel = "event"
+            assert restored.kernel == "event"
+            restored.run(CYCLES - restored.cycle, restored_traffic,
+                         drain=True)
+            assert restored._event_sched is not None
+            assert _fingerprint(restored) == reference, producer

@@ -1,4 +1,4 @@
-"""Property-based invariants of the fast and event simulation kernels.
+"""Property-based invariants of the event simulation kernel.
 
 Four families, per the kernels' correctness arguments:
 
@@ -11,7 +11,7 @@ Four families, per the kernels' correctness arguments:
 * **Skip audit** — via ``NocSimulator._skip_hook``: no jump ever
   crosses a scheduled fault or a pending retransmission deadline, and
   every jump moves strictly forward from a quiescent cycle.
-* **Wakeup audit** (event kernel) — no clock jump crosses a posted
+* **Wakeup audit** — no clock jump crosses a posted
   wheel wakeup, a scheduled fault, a pending retransmission deadline,
   or a metrics window boundary; and at the end of every executed cycle
   no component holds work without a wheel entry or active-set
@@ -66,7 +66,7 @@ class TestConservation:
     def test_no_flit_lost_or_duplicated_fault_free(self, config):
         (topology, size), fc, rate, packet_size, seed = config
         reset_packet_ids()
-        sim, __ = _fresh_sim(topology, size, fc, "fast")
+        sim, __ = _fresh_sim(topology, size, fc, "event")
         traffic = SyntheticTraffic("uniform", rate, packet_size, seed=seed)
         sim.run(400, traffic, drain=True)
         assert sim.idle
@@ -84,7 +84,7 @@ class TestConservation:
         partition exactly into delivered / lost / abandoned — on both
         kernels, with identical partitions."""
         partitions = {}
-        for kernel in ("fast", "reference"):
+        for kernel in ("event", "reference"):
             reset_packet_ids()
             sim, __ = _fresh_sim("mesh", 4, "on_off", kernel)
             sim.attach_fault_schedule(FaultSchedule([
@@ -108,7 +108,7 @@ class TestConservation:
             assert delivered + lost + abandoned >= traffic.packets_offered
             assert lost + abandoned <= traffic.packets_offered
             partitions[kernel] = (delivered, lost, abandoned)
-        assert partitions["fast"] == partitions["reference"]
+        assert partitions["event"] == partitions["reference"]
 
 
 class TestLatencyLowerBound:
@@ -117,7 +117,7 @@ class TestLatencyLowerBound:
     def test_no_packet_beats_zero_load_latency(self, config):
         (topology, size), fc, rate, packet_size, seed = config
         reset_packet_ids()
-        sim, table = _fresh_sim(topology, size, fc, "fast")
+        sim, table = _fresh_sim(topology, size, fc, "event")
         traffic = SyntheticTraffic("uniform", rate, packet_size, seed=seed)
         sim.run(400, traffic, drain=True)
         for r in sim.stats.records:
@@ -135,7 +135,7 @@ class TestSkipAudit:
     def _audited_run(self, *, faults=None, retransmission=False,
                      rate=0.002, cycles=3000, seed=5):
         reset_packet_ids()
-        sim, __ = _fresh_sim("mesh", 4, "on_off", "fast")
+        sim, __ = _fresh_sim("mesh", 4, "on_off", "event")
         if faults:
             sim.attach_fault_schedule(FaultSchedule(faults))
         if retransmission:
