@@ -59,15 +59,7 @@ def _traffic_aware_tile_assignment(
     its already-placed partners (deterministic tie-breaks).
     """
     tiles = [(x, y) for y in range(height) for x in range(width)]
-    totals = {
-        c: sum(
-            f.bandwidth_mbps
-            for f in spec.flows
-            if c in (f.source, f.destination)
-        )
-        for c in spec.core_names
-    }
-    order = sorted(spec.core_names, key=lambda c: (-totals[c], c))
+    order = sorted(spec.core_names, key=lambda c: (-spec.core_bandwidth(c), c))
     placed: Dict[str, Tuple[int, int]] = {}
     free = list(tiles)
     center = (width // 2, height // 2)

@@ -93,10 +93,13 @@ def map_cores(
         (ax, ay), (bx, by) = positions[x], positions[y]
         return 1.0 / (1.0 + distance_weight * (abs(ax - bx) + abs(ay - by)))
 
+    pair_w = {
+        (x, y): spec.bandwidth_between(x, y) * discount(x, y)
+        for x in cores for y in cores
+    }
+
     def weight(a: List[str], b: List[str]) -> float:
-        return sum(
-            spec.bandwidth_between(x, y) * discount(x, y) for x in a for y in b
-        )
+        return sum(pair_w[x, y] for x in a for y in b)
 
     while len(clusters) > num_switches:
         best: Tuple[float, int, int] = (-1.0, -1, -1)

@@ -62,8 +62,17 @@ class FlowSpec:
         return bits_per_s / (flit_width * frequency_hz)
 
 
+def _pair(a: str, b: str) -> Tuple[str, str]:
+    return (a, b) if a <= b else (b, a)
+
+
 class CommunicationSpec:
-    """The complete synthesis input: cores, flows, global constraints."""
+    """The complete synthesis input: cores, flows, global constraints.
+
+    A spec is read-only after construction: its traffic queries answer
+    from an index built in ``__init__``, so ``cores`` and ``flows`` must
+    not be changed afterwards.  Build a new spec instead.
+    """
 
     def __init__(
         self,
@@ -84,6 +93,19 @@ class CommunicationSpec:
             if flow.destination not in self.cores:
                 raise ValueError(f"flow destination {flow.destination!r} unknown")
             self.flows.append(flow)
+        # Traffic index, built once.  Each value is ``sum()`` over its
+        # key's flows in flow order, exactly as a scan of ``flows`` adds
+        # them, so lookups match the scans bit for bit.
+        pair_flows: Dict[Tuple[str, str], List[float]] = {}
+        core_flows: Dict[str, List[float]] = {name: [] for name in self.cores}
+        for f in self.flows:
+            pair_flows.setdefault(_pair(f.source, f.destination), []).append(
+                f.bandwidth_mbps
+            )
+            core_flows[f.source].append(f.bandwidth_mbps)
+            core_flows[f.destination].append(f.bandwidth_mbps)
+        self._pair_mbps = {k: sum(v) for k, v in pair_flows.items()}
+        self._core_mbps = {k: sum(v) for k, v in core_flows.items()}
 
     # ------------------------------------------------------------------
     @property
@@ -96,11 +118,11 @@ class CommunicationSpec:
 
     def bandwidth_between(self, a: str, b: str) -> float:
         """Undirected core-pair traffic (for partitioning), MB/s."""
-        return sum(
-            f.bandwidth_mbps
-            for f in self.flows
-            if (f.source, f.destination) in ((a, b), (b, a))
-        )
+        return self._pair_mbps.get(_pair(a, b), 0)
+
+    def core_bandwidth(self, core: str) -> float:
+        """Total MB/s a core sends and receives."""
+        return self._core_mbps[core]
 
     def flows_from(self, core: str) -> List[FlowSpec]:
         return [f for f in self.flows if f.source == core]

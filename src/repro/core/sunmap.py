@@ -96,13 +96,7 @@ def _ring_order(spec: CommunicationSpec) -> List[str]:
     """Greedy chain: repeatedly append the core most connected to the
     current tail (a light-weight TSP heuristic for ring placement)."""
     remaining = list(spec.core_names)
-    totals = {
-        c: sum(
-            f.bandwidth_mbps for f in spec.flows if c in (f.source, f.destination)
-        )
-        for c in remaining
-    }
-    current = max(remaining, key=lambda c: (totals[c], c))
+    current = max(remaining, key=lambda c: (spec.core_bandwidth(c), c))
     order = [current]
     remaining.remove(current)
     while remaining:

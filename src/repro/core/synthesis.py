@@ -49,6 +49,32 @@ def switch_name(index: int) -> str:
     return f"sw{index}"
 
 
+def would_deadlock(cdg: nx.DiGraph, links: Sequence) -> bool:
+    """Add one route's channel dependencies to an acyclic CDG.
+
+    ``links`` is the route's ordered list of directed links; each
+    consecutive pair is a dependency edge.  Returns ``True``, and rolls
+    the additions back, if they would close a cycle.  The CDG is acyclic
+    before the call, so any new cycle passes through an added edge
+    ``(u, v)``: one exists exactly when ``u`` is reachable from ``v``.
+    """
+    added_nodes = [l for l in links if l not in cdg]
+    added_edges = [
+        (a, b) for a, b in zip(links, links[1:])
+        if not cdg.has_edge(a, b)
+    ]
+    cdg.add_edges_from(added_edges)
+    for l in links:
+        cdg.add_node(l)
+    cyclic = any(nx.has_path(cdg, v, u) for u, v in added_edges)
+    if cyclic:  # roll back
+        cdg.remove_edges_from(added_edges)
+        cdg.remove_nodes_from(
+            [n for n in added_nodes if cdg.degree(n) == 0]
+        )
+    return cyclic
+
+
 @dataclass
 class SynthesisResult:
     """A synthesized custom topology plus its evaluation."""
@@ -142,14 +168,10 @@ class TopologySynthesizer:
         """Incremental floorplanning: insert switches near their cores."""
         planner = IncrementalFloorplanner(self.input_floorplan)
         for idx, cluster in enumerate(mapping.clusters):
-            attached = []
-            for core in cluster:
-                weight = sum(
-                    f.bandwidth_mbps
-                    for f in self.spec.flows
-                    if core in (f.source, f.destination)
-                )
-                attached.append((core, max(weight, 1.0)))
+            attached = [
+                (core, max(self.spec.core_bandwidth(core), 1.0))
+                for core in cluster
+            ]
             planner.insert(switch_name(idx), 0.3, 0.3, attached)
         return planner.place()
 
@@ -192,27 +214,6 @@ class TopologySynthesizer:
             nodes = [src_core, *path, dst_core]
             return list(zip(nodes, nodes[1:]))
 
-        def would_deadlock(links) -> bool:
-            added_nodes = [l for l in links if l not in cdg]
-            added_edges = [
-                (a, b) for a, b in zip(links, links[1:])
-                if not cdg.has_edge(a, b)
-            ]
-            cdg.add_edges_from(added_edges)
-            for l in links:
-                cdg.add_node(l)
-            try:
-                nx.find_cycle(cdg)
-                cyclic = True
-            except nx.NetworkXNoCycle:
-                cyclic = False
-            if cyclic:  # roll back
-                cdg.remove_edges_from(added_edges)
-                cdg.remove_nodes_from(
-                    [n for n in added_nodes if cdg.degree(n) == 0]
-                )
-            return cyclic
-
         def commit(key: Tuple[str, str], path: List[str], bw: float) -> None:
             routes[key] = path
             for a, b in zip(path, path[1:]):
@@ -225,7 +226,7 @@ class TopologySynthesizer:
             dst_sw = switch_name(mapping.switch_of(key[1]))
             if src_sw == dst_sw:
                 path = [src_sw]
-                if not would_deadlock(full_links(key[0], path, key[1])):
+                if not would_deadlock(cdg, full_links(key[0], path, key[1])):
                     commit(key, path, bw)
                     continue
                 # Same-switch flows only add NI links; cycles impossible.
@@ -242,7 +243,7 @@ class TopologySynthesizer:
                 if candidate is None:
                     break
                 links = full_links(key[0], candidate, key[1])
-                if not would_deadlock(links):
+                if not would_deadlock(cdg, links):
                     path = candidate
                     break
                 for a, b in zip(candidate, candidate[1:]):
@@ -250,7 +251,7 @@ class TopologySynthesizer:
             if path is None:
                 fallback = tree_path(int(src_sw[2:]), int(dst_sw[2:]))
                 links = full_links(key[0], fallback, key[1])
-                if would_deadlock(links):
+                if would_deadlock(cdg, links):
                     raise RuntimeError(
                         f"cannot route flow {key} deadlock-free even on the "
                         "fallback tree; design is over-constrained"

@@ -59,6 +59,38 @@ class Block:
         )
 
 
+def spacing_bounds(
+    block: Block, margin: float
+) -> Tuple[float, float, float, float]:
+    """A placed block's side of :meth:`Block.overlaps`, summed once:
+    ``(x, x + w + margin, y, y + h + margin)``."""
+    return (
+        block.x_mm,
+        block.x_mm + block.width_mm + margin,
+        block.y_mm,
+        block.y_mm + block.height_mm + margin,
+    )
+
+
+def fits(
+    x: float,
+    y: float,
+    width: float,
+    height: float,
+    margin: float,
+    bounds: Iterable[Tuple[float, float, float, float]],
+) -> bool:
+    """Whether a ``width`` x ``height`` block at ``(x, y)`` overlaps none
+    of the :func:`spacing_bounds` — :meth:`Block.overlaps` evaluated term
+    for term, without building the block."""
+    x1 = x + width + margin
+    y1 = y + height + margin
+    for ox, ox1, oy, oy1 in bounds:
+        if not (x1 <= ox or ox1 <= x or y1 <= oy or oy1 <= y):
+            return False
+    return True
+
+
 def manhattan(a: Tuple[float, float], b: Tuple[float, float]) -> float:
     """Manhattan distance between two points — the on-chip wire metric."""
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
@@ -263,18 +295,15 @@ class IncrementalFloorplanner:
         slack = max(item.width_mm, item.height_mm) * 4 + 1.0
         step = max(min(item.width_mm, item.height_mm) / 2.0, 0.05)
 
+        bounds = [spacing_bounds(other, self.margin_mm) for other in fp]
+
         def candidate_ok(cx: float, cy: float) -> Optional[Block]:
-            block = Block(
-                name=item.name,
-                width_mm=item.width_mm,
-                height_mm=item.height_mm,
-                x_mm=cx - item.width_mm / 2.0,
-                y_mm=cy - item.height_mm / 2.0,
-            )
-            for other in fp:
-                if block.overlaps(other, margin=self.margin_mm):
-                    return None
-            return block
+            x = cx - item.width_mm / 2.0
+            y = cy - item.height_mm / 2.0
+            if not fits(x, y, item.width_mm, item.height_mm,
+                        self.margin_mm, bounds):
+                return None
+            return Block(item.name, item.width_mm, item.height_mm, x, y)
 
         best = candidate_ok(*target)
         if best is not None:

@@ -269,19 +269,23 @@ class RoutingTable:
         self._routes: Dict[Tuple[str, str], Route] = {}
 
     def set_route(self, route: Route) -> None:
-        topo = self.topology
-        for node in route.path:
-            if node not in topo:
+        # networkx's own node and adjacency dicts: route tables hold one
+        # entry per core pair, too many to check through view objects.
+        graph = self.topology.graph
+        nodes, succ = graph._node, graph._succ
+        path = route.path
+        for node in path:
+            if node not in nodes:
                 raise KeyError(f"route references unknown node {node!r}")
-        if topo.kind(route.source) is not NodeKind.CORE:
-            raise ValueError(f"route source {route.source!r} is not a core")
-        if topo.kind(route.destination) is not NodeKind.CORE:
-            raise ValueError(f"route destination {route.destination!r} is not a core")
-        for src, dst in route.links():
-            if not topo.has_link(src, dst):
+        if nodes[path[0]]["kind"] is not NodeKind.CORE:
+            raise ValueError(f"route source {path[0]!r} is not a core")
+        if nodes[path[-1]]["kind"] is not NodeKind.CORE:
+            raise ValueError(f"route destination {path[-1]!r} is not a core")
+        for src, dst in zip(path, path[1:]):
+            if dst not in succ[src]:
                 raise ValueError(f"route uses missing link {src!r}->{dst!r}")
-        for mid in route.path[1:-1]:
-            if topo.kind(mid) is not NodeKind.SWITCH:
+        for mid in path[1:-1]:
+            if nodes[mid]["kind"] is not NodeKind.SWITCH:
                 raise ValueError(f"route transits non-switch node {mid!r}")
         self._routes[(route.source, route.destination)] = route
 

@@ -68,12 +68,18 @@ def route_all(
     switch path (ties broken by switch name).
     """
     table = RoutingTable(topo)
+    ingress: Dict[str, List[str]] = {}  # core -> switches it injects into
+    egress: Dict[str, List[str]] = {}  # core -> switches that eject to it
     for src, dst in pairs if pairs is not None else _core_pairs(topo):
+        if src not in ingress:
+            ingress[src] = sorted(sw for sw in topo.attached_switches(src)
+                                  if topo.has_link(src, sw))
+        if dst not in egress:
+            egress[dst] = sorted(sw for sw in topo.attached_switches(dst)
+                                 if topo.has_link(sw, dst))
         candidates = []
-        for s_sw in sorted(sw for sw in topo.attached_switches(src)
-                           if topo.has_link(src, sw)):
-            for d_sw in sorted(sw for sw in topo.attached_switches(dst)
-                               if topo.has_link(sw, dst)):
+        for s_sw in ingress[src]:
+            for d_sw in egress[dst]:
                 if s_sw == d_sw:
                     switch_path = [s_sw]
                 else:
