@@ -19,7 +19,7 @@ from repro.core.spec import CommunicationSpec
 from repro.physical.technology import TechNode, TechnologyLibrary
 from repro.topology.graph import Route, RoutingTable, Topology
 from repro.topology.mesh import mesh
-from repro.topology.routing import xy_routing
+from repro.topology.routing import _xy_switch_path, route_all
 from repro.topology.star import star
 
 
@@ -113,11 +113,11 @@ def mesh_baseline(
                 attrs = grid.link_attrs(src, dst)
                 topo.add_link(src, dst, length_mm=attrs.length_mm)
 
-    full_table = xy_routing(topo)
-    table = RoutingTable(topo)
-    for flow in spec.flows:
-        if not table.has_route(flow.source, flow.destination):
-            table.set_route(full_table.route(flow.source, flow.destination))
+    # XY routes for the spec's flow pairs only, in first-seen flow order.
+    pairs = dict.fromkeys((f.source, f.destination) for f in spec.flows)
+    table = route_all(
+        topo, lambda s, d: _xy_switch_path(topo, s, d, x_first=True), pairs
+    )
 
     return evaluator.evaluate(
         name=f"{spec.name}-mesh{width}x{height}",

@@ -101,16 +101,23 @@ def map_cores(
     def weight(a: List[str], b: List[str]) -> float:
         return sum(pair_w[x, y] for x in a for y in b)
 
+    # weights[i][j], i < j: weight(clusters[i], clusters[j]).  A merge
+    # changes only the pairs that involve the merged cluster.
+    weights = [
+        [weight(clusters[i], clusters[j]) if j > i else 0.0
+         for j in range(n)]
+        for i in range(n)
+    ]
     while len(clusters) > num_switches:
         best: Tuple[float, int, int] = (-1.0, -1, -1)
         for i in range(len(clusters)):
+            size_i, row = len(clusters[i]), weights[i]
             for j in range(i + 1, len(clusters)):
-                if len(clusters[i]) + len(clusters[j]) > max_size:
+                if size_i + len(clusters[j]) > max_size:
                     continue
-                w = weight(clusters[i], clusters[j])
                 # Deterministic tie-break via indices (prefer earlier pairs).
-                if w > best[0]:
-                    best = (w, i, j)
+                if row[j] > best[0]:
+                    best = (row[j], i, j)
         if best[1] < 0:
             # No merge respects the cap; relax it minimally to make progress.
             max_size += 1
@@ -118,5 +125,12 @@ def map_cores(
         __, i, j = best
         clusters[i] = sorted(clusters[i] + clusters[j])
         del clusters[j]
+        del weights[j]
+        for row in weights:
+            del row[j]
+        for m in range(i):
+            weights[m][i] = weight(clusters[m], clusters[i])
+        for m in range(i + 1, len(clusters)):
+            weights[i][m] = weight(clusters[i], clusters[m])
 
     return Mapping(clusters=[sorted(c) for c in clusters])

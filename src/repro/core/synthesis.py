@@ -22,6 +22,7 @@ Path allocation is the greedy power-aware scheme of the SunFloor family:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -185,13 +186,22 @@ class TopologySynthesizer:
         """Power-aware, deadlock-free path allocation for every flow."""
         k = mapping.num_switches
         names = [switch_name(i) for i in range(k)]
-
-        def dist(a: str, b: str) -> float:
-            (ax, ay), (bx, by) = positions[a], positions[b]
-            return abs(ax - bx) + abs(ay - by)
+        switch_of = {
+            core: idx for idx, cluster in enumerate(mapping.clusters)
+            for core in cluster
+        }
+        # Dijkstra's edge metric before the open-link and penalty terms.
+        base_cost = []
+        for a in names:
+            ax, ay = positions[a]
+            base_cost.append([
+                1.0 + _WIRE_COST_PER_MM * (abs(ax - bx) + abs(ay - by))
+                for bx, by in (positions[b] for b in names)
+            ])
 
         opened: set = set()  # undirected (i, j) pairs, i < j
-        link_load: Dict[Tuple[str, str], float] = {}  # directed, bits/s
+        is_open = [[False] * k for _ in range(k)]  # ``opened``, both ways
+        link_load = [[0.0] * k for _ in range(k)]  # directed, bits/s
         cdg = nx.DiGraph()  # nodes: directed (src node, dst node) links
 
         # Aggregate flows per core pair, largest first.
@@ -203,41 +213,39 @@ class TopologySynthesizer:
 
         routes: Dict[Tuple[str, str], List[str]] = {}
 
-        def tree_path(a: int, b: int) -> List[str]:
+        def tree_path(a: int, b: int) -> List[int]:
             """Spanning-chain path sw_a .. sw_b over consecutive indices
             (the deterministic deadlock-free fallback: a chain is a tree,
             and index-monotone routes on a chain cannot close CDG cycles)."""
             step = 1 if b > a else -1
-            return [switch_name(i) for i in range(a, b + step, step)]
+            return list(range(a, b + step, step))
 
-        def full_links(src_core: str, path: List[str], dst_core: str):
-            nodes = [src_core, *path, dst_core]
+        def full_links(src_core: str, path: List[int], dst_core: str):
+            nodes = [src_core, *(names[i] for i in path), dst_core]
             return list(zip(nodes, nodes[1:]))
 
-        def commit(key: Tuple[str, str], path: List[str], bw: float) -> None:
-            routes[key] = path
-            for a, b in zip(path, path[1:]):
-                i, j = int(a[2:]), int(b[2:])
+        def commit(key: Tuple[str, str], path: List[int], bw: float) -> None:
+            routes[key] = [names[i] for i in path]
+            for i, j in zip(path, path[1:]):
                 opened.add((min(i, j), max(i, j)))
-                link_load[(a, b)] = link_load.get((a, b), 0.0) + bw
+                is_open[i][j] = is_open[j][i] = True
+                link_load[i][j] += bw
 
         for key, bw in order:
-            src_sw = switch_name(mapping.switch_of(key[0]))
-            dst_sw = switch_name(mapping.switch_of(key[1]))
+            src_sw = switch_of[key[0]]
+            dst_sw = switch_of[key[1]]
             if src_sw == dst_sw:
-                path = [src_sw]
-                if not would_deadlock(cdg, full_links(key[0], path, key[1])):
-                    commit(key, path, bw)
-                    continue
-                # Same-switch flows only add NI links; cycles impossible.
-                commit(key, path, bw)
+                # Only NI links: the ejection link has no successor in the
+                # CDG, so this verdict is always False.
+                would_deadlock(cdg, full_links(key[0], [src_sw], key[1]))
+                commit(key, [src_sw], bw)
                 continue
 
-            penalties: Dict[Tuple[str, str], float] = {}
+            penalties: Dict[Tuple[int, int], float] = {}
             path = None
             for attempt in range(_DEADLOCK_RETRIES + 1):
                 candidate = self._dijkstra(
-                    names, src_sw, dst_sw, dist, opened, link_load,
+                    names, src_sw, dst_sw, base_cost, is_open, link_load,
                     capacity_bps, bw, penalties,
                 )
                 if candidate is None:
@@ -249,7 +257,7 @@ class TopologySynthesizer:
                 for a, b in zip(candidate, candidate[1:]):
                     penalties[(a, b)] = penalties.get((a, b), 0.0) + 10.0
             if path is None:
-                fallback = tree_path(int(src_sw[2:]), int(dst_sw[2:]))
+                fallback = tree_path(src_sw, dst_sw)
                 links = full_links(key[0], fallback, key[1])
                 if would_deadlock(cdg, links):
                     raise RuntimeError(
@@ -282,51 +290,52 @@ class TopologySynthesizer:
 
         return routes, opened
 
+    @staticmethod
     def _dijkstra(
-        self,
         names: Sequence[str],
-        src: str,
-        dst: str,
-        dist,
-        opened: set,
-        link_load: Dict[Tuple[str, str], float],
+        src: int,
+        dst: int,
+        base_cost: Sequence[Sequence[float]],
+        is_open: Sequence[Sequence[bool]],
+        link_load: Sequence[Sequence[float]],
         capacity_bps: float,
         bw: float,
-        penalties: Dict[Tuple[str, str], float],
-    ) -> Optional[List[str]]:
-        """Min-marginal-cost path over the complete switch graph."""
-        import heapq
-
-        best: Dict[str, float] = {src: 0.0}
-        parent: Dict[str, str] = {}
-        heap = [(0.0, src)]
-        visited = set()
+        penalties: Dict[Tuple[int, int], float],
+    ) -> Optional[List[int]]:
+        """Min-marginal-cost switch-index path over the complete switch
+        graph.  An edge costs ``base_cost``, then ``_LINK_OPEN_COST`` if
+        the link is not open yet, then its penalty.  Exact cost ties pop
+        in switch-name order (``"sw10" < "sw2"``), not index order."""
+        k = len(names)
+        best = [math.inf] * k
+        best[src] = 0.0
+        parent = [-1] * k
+        visited = [False] * k
+        heap = [(0.0, names[src], src)]
         while heap:
-            cost, node = heapq.heappop(heap)
-            if node in visited:
+            cost, _, node = heapq.heappop(heap)
+            if visited[node]:
                 continue
-            visited.add(node)
+            visited[node] = True
             if node == dst:
                 path = [dst]
                 while path[-1] != src:
                     path.append(parent[path[-1]])
-                return list(reversed(path))
-            for nxt in names:
-                if nxt == node or nxt in visited:
-                    continue
-                load = link_load.get((node, nxt), 0.0)
-                if load + bw > capacity_bps:
-                    continue  # capacity exceeded: forbidden
-                i, j = int(node[2:]), int(nxt[2:])
-                edge_cost = 1.0 + _WIRE_COST_PER_MM * dist(node, nxt)
-                if (min(i, j), max(i, j)) not in opened:
+                return path[::-1]
+            costs, opens, loads = base_cost[node], is_open[node], link_load[node]
+            for nxt in range(k):
+                if visited[nxt] or loads[nxt] + bw > capacity_bps:
+                    continue  # settled, or capacity exceeded: forbidden
+                edge_cost = costs[nxt]
+                if not opens[nxt]:
                     edge_cost += _LINK_OPEN_COST
-                edge_cost += penalties.get((node, nxt), 0.0)
+                if penalties:
+                    edge_cost += penalties.get((node, nxt), 0.0)
                 total = cost + edge_cost
-                if total < best.get(nxt, math.inf):
+                if total < best[nxt]:
                     best[nxt] = total
                     parent[nxt] = node
-                    heapq.heappush(heap, (total, nxt))
+                    heapq.heappush(heap, (total, names[nxt], nxt))
         return None
 
     # ------------------------------------------------------------------

@@ -264,9 +264,10 @@ class IncrementalFloorplanner:
     def place(self) -> Floorplan:
         """Place all queued components; returns the augmented floorplan."""
         result = self.base.copy()
+        rings: Dict[int, List[Tuple[float, float]]] = {}
         for item in self._pending:
             target = self._weighted_centroid(result, item)
-            placed = self._legalize(result, item, target)
+            placed = self._legalize(result, item, target, rings)
             result.add(placed)
         return result
 
@@ -286,41 +287,67 @@ class IncrementalFloorplanner:
         return (x, y)
 
     def _legalize(
-        self, fp: Floorplan, item: _Insertion, target: Tuple[float, float]
+        self,
+        fp: Floorplan,
+        item: _Insertion,
+        target: Tuple[float, float],
+        rings: Dict[int, List[Tuple[float, float]]],
     ) -> Block:
-        """Spiral-search the nearest overlap-free site around ``target``."""
+        """Spiral-search the nearest overlap-free site around ``target``.
+
+        ``rings`` maps a ring's candidate count to its ``(cos, sin)``
+        table; it is filled on first use and shared across insertions.
+        """
         x0, y0, x1, y1 = fp.bounding_box()
         # Allow placement slightly outside the current bounding box: the
         # die grows marginally rather than forcing overlaps.
-        slack = max(item.width_mm, item.height_mm) * 4 + 1.0
-        step = max(min(item.width_mm, item.height_mm) / 2.0, 0.05)
+        width, height, margin = item.width_mm, item.height_mm, self.margin_mm
+        slack = max(width, height) * 4 + 1.0
+        step = max(min(width, height) / 2.0, 0.05)
+        half_w, half_h = width / 2.0, height / 2.0
+        tx, ty = target
 
-        bounds = [spacing_bounds(other, self.margin_mm) for other in fp]
-
-        def candidate_ok(cx: float, cy: float) -> Optional[Block]:
-            x = cx - item.width_mm / 2.0
-            y = cy - item.height_mm / 2.0
-            if not fits(x, y, item.width_mm, item.height_mm,
-                        self.margin_mm, bounds):
-                return None
-            return Block(item.name, item.width_mm, item.height_mm, x, y)
-
-        best = candidate_ok(*target)
-        if best is not None:
-            return best
+        bounds = [spacing_bounds(other, margin) for other in fp]
+        if fits(tx - half_w, ty - half_h, width, height, margin, bounds):
+            return Block(item.name, width, height, tx - half_w, ty - half_h)
         # Expanding rings of candidate centers around the target.
         radius = step
         while radius < slack + max(x1 - x0, y1 - y0):
             steps = max(8, int(2 * math.pi * radius / step))
-            candidates = []
-            for k in range(steps):
-                angle = 2 * math.pi * k / steps
-                cx = target[0] + radius * math.cos(angle)
-                cy = target[1] + radius * math.sin(angle)
-                block = candidate_ok(cx, cy)
-                if block is not None:
-                    candidates.append((manhattan((cx, cy), target), k, block))
-            if candidates:
-                return min(candidates)[2]
+            table = rings.get(steps)
+            if table is None:
+                table = rings[steps] = [
+                    (math.cos(angle), math.sin(angle))
+                    for angle in (2 * math.pi * k / steps for k in range(steps))
+                ]
+            # Every candidate center lies within ``radius`` of the target
+            # on each axis, so only blocks that reach this band can
+            # collide.  The band's edges use the same float operations
+            # as a candidate's, so rounding cannot hide a collision.
+            lo_x = (tx - radius) - half_w
+            lo_y = (ty - radius) - half_h
+            hi_x1 = (tx + radius) - half_w + width + margin
+            hi_y1 = (ty + radius) - half_h + height + margin
+            near = [
+                b for b in bounds
+                if hi_x1 > b[0] and b[1] > lo_x and hi_y1 > b[2] and b[3] > lo_y
+            ]
+            best = None
+            for k, (cos_a, sin_a) in enumerate(table):
+                cx = tx + radius * cos_a
+                cy = ty + radius * sin_a
+                x = cx - half_w
+                y = cy - half_h
+                xe = x + width + margin
+                ye = y + height + margin
+                for ox, ox1, oy, oy1 in near:
+                    if not (xe <= ox or ox1 <= x or ye <= oy or oy1 <= y):
+                        break
+                else:
+                    d = abs(cx - tx) + abs(cy - ty)
+                    if best is None or d < best[0]:
+                        best = (d, x, y)
+            if best is not None:
+                return Block(item.name, width, height, best[1], best[2])
             radius += step
         raise RuntimeError(f"could not legalize component {item.name!r}")
