@@ -387,28 +387,26 @@ def _legalize_cases(draw):
             blocks.append(Block("wall", 2 * reach, 2 * reach,
                                 tx - reach, ty - reach))
     side = draw(st.sampled_from(["right", "left", "above", "below"]))
-    nudge = draw(st.sampled_from([-1, 0, 1]))
+    toward = draw(st.sampled_from([-math.inf, None, math.inf]))
+
+    def nudged(edge):  # the reach itself, or one ulp either side of it
+        return edge if toward is None else math.nextafter(edge, toward)
+
     thin = 0.05
-    if side == "right":  # left edge exactly at the ring's reach
-        edge = (tx + radius) - half_w + w + margin
-        edge = [math.nextafter(edge, -math.inf), edge,
-                math.nextafter(edge, math.inf)][nudge + 1]
+    # Right / above: the block's near edge sits at the ring's reach.
+    # Left / below: its far edge plus margin does (up to rounding).
+    if side == "right":
+        edge = nudged((tx + radius) - half_w + w + margin)
         blocks.append(Block("edge", thin, h, edge, ty - half_h))
     elif side == "above":
-        edge = (ty + radius) - half_h + h + margin
-        edge = [math.nextafter(edge, -math.inf), edge,
-                math.nextafter(edge, math.inf)][nudge + 1]
+        edge = nudged((ty + radius) - half_h + h + margin)
         blocks.append(Block("edge", w, thin, tx - half_w, edge))
-    elif side == "left":  # right edge plus margin exactly at the reach
-        edge = (tx - radius) - half_w
-        edge = [math.nextafter(edge, -math.inf), edge,
-                math.nextafter(edge, math.inf)][nudge + 1]
+    elif side == "left":
+        edge = nudged((tx - radius) - half_w)
         blocks.append(Block("edge", thin, h, edge - margin - thin,
                             ty - half_h))
     else:
-        edge = (ty - radius) - half_h
-        edge = [math.nextafter(edge, -math.inf), edge,
-                math.nextafter(edge, math.inf)][nudge + 1]
+        edge = nudged((ty - radius) - half_h)
         blocks.append(Block("edge", w, thin, tx - half_w,
                             edge - margin - thin))
     for i in range(draw(st.integers(0, 6))):
