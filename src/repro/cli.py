@@ -396,9 +396,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if summary["mean_latency_inflation"] is not None:
             print("degraded-mode latency inflation: "
                   f"{summary['mean_latency_inflation']:+.1%}")
-    else:
+    elif batch.succeeded():
         rate = batch.results[0]["saturation_rate"]
         print(f"saturation throughput: {rate:.3f} flits/cycle/core")
+
+    quarantined = batch.quarantined
+    for record in quarantined:
+        print(f"quarantined {record['job']}: {record['reason']} "
+              f"({record['attempts'][-1]['detail']})")
 
     if store is not None:
         recovery = store.recovery_summary()
@@ -409,8 +414,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             print(f"store recovery: {recovery['path']} skipped "
                   f"{recovery['skipped']} corrupt line(s) at {lines}; "
                   f"{recovery['records']} records intact")
-        print(f"appended {len(jobs)} records to {args.store}")
-    return 0
+        print(f"appended {len(jobs) - len(quarantined)} records to "
+              f"{args.store}")
+    return 1 if quarantined else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -847,7 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("synthesis", "loadcurve", "saturation", "faults"),
                    help="which sweep to run as a job batch")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (1 = serial)")
+                   help="supervised worker processes (1 = serial, "
+                        "in-process)")
     p.add_argument("--cache-dir", default=".repro-cache",
                    help="content-addressed result cache directory")
     p.add_argument("--no-cache", action="store_true",
@@ -930,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "and deadline expiries retry with backoff)")
     p.add_argument("--job-deadline", type=float, default=None,
                    help="per-job wall-clock deadline in seconds "
-                        "(cooperative cancel, then terminate)")
+                        "(cooperative cancel, then terminate, then kill)")
     p.add_argument("--checkpoint-dir", default=None,
                    help="persist job checkpoints here so retried jobs "
                         "resume mid-run instead of recomputing")

@@ -65,21 +65,20 @@ class DesignSpaceExplorer:
         objectives: Objectives = DEFAULT_OBJECTIVES,
         parallel: bool = False,
         workers: Optional[int] = None,
-        executor=None,
         cache=None,
         store=None,
     ) -> SweepResult:
         """Run the sweep; returns all points and the Pareto front.
 
-        With ``parallel=True`` (or any of ``workers``/``executor``/
-        ``cache``/``store`` set) the sweep is delegated to
-        :mod:`repro.lab`: design points become content-addressed jobs
-        executed by a worker pool, previously computed points are reused
+        With ``parallel=True`` (or any of ``workers``/``cache``/``store``
+        set) the sweep is delegated to :mod:`repro.lab`: design points
+        become content-addressed jobs run by up to ``workers`` supervised
+        child processes, previously computed points are reused
         from ``cache``, and every result can be persisted to ``store``.
         The point list is byte-identical to the serial path.
         """
-        if parallel or workers is not None or executor is not None \
-                or cache is not None or store is not None:
+        if parallel or workers is not None or cache is not None \
+                or store is not None:
             from repro.lab.sweeps import run_synthesis_sweep
 
             sweep, _ = run_synthesis_sweep(
@@ -92,7 +91,6 @@ class DesignSpaceExplorer:
                 floorplan=self.synthesizer.input_floorplan,
                 objectives=objectives,
                 workers=workers,
-                executor=executor,
                 cache=cache,
                 store=store,
             )

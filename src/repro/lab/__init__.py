@@ -4,33 +4,29 @@ The tool flow of the paper is a batch workload: "the topology synthesis
 tool builds several topologies with different switch counts and
 architectural parameters" (Section 6), and every evaluation figure is a
 sweep.  This subsystem turns any such sweep into declarative, content-
-addressed :class:`Job` specs executed by a multiprocessing pool, with:
+addressed :class:`Job` specs, run in this process or — in parallel —
+by supervised child processes, with:
 
 * :mod:`repro.lab.cache` — an on-disk cache keyed by the content hash
   of (job kind, parameters, seed, runner version, library version), so
   re-running a sweep only computes new or changed points;
 * :mod:`repro.lab.store` — a persistent JSONL result store with
   query/aggregation helpers (Pareto fronts, load curves, provenance);
-* :mod:`repro.lab.executor` — serial and process-pool executors behind
-  one :func:`run_jobs` engine with observable hit/compute accounting;
+* :mod:`repro.lab.executor` — the :func:`run_jobs` engine with
+  observable hit/compute accounting: serial in-process, or ``workers``
+  children through :func:`repro.resilience.supervise.run_supervised`
+  (retries, deadlines, quarantine records);
 * :mod:`repro.lab.sweeps` — builders that express the existing sweeps
   (synthesis exploration, load curves, saturation searches) as jobs and
   reassemble the classic result objects afterwards.
 
 Entry points elsewhere in the stack delegate here:
-``DesignSpaceExplorer.explore(parallel=True)``,
-``load_latency_curve(executor=...)`` and the ``repro batch`` CLI
-subcommand.
+``DesignSpaceExplorer.explore(parallel=True)`` and the ``repro batch``
+CLI subcommand.
 """
 
 from repro.lab.cache import NullCache, ResultCache
-from repro.lab.executor import (
-    BatchResult,
-    ProcessExecutor,
-    SerialExecutor,
-    make_executor,
-    run_jobs,
-)
+from repro.lab.executor import BatchResult, run_jobs
 from repro.lab.hashing import (
     CODE_SALT,
     canonical_json,
@@ -80,10 +76,8 @@ __all__ = [
     "JobCancelled",
     "JobObserver",
     "NullCache",
-    "ProcessExecutor",
     "ResultCache",
     "ResultStore",
-    "SerialExecutor",
     "canonical_json",
     "current_observer",
     "default_switch_counts",
@@ -98,7 +92,6 @@ __all__ = [
     "load_curve_jobs",
     "load_point_from_dict",
     "load_point_to_dict",
-    "make_executor",
     "noc_parameters_from_dict",
     "noc_parameters_to_dict",
     "registered_kinds",

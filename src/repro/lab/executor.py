@@ -1,71 +1,32 @@
-"""Job execution: serial or multiprocessing pool, cache-aware.
+"""Job execution: serial in-process or supervised children, cache-aware.
 
 :func:`run_jobs` is the lab's engine: it partitions a job list into
-cache hits and work, fans the work out over a worker pool, persists the
-fresh results, and hands back a :class:`BatchResult` whose ``results``
-align 1:1 with the input jobs.  The split is observable — ``computed``
-and ``cached`` counts let callers (and the acceptance tests) assert
-"the second run recomputed nothing".
+cache hits and work, runs the work, persists the fresh results, and
+hands back a :class:`BatchResult` whose ``results`` align 1:1 with the
+input jobs.  The split is observable — ``computed`` and ``cached``
+counts let callers (and the acceptance tests) assert "the second run
+recomputed nothing".
 
-Workers receive pickled :class:`~repro.lab.jobs.Job` specs (plain data)
-and resolve the runner by kind inside their own process, so nothing
-unpicklable ever crosses the process boundary.  Results come back in
-submission order regardless of completion order — parallel output is
+With ``workers`` > 1 every pending job runs through
+:func:`repro.resilience.supervise.run_supervised` — one child process
+per attempt, at most ``workers`` at a time — so a dead worker costs a
+retry, not the batch.  Children receive pickled
+:class:`~repro.lab.jobs.Job` specs (plain data) and resolve the runner
+by kind inside their own process.  Results come back in submission
+order regardless of completion order — parallel output is
 byte-identical to serial output.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.lab.cache import NullCache
 from repro.lab.jobs import Job, run_job
 from repro.lab.store import ResultStore
-
-
-class Executor(Protocol):
-    """Anything that can map the job runner over a batch."""
-
-    def map(self, fn, items: Sequence) -> List: ...
-
-
-class SerialExecutor:
-    """In-process execution — the reference semantics."""
-
-    def map(self, fn, items: Sequence) -> List:
-        return [fn(item) for item in items]
-
-
-class ProcessExecutor:
-    """A ``multiprocessing.Pool`` with ``jobs`` workers.
-
-    ``chunksize=1`` keeps long jobs (synthesis points vary wildly in
-    cost) load-balanced across workers instead of pre-sharded.
-    """
-
-    def __init__(self, jobs: int):
-        if jobs < 1:
-            raise ValueError("need at least one worker")
-        self.jobs = jobs
-
-    def map(self, fn, items: Sequence) -> List:
-        items = list(items)
-        if not items:
-            return []
-        # A pool of one process is pure overhead; match serial exactly.
-        if self.jobs == 1 or len(items) == 1:
-            return [fn(item) for item in items]
-        with multiprocessing.Pool(processes=min(self.jobs, len(items))) as pool:
-            return pool.map(fn, items, chunksize=1)
-
-
-def make_executor(jobs: Optional[int]) -> Executor:
-    """``--jobs N`` to executor: N>1 forks a pool, else serial."""
-    if jobs is not None and jobs > 1:
-        return ProcessExecutor(jobs)
-    return SerialExecutor()
 
 
 @dataclass
@@ -86,14 +47,23 @@ class BatchResult:
     def quarantined(self) -> List[dict]:
         """Structured failure records standing in for results.
 
-        Non-empty only under a :class:`repro.resilience.SupervisedExecutor`
-        whose retry budget ran out on some jobs; each record carries the
-        job description and the full attempt history (see
-        :func:`repro.resilience.quarantine_payload`).
+        Non-empty only for a parallel batch (``workers`` > 1) in which
+        some job raised, or ran out of retries after worker deaths or
+        deadlines; each record carries the job description and the full
+        attempt history (see :func:`repro.resilience.quarantine_payload`).
         """
         from repro.resilience.supervise import is_quarantined
 
         return [r for r in self.results if is_quarantined(r)]
+
+    def succeeded(self) -> List[Tuple[Job, dict]]:
+        """``(job, result)`` for every job that produced a result."""
+        from repro.resilience.supervise import is_quarantined
+
+        return [
+            (job, result) for job, result in zip(self.jobs, self.results)
+            if not is_quarantined(result)
+        ]
 
     def result_for(self, job: Job) -> dict:
         return self.results[self.jobs.index(job)]
@@ -101,7 +71,6 @@ class BatchResult:
 
 def run_jobs(
     jobs: Sequence[Job],
-    executor: Optional[Executor] = None,
     workers: Optional[int] = None,
     cache=None,
     store: Optional[ResultStore] = None,
@@ -110,10 +79,11 @@ def run_jobs(
 
     Parameters
     ----------
-    executor:
-        Explicit executor; overrides ``workers``.
     workers:
-        Pool size (``--jobs N``); ``None``/1 runs serially.
+        ``--jobs N``: with N > 1 at most N supervised children run at
+        once, and a job that raises or exhausts its retries yields a
+        quarantine record in its slot; ``None``/1 runs every job in this
+        process (the reference semantics — a runner error propagates).
     cache:
         A :class:`~repro.lab.cache.ResultCache` (or ``None`` /
         :class:`~repro.lab.cache.NullCache` to always compute).
@@ -121,6 +91,8 @@ def run_jobs(
         Optional :class:`~repro.lab.store.ResultStore`; every job —
         hit or computed — is appended with its provenance.
     """
+    from repro.resilience.supervise import is_quarantined
+
     jobs = list(jobs)
     cache = cache if cache is not None else NullCache()
     results: List[Optional[dict]] = [None] * len(jobs)
@@ -134,10 +106,7 @@ def run_jobs(
             pending.append(i)
 
     if pending:
-        from repro.resilience.supervise import is_quarantined
-
-        ex = executor if executor is not None else make_executor(workers)
-        fresh = ex.map(run_job, [jobs[i] for i in pending])
+        fresh = _run_pending([jobs[i] for i in pending], workers)
         for i, payload in zip(pending, fresh):
             # A quarantine record is a failure report, not a result:
             # it must never be cached (a later run should retry) nor
@@ -147,8 +116,6 @@ def run_jobs(
             results[i] = payload
 
     if store is not None:
-        from repro.resilience.supervise import is_quarantined
-
         pending_set = set(pending)
         for i, job in enumerate(jobs):
             if is_quarantined(results[i]):
@@ -161,3 +128,28 @@ def run_jobs(
         computed=len(pending),
         cached=len(jobs) - len(pending),
     )
+
+
+def _run_pending(jobs: List[Job], workers: Optional[int]) -> List[dict]:
+    if workers is None or workers <= 1:
+        return [run_job(job) for job in jobs]
+    from repro.resilience.supervise import CancelToken, run_supervised
+
+    # Each job gets its own copy of the caller's context, so a tracer
+    # installed with ``use_tracer`` sees every attempt.
+    cancel = CancelToken()
+    with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, run_supervised, job,
+                        cancel=cancel)
+            for job in jobs
+        ]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            # Ctrl-C or a failed spawn: stop the running children and
+            # drop the queued jobs instead of finishing the batch.
+            cancel.set()
+            for f in futures:
+                f.cancel()
+            raise

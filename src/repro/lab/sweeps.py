@@ -104,10 +104,13 @@ def sweep_result_from_batch(
     batch: BatchResult,
     objectives: Objectives = DEFAULT_OBJECTIVES,
 ) -> SweepResult:
-    """Reassemble a classic :class:`SweepResult` from a finished batch."""
+    """Reassemble a classic :class:`SweepResult` from a finished batch.
+
+    Quarantined jobs (see :attr:`BatchResult.quarantined`) are left out.
+    """
     points = []
     baselines = []
-    for job, result in zip(batch.jobs, batch.results):
+    for job, result in batch.succeeded():
         if job.kind == "synthesis":
             points.append(design_point_from_dict(result["design"]))
         elif job.kind == "baseline":
@@ -147,7 +150,6 @@ def run_synthesis_sweep(
     floorplan: Optional[Floorplan] = None,
     objectives: Objectives = DEFAULT_OBJECTIVES,
     workers: Optional[int] = None,
-    executor=None,
     cache=None,
     store: Optional[ResultStore] = None,
     tags: Sequence[str] = (),
@@ -163,9 +165,7 @@ def run_synthesis_sweep(
         floorplan=floorplan,
         tags=tags,
     )
-    batch = run_jobs(
-        jobs, executor=executor, workers=workers, cache=cache, store=store
-    )
+    batch = run_jobs(jobs, workers=workers, cache=cache, store=store)
     return sweep_result_from_batch(batch, objectives), batch
 
 
@@ -226,12 +226,15 @@ def load_curve_jobs(
 
 
 def load_curve_from_batch(batch: BatchResult) -> List[LoadPoint]:
-    """LoadPoints from a finished curve batch, in offered-rate order."""
+    """LoadPoints from a finished curve batch, in offered-rate order.
+
+    Rates without a delivered packet and quarantined jobs are left out.
+    """
     from repro.lab.records import load_point_from_dict
 
     points = [
         load_point_from_dict(result["point"])
-        for job, result in zip(batch.jobs, batch.results)
+        for job, result in batch.succeeded()
         if job.kind == "load_point" and result.get("point") is not None
     ]
     points.sort(key=lambda p: p.offered_rate)
@@ -246,7 +249,7 @@ def utilization_curve_from_batch(batch: BatchResult) -> List[dict]:
     shape as :meth:`ResultStore.utilization_curve`.
     """
     rows = []
-    for job, result in zip(batch.jobs, batch.results):
+    for job, result in batch.succeeded():
         if job.kind != "load_point":
             continue
         metrics = result.get("metrics")
@@ -324,13 +327,13 @@ def fault_campaign_jobs(
 
 
 def fault_summary_from_batch(batch: BatchResult) -> dict:
-    """Aggregate survival statistics over a finished fault campaign."""
-    results = [
-        r for j, r in zip(batch.jobs, batch.results)
-        if j.kind == "fault_campaign"
-    ]
-    if not results:
+    """Aggregate survival statistics over a finished fault campaign.
+
+    ``runs`` counts the runs that finished; quarantined ones are left out.
+    """
+    if not any(j.kind == "fault_campaign" for j in batch.jobs):
         raise ValueError("batch contains no fault_campaign jobs")
+    results = [r for j, r in batch.succeeded() if j.kind == "fault_campaign"]
     survived = sum(1 for r in results if r["survived"])
     rates = [r["survival_rate"] for r in results if r["survival_rate"] is not None]
     detections = [

@@ -427,8 +427,8 @@ class TelemetryHub:
       cache's hit counters) without mirroring writes;
     * attached registries — other components' own
       :class:`MetricRegistry` instances (e.g. a
-      :class:`~repro.resilience.supervise.SupervisedExecutor`'s
-      counters), folded into the same exposition;
+      :class:`~repro.obs.probe.MetricsProbe`'s), folded into the same
+      exposition;
     * a bounded deque of finished spans, fed by the hub's own tracer
       and by :meth:`ingest_span` for spans exported from workers.
     """

@@ -17,11 +17,12 @@ Pieces:
   an atomic on-disk :class:`CheckpointStore`, and
   :func:`run_with_checkpoints`, the chunked run loop that persists a
   capsule every N cycles so an interrupted job resumes byte-identically;
-* :mod:`repro.resilience.supervise` — :class:`RetryPolicy` (exponential
-  backoff + seeded jitter), :class:`SupervisedExecutor` (process-per-job
-  execution with death detection, wall-clock deadlines with
-  cooperative-then-hard cancellation, and poison-job quarantine), and
-  the quarantine record helpers shared with :mod:`repro.serve`;
+* :mod:`repro.resilience.supervise` — :func:`run_supervised`, the one
+  per-job runner of ``repro batch --jobs N`` and ``repro serve``
+  (a child process per attempt with death detection, wall-clock
+  deadlines and :class:`CancelToken` stops escalating cooperative →
+  terminate → kill, :class:`RetryPolicy` backoff with seeded jitter,
+  and poison-job quarantine records);
 * :mod:`repro.resilience.chaos` — seeded fault-injection campaigns
   against a live server (worker kills, cache corruption, stalled
   streams) asserting that every job still finishes correctly or is
@@ -61,14 +62,16 @@ from repro.resilience.integrity import (
 )
 from repro.resilience.supervise import (
     QUARANTINE_KEY,
+    CancelToken,
     RetryPolicy,
-    SupervisedExecutor,
     is_quarantined,
     quarantine_payload,
+    run_supervised,
 )
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "CancelToken",
     "ChaosConfig",
     "ChaosReport",
     "CheckpointCorruptError",
@@ -78,7 +81,6 @@ __all__ = [
     "CheckpointVersionError",
     "QUARANTINE_KEY",
     "RetryPolicy",
-    "SupervisedExecutor",
     "atomic_write_bytes",
     "atomic_write_text",
     "build_campaign_jobs",
@@ -89,6 +91,7 @@ __all__ = [
     "quarantine_payload",
     "restore_simulator",
     "run_chaos_campaign",
+    "run_supervised",
     "run_with_checkpoints",
     "snapshot_simulator",
     "use_cancel_event",

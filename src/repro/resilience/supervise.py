@@ -1,28 +1,35 @@
-"""Supervised job execution: retries, deadlines, and quarantine.
+"""Supervised job execution: retries, deadlines, cancellation, quarantine.
 
-``repro.lab``'s :class:`~repro.lab.executor.ProcessExecutor` assumes
-workers never die: one SIGKILLed child (OOM killer, preemption, a
-segfaulting native library) sinks the whole ``Pool.map``.
-:class:`SupervisedExecutor` is the drop-in replacement that assumes the
-opposite — workers *will* die — and turns each failure into policy:
+:func:`run_supervised` is the one per-job runner behind every parallel
+path — ``repro batch --jobs N`` (:func:`repro.lab.run_jobs`) and the
+``repro serve`` workers alike.  It assumes workers *will* die and turns
+each failure into policy:
 
-* **worker death** (exit without a result) → retry with exponential
-  backoff + seeded jitter, up to :attr:`RetryPolicy.max_attempts`;
-* **runner exception** → same retry budget (a transient environment
-  error deserves another try; a deterministic bug exhausts the budget);
-* **wall-clock deadline** → cooperative cancellation first (the child's
-  checkpointed run loop and observation boundaries raise
-  :class:`~repro.lab.jobs.JobCancelled` at the next check), then
-  ``terminate()``, then ``SIGKILL`` — a hung job cannot hold its slot
-  forever;
-* **budget exhausted** → the job is *quarantined*: its slot in the
-  results list gets a structured failure record
-  (:func:`quarantine_payload`) instead of poisoning the batch, and
+* **worker death** (the child exits without a result) → retry with
+  exponential backoff + seeded jitter, up to
+  :attr:`RetryPolicy.max_attempts`;
+* **wall-clock deadline** → the same retry budget, after the attempt is
+  stopped;
+* **runner exception** → fail fast: the runner is deterministic, so
+  every retry would hit the same error;
+* **stop** (a deadline, or the caller's :class:`CancelToken`) escalates
+  one way: cooperative first (the child's checkpointed run loop and
+  observation boundaries raise :class:`~repro.lab.jobs.JobCancelled` at
+  the next check), then ``terminate()`` after :data:`GRACE_S`, then
+  ``kill()`` after another — a hung job cannot hold its slot forever;
+* **budget exhausted** (or a runner error) → the job is *quarantined*:
+  the runner returns a structured failure record
+  (:func:`quarantine_payload`) instead of a result, and
   :func:`repro.lab.run_jobs` knows never to cache one.
 
-Composes with checkpointing: give the executor a
-:class:`~repro.resilience.checkpoint.CheckpointPlan` and every retry
-resumes from the victim's last capsule instead of cycle zero.
+Each attempt runs in its own child process and reports over its own
+pipe, so one corpse is one retry — never a poisoned pool — and the
+supervisor blocks on that pipe, the child's exit and the cancel token
+at once instead of polling.  With a :class:`~repro.resilience.checkpoint.CheckpointPlan`
+every retry resumes from the victim's last capsule instead of cycle
+zero.  With a tracer installed (:func:`repro.obs.telemetry.use_tracer`)
+each attempt is an ``attempt`` span whose child reports a
+``worker.run`` span.
 
 Everything is deterministic given the seed — backoff jitter comes from
 a seeded :class:`random.Random`, never the wall clock.
@@ -32,13 +39,24 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import queue as queue_mod
+import os
 import random
+import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Sequence
+from contextlib import ExitStack, nullcontext
+from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_ready
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.telemetry import Span, Tracer, new_trace_id
+from repro.obs.telemetry import (
+    Span,
+    Tracer,
+    add_event,
+    current_span,
+    current_tracer,
+    new_trace_id,
+    use_tracer,
+)
 from repro.resilience.checkpoint import (
     CheckpointPlan,
     use_cancel_event,
@@ -50,9 +68,13 @@ log = logging.getLogger("repro.resilience")
 #: Marker key of a quarantine record standing in for a result payload.
 QUARANTINE_KEY = "__quarantined__"
 
-#: Seconds a deadline-expired child gets to exit cooperatively before
-#: escalation (terminate, then kill).
-DEADLINE_GRACE_S = 1.0
+#: Seconds a stopped child (deadline or cancel) gets at each escalation
+#: step: cooperative stop, then ``terminate()``, then ``kill()``.
+GRACE_S = 1.0
+
+#: Forks happen one at a time, so no child inherits another attempt's
+#: pipe ends while they are still open in this process.
+_SPAWN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -94,6 +116,39 @@ class RetryPolicy:
         }
 
 
+class CancelToken:
+    """A one-shot, thread-safe cancellation flag with callbacks."""
+
+    def __init__(self) -> None:
+        self._event = threading.Event()
+        self._callbacks: List[Callable[[], None]] = []
+        self._lock = threading.Lock()
+
+    def set(self) -> None:
+        with self._lock:
+            if self._event.is_set():
+                return
+            self._event.set()
+            callbacks = list(self._callbacks)
+        for callback in callbacks:
+            callback()
+
+    def is_set(self) -> bool:
+        return self._event.is_set()
+
+    def wait(self, timeout: float) -> bool:
+        """Block up to ``timeout`` seconds; True once cancelled."""
+        return self._event.wait(timeout)
+
+    def add_callback(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` on cancellation (immediately if already set)."""
+        with self._lock:
+            if not self._event.is_set():
+                self._callbacks.append(fn)
+                return
+        fn()
+
+
 # ----------------------------------------------------------------------
 # Quarantine records
 # ----------------------------------------------------------------------
@@ -102,7 +157,7 @@ def quarantine_payload(item: Any, attempts: Sequence[Mapping]) -> dict:
 
     ``attempts`` is the full casualty list — one entry per try with its
     outcome (``died``/``error``/``deadline``) and diagnosis — so the
-    record answers "what happened" without the executor's logs.
+    record answers "what happened" without the supervisor's logs.
     """
     describe = getattr(item, "describe", None)
     return {
@@ -120,298 +175,325 @@ def is_quarantined(payload: Any) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Child process entry (module-level: must pickle under any start method)
+# The worker side (module-level: must pickle under any start method)
 # ----------------------------------------------------------------------
-def _child_main(fn, item, results, cancel_event, plan) -> None:
-    """Run ``fn(item)`` and report through the result queue.
+def _child_main(job, channel, stop, plan, stream, trace) -> None:
+    """Run one job and report every message through ``channel.send``.
 
-    Installs the host's cancel event and checkpoint plan on their
-    ContextVars so a checkpointing runner (e.g. ``fault_campaign``)
-    both persists capsules and honors cooperative cancellation at every
-    chunk boundary.
+    Messages are ``("frame", dict)`` for live observation frames and
+    finished spans, then exactly one terminal ``("ok", result)``,
+    ``("error", diagnosis)`` or ``("cancelled", None)``.  ``stop`` (an
+    event with ``is_set()``) rides the resilience ContextVar, so a
+    checkpointing runner honors it at every chunk boundary even when the
+    job streams no frames; the checkpoint ``plan`` rides its own.
+    ``trace`` is ``(trace_id, parent_span_id)`` or ``None``: with it the
+    job runs under a ``worker.run`` span whose finished spans travel
+    home as ``{"type": "span"}`` frames.  A span frame never checks
+    ``stop`` — the span of a cancelled job must still make it home.
+    """
+    from repro.lab.jobs import JobCancelled, JobObserver, run_job
+    from repro.obs.sinks import QueueSink
+
+    def forward(frame: dict) -> None:
+        if stop.is_set():
+            raise JobCancelled()
+        channel.send(("frame", frame))
+
+    observer = None
+    if stream is not None and stream.wants_observer:
+        sink = QueueSink(forward=forward)
+        observer = JobObserver(
+            metrics_sink=sink if stream.metrics_interval else None,
+            trace_sink=sink if stream.trace else None,
+            metrics_interval=stream.metrics_interval,
+        )
+    try:
+        with ExitStack() as stack:
+            stack.enter_context(use_cancel_event(stop))
+            stack.enter_context(use_checkpoint_plan(plan))
+            if trace is not None:
+                tracer = Tracer(on_end=lambda s: channel.send(
+                    ("frame", {"type": "span", "span": s.to_dict()})
+                ))
+                stack.enter_context(use_tracer(tracer))
+                stack.enter_context(tracer.span(
+                    "worker.run",
+                    trace_id=trace[0],
+                    parent_id=trace[1],
+                    attrs={"kind": job.kind, "pid": os.getpid()},
+                ))
+            result = run_job(job, observer=observer)
+    except JobCancelled:
+        channel.send(("cancelled", None))
+    except BaseException as exc:  # noqa: BLE001 — relayed, not swallowed
+        channel.send(("error", f"{type(exc).__name__}: {exc}"))
+    else:
+        channel.send(("ok", result))
+
+
+# ----------------------------------------------------------------------
+# One attempt
+# ----------------------------------------------------------------------
+class _Wake:
+    """A pipe that turns readable when the caller's token is cancelled."""
+
+    def __init__(self, cancel: CancelToken):
+        self._r, self._w = os.pipe()
+        self._lock = threading.Lock()
+        cancel.add_callback(self._fire)
+
+    def _fire(self) -> None:
+        with self._lock:
+            if self._w is not None:
+                os.write(self._w, b"x")
+
+    def fileno(self) -> int:
+        return self._r
+
+    def close(self) -> None:
+        with self._lock:
+            os.close(self._w)
+            self._w = None
+        os.close(self._r)
+
+
+def _stopped(reason: str, deadline_s: Optional[float], how: str):
+    """The attempt outcome of a child stopped by deadline or cancel."""
+    if reason == "cancelled":
+        return "cancelled", None
+    return "deadline", f"exceeded the {deadline_s:g}s wall-clock deadline ({how})"
+
+
+def _attempt_in_child(job, stream, plan, trace, cancel, deadline_s, relay, procs):
+    """Run one attempt in a fresh child; ``(outcome, value)``.
+
+    Blocks on the child's pipe, its exit sentinel and the cancel token
+    together; the only timeouts are the deadline and the escalation
+    steps.
+    """
+    ctx = multiprocessing.get_context()
+    with _SPAWN_LOCK:
+        channel, child_end = ctx.Pipe(duplex=False)
+        stop = ctx.Event()
+        proc = ctx.Process(
+            target=_child_main,
+            args=(job, child_end, stop, plan, stream, trace),
+            daemon=True,
+        )
+        proc.start()
+        child_end.close()
+    procs.add(proc)
+    wake = _Wake(cancel) if cancel is not None else None
+    deadline_at = (
+        time.monotonic() + deadline_s if deadline_s is not None else None
+    )
+    reason: Optional[str] = None        # why we stopped the child, if we did
+    escalate_at: Optional[float] = None  # when the next escalation step is due
+    steps = [proc.terminate, proc.kill]
+    reading = True                       # False once the pipe hit EOF
+    try:
+        while True:
+            if reason is None:
+                if cancel is not None and cancel.is_set():
+                    reason = "cancelled"
+                elif deadline_at is not None and time.monotonic() >= deadline_at:
+                    reason = "deadline"
+                    add_event("deadline.expired", deadline_s=deadline_s)
+                if reason is not None:
+                    stop.set()
+                    escalate_at = time.monotonic() + GRACE_S
+            elif steps and time.monotonic() >= escalate_at:
+                steps.pop(0)()
+                escalate_at = time.monotonic() + GRACE_S
+            waitables: list = [proc.sentinel]
+            if reading:
+                waitables.append(channel)
+            if reason is None and wake is not None:
+                waitables.append(wake)
+            until = deadline_at if reason is None else (
+                escalate_at if steps else None
+            )
+            timeout = None if until is None else max(0.0, until - time.monotonic())
+            ready = wait_ready(waitables, timeout)
+            if channel in ready:
+                try:
+                    kind, value = channel.recv()
+                except (EOFError, OSError):
+                    reading = False  # died mid-message: its exit decides
+                    continue
+                if kind == "frame":
+                    relay(value)
+                    continue
+                if kind == "cancelled":
+                    return _stopped(reason or "cancelled", deadline_s,
+                                    "stopped cooperatively")
+                return kind, value
+            if proc.sentinel in ready and not (reading and channel.poll()):
+                proc.join()
+                if reason is not None:
+                    return _stopped(reason, deadline_s,
+                                    f"exitcode {proc.exitcode}")
+                return "died", f"worker process died (exitcode {proc.exitcode})"
+    finally:
+        # A child that reported is done; one that did not (the relay
+        # raised) must not outlive its slot.
+        if proc.is_alive():
+            proc.kill()
+        proc.join()
+        procs.discard(proc)
+        channel.close()
+        if wake is not None:
+            wake.close()
+
+
+class _InlineChannel:
+    """``_child_main``'s channel when the attempt runs in this thread."""
+
+    def __init__(self, relay: Callable[[dict], None]):
+        self.relay = relay
+        self.outcome: Tuple[str, Any] = ("died", "no terminal message")
+
+    def send(self, message: Tuple[str, Any]) -> None:
+        if message[0] == "frame":
+            self.relay(message[1])
+        else:
+            self.outcome = message
+
+
+class _ThreadStop:
+    """The stop signal of an in-thread attempt: cancel or deadline."""
+
+    def __init__(self, cancel: Optional[CancelToken], deadline_s: Optional[float]):
+        self.cancel = cancel
+        self.deadline_at = (
+            time.monotonic() + deadline_s if deadline_s is not None else None
+        )
+
+    def is_set(self) -> bool:
+        return (self.cancel is not None and self.cancel.is_set()) or (
+            self.deadline_at is not None and time.monotonic() >= self.deadline_at
+        )
+
+
+def _attempt_in_thread(job, stream, plan, trace, cancel, deadline_s, relay):
+    """Run one attempt in the calling thread; stops are cooperative only."""
+    channel = _InlineChannel(relay)
+    _child_main(job, channel, _ThreadStop(cancel, deadline_s), plan, stream, trace)
+    kind, value = channel.outcome
+    if kind != "cancelled":
+        return kind, value
+    if cancel is not None and cancel.is_set():
+        return "cancelled", None
+    add_event("deadline.expired", deadline_s=deadline_s)
+    return _stopped("deadline", deadline_s, "stopped cooperatively")
+
+
+# ----------------------------------------------------------------------
+# The runner
+# ----------------------------------------------------------------------
+def run_supervised(
+    job,
+    *,
+    policy: Optional[RetryPolicy] = None,
+    deadline_s: Optional[float] = None,
+    plan: Optional[CheckpointPlan] = None,
+    cancel: Optional[CancelToken] = None,
+    on_frame: Optional[Callable[[dict], None]] = None,
+    stream=None,
+    rng: Optional[random.Random] = None,
+    in_thread: bool = False,
+    procs: Optional[set] = None,
+) -> dict:
+    """Run ``job`` under supervision; its result or a quarantine record.
+
+    ``policy`` defaults to :class:`RetryPolicy()`; ``deadline_s`` bounds
+    each attempt's wall-clock time.  ``cancel`` stops the job from
+    another thread (raising :class:`~repro.lab.jobs.JobCancelled` here,
+    never retried).  ``on_frame`` receives, on the supervising thread,
+    the job's live frames — observation rows as ``stream`` (a
+    :class:`repro.serve.protocol.StreamOptions`) asks for, worker spans,
+    and a ``{"type": "retry"}`` frame before each backoff.  ``rng``
+    draws the backoff jitter (default: seeded by the job's key).
+    ``in_thread`` runs attempts in the calling thread — for job kinds
+    registered only in this process — where stops are cooperative only
+    and a worker cannot die.  ``procs`` is a set that holds each live
+    child process while it runs.
     """
     from repro.lab.jobs import JobCancelled
 
-    try:
-        with use_cancel_event(cancel_event), use_checkpoint_plan(plan):
-            result = fn(item)
-    except JobCancelled:
-        results.put(("cancelled", None))
-    except BaseException as exc:  # noqa: BLE001 — relayed, not swallowed
-        results.put(("error", f"{type(exc).__name__}: {exc}"))
-    else:
-        results.put(("ok", result))
+    policy = policy if policy is not None else RetryPolicy()
+    rng = rng if rng is not None else random.Random(job.key)
+    procs = procs if procs is not None else set()
+    tracer = current_tracer()
+    if tracer is not None:
+        parent = current_span()
+        # One trace across every attempt, adopted from the caller's span.
+        trace_id = parent.trace_id if parent is not None else new_trace_id()
 
+    def relay(frame: dict) -> None:
+        # Worker spans join the caller's trace store; every frame —
+        # spans included — also goes to the caller's stream.
+        if frame.get("type") == "span" and tracer is not None \
+                and tracer.on_end is not None:
+            tracer.on_end(Span.from_dict(frame["span"]))
+        if on_frame is not None:
+            on_frame(frame)
 
-@dataclass
-class _Run:
-    """One item's supervision state inside :meth:`SupervisedExecutor.map`."""
-
-    index: int
-    item: Any
-    attempts: List[dict] = field(default_factory=list)
-    attempt: int = 0
-    proc: Optional[multiprocessing.process.BaseProcess] = None
-    queue: Any = None
-    cancel_event: Any = None
-    deadline_at: Optional[float] = None
-    cancel_sent_at: Optional[float] = None
-    terminated_at: Optional[float] = None
-    backoff_until: float = 0.0
-    result: Any = None
-    done: bool = False
-    trace_id: str = ""                 # one trace across every attempt
-    span: Optional[Span] = None        # the live attempt's span
-
-
-class SupervisedExecutor:
-    """A process-per-job executor that survives its workers.
-
-    Implements the :class:`repro.lab.executor.Executor` protocol
-    (``map(fn, items)``), so it drops into :func:`repro.lab.run_jobs`::
-
-        ex = SupervisedExecutor(workers=4, deadline_s=300.0,
-                                plan=CheckpointPlan(".ckpt"))
-        batch = run_jobs(jobs, executor=ex, cache=cache)
-        # batch.quarantined lists what the policy gave up on
-
-    Unlike a ``multiprocessing.Pool``, each item runs in its own child
-    process with its own result queue, so one corpse is one retry — not
-    a poisoned pool.  Results keep submission order; a quarantined item
-    yields its :func:`quarantine_payload` in place.
-
-    Counters (``supervisor.retries``, ``supervisor.worker_deaths``,
-    ``supervisor.deadline_kills``, ``supervisor.quarantined``) land in
-    ``registry`` — a :class:`repro.obs.MetricRegistry` — for the same
-    observability story as the simulator's own components.
-    """
-
-    def __init__(
-        self,
-        workers: int = 2,
-        policy: RetryPolicy = RetryPolicy(),
-        deadline_s: Optional[float] = None,
-        plan: Optional[CheckpointPlan] = None,
-        seed: int = 0,
-        registry=None,
-        poll_s: float = 0.02,
-        tracer: Optional[Tracer] = None,
-    ):
-        if workers < 1:
-            raise ValueError("need at least one worker slot")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
-        self.workers = workers
-        self.policy = policy
-        self.deadline_s = deadline_s
-        self.plan = plan
-        self.poll_s = poll_s
-        #: Optional distributed tracing: with a tracer (e.g. a
-        #: TelemetryHub's) each item gets one trace and each attempt one
-        #: span, so a batch's retries render the same way as served jobs.
-        self.tracer = tracer
-        self._rng = random.Random(seed)
-        if registry is None:
-            from repro.obs.metrics import MetricRegistry
-
-            registry = MetricRegistry()
-        self.registry = registry
-        self.retries = registry.counter("supervisor.retries")
-        self.worker_deaths = registry.counter("supervisor.worker_deaths")
-        self.deadline_kills = registry.counter("supervisor.deadline_kills")
-        self.quarantined_count = registry.counter("supervisor.quarantined")
-        #: Quarantine records of the most recent :meth:`map` call.
-        self.quarantine: List[dict] = []
-
-    # ------------------------------------------------------------------
-    def map(self, fn, items: Sequence) -> List:
-        runs = [_Run(index=i, item=item) for i, item in enumerate(items)]
-        self.quarantine = []
-        if not runs:
-            return []
-        ctx = multiprocessing.get_context()
-        pending = list(runs)       # not yet started (or awaiting retry)
-        active: List[_Run] = []
-        while pending or active:
-            now = time.monotonic()
-            # Fill free slots with runnable work (backoff respected).
-            while pending and len(active) < self.workers:
-                ready = next(
-                    (r for r in pending if r.backoff_until <= now), None
+    attempts: List[dict] = []
+    for attempt in range(1, policy.max_attempts + 1):
+        if cancel is not None and cancel.is_set():
+            raise JobCancelled()
+        span_cm = tracer.span(
+            "attempt",
+            trace_id=trace_id,
+            attrs={"attempt": attempt, "job": job.describe()},
+        ) if tracer is not None else nullcontext()
+        with span_cm as span:
+            trace = (span.trace_id, span.span_id) if span is not None else None
+            if in_thread:
+                outcome, value = _attempt_in_thread(
+                    job, stream, plan, trace, cancel, deadline_s, relay
                 )
-                if ready is None:
-                    break
-                pending.remove(ready)
-                self._start(ctx, fn, ready)
-                active.append(ready)
-            for run in list(active):
-                settled = self._poll(run, time.monotonic())
-                if not settled:
-                    continue
-                active.remove(run)
-                if not run.done:
-                    pending.append(run)  # retrying (backoff set)
-            if pending or active:
-                time.sleep(self.poll_s)
-        return [r.result for r in runs]
-
-    # ------------------------------------------------------------------
-    def _start(self, ctx, fn, run: _Run) -> None:
-        run.attempt += 1
-        run.queue = ctx.Queue()
-        run.cancel_event = ctx.Event()
-        run.cancel_sent_at = None
-        run.terminated_at = None
-        if self.tracer is not None:
-            if not run.trace_id:
-                run.trace_id = new_trace_id()
-            describe = getattr(run.item, "describe", None)
-            run.span = self.tracer.start_span(
-                "supervised.attempt",
-                trace_id=run.trace_id,
-                attrs={
-                    "item": (
-                        describe() if callable(describe) else run.index
-                    ),
-                    "attempt": run.attempt,
-                },
-            )
-        run.proc = ctx.Process(
-            target=_child_main,
-            args=(fn, run.item, run.queue, run.cancel_event, self.plan),
-            daemon=True,
-        )
-        run.proc.start()
-        run.deadline_at = (
-            time.monotonic() + self.deadline_s
-            if self.deadline_s is not None
-            else None
-        )
-
-    def _end_span(self, run: _Run, status: str) -> None:
-        if run.span is not None:
-            run.span.end(status=status)
-            run.span = None
-
-    def _poll(self, run: _Run, now: float) -> bool:
-        """Advance one run; True when it left the active set."""
-        outcome = None
-        try:
-            outcome = run.queue.get_nowait()
-        except (queue_mod.Empty, OSError):
-            pass
-
-        if outcome is not None:
-            status, value = outcome
-            self._reap(run)
-            if status == "ok":
-                self._end_span(run, "ok")
-                run.result = value
-                run.done = True
-                return True
-            if status == "cancelled":
-                # Only we cancel (deadline): account it as such.
-                return self._register_failure(
-                    run, "deadline",
-                    f"gave up cooperatively after {self.deadline_s}s",
+            else:
+                outcome, value = _attempt_in_child(
+                    job, stream, plan, trace, cancel, deadline_s, relay, procs
                 )
-            return self._register_failure(run, "error", value)
-
-        # Deadline escalation: cooperative -> terminate -> kill.
-        if run.deadline_at is not None and now >= run.deadline_at:
-            if run.cancel_sent_at is None:
-                run.cancel_event.set()
-                run.cancel_sent_at = now
-            elif (
-                run.terminated_at is None
-                and now - run.cancel_sent_at >= DEADLINE_GRACE_S
-            ):
-                if run.proc.is_alive():
-                    run.proc.terminate()
-                run.terminated_at = now
-            elif (
-                run.terminated_at is not None
-                and now - run.terminated_at >= DEADLINE_GRACE_S
-            ):
-                if run.proc.is_alive():
-                    run.proc.kill()
-
-        if run.proc.is_alive():
-            return False
-        # Dead without a message in the queue — but the queue feeder
-        # thread may still be flushing; give it one more look.
-        try:
-            outcome = run.queue.get(timeout=0.05)
-        except (queue_mod.Empty, OSError):
-            outcome = None
-        exitcode = run.proc.exitcode
-        self._reap(run)
-        if outcome is not None:
-            status, value = outcome
-            if status == "ok":
-                self._end_span(run, "ok")
-                run.result = value
-                run.done = True
-                return True
-            if status == "cancelled":
-                return self._register_failure(
-                    run, "deadline",
-                    f"gave up cooperatively after {self.deadline_s}s",
-                )
-            return self._register_failure(run, "error", value)
-        if run.cancel_sent_at is not None:
-            self.deadline_kills.inc()
-            return self._register_failure(
-                run, "deadline",
-                f"killed after exceeding the {self.deadline_s}s deadline "
-                f"(exitcode {exitcode})",
-            )
-        self.worker_deaths.inc()
-        return self._register_failure(
-            run, "died", f"worker process died (exitcode {exitcode})"
+            if span is not None:
+                span.end(status=outcome if outcome in ("ok", "cancelled")
+                         else f"failed:{outcome}")
+        if cancel is not None and cancel.is_set():
+            raise JobCancelled()
+        if outcome == "ok":
+            return value
+        attempts.append(
+            {"attempt": attempt, "outcome": outcome, "detail": value}
         )
-
-    def _reap(self, run: _Run) -> None:
-        if run.proc is not None:
-            run.proc.join(timeout=5.0)
-        if run.queue is not None:
-            run.queue.close()
-
-    def _register_failure(self, run: _Run, outcome: str, detail: str) -> bool:
-        run.attempts.append(
-            {"attempt": run.attempt, "outcome": outcome, "detail": detail}
+        if outcome == "error" or attempt == policy.max_attempts:
+            break
+        delay = policy.delay_s(attempt, rng)
+        add_event("retry", attempt=attempt, error=value,
+                  backoff_s=round(delay, 4))
+        log.warning(
+            "%s attempt %d failed (%s); retrying in %.3fs",
+            job.describe(), attempt, outcome, delay,
+            extra={"outcome": outcome, "detail": value,
+                   "backoff_s": round(delay, 4)},
         )
-        self._end_span(run, f"failed:{outcome}")
-        if run.attempt >= self.policy.max_attempts:
-            record = quarantine_payload(run.item, run.attempts)
-            run.result = record
-            run.done = True
-            self.quarantine.append(record)
-            self.quarantined_count.inc()
-            log.warning(
-                "item %s quarantined after %d attempt(s)",
-                record["job"],
-                run.attempt,
-                extra={
-                    "trace_id": run.trace_id,
-                    "outcome": outcome,
-                    "detail": detail,
-                },
-            )
-            return True
-        self.retries.inc()
-        delay = self.policy.delay_s(run.attempt, self._rng)
-        run.backoff_until = time.monotonic() + delay
-        log.info(
-            "attempt %d failed (%s); retrying in %.3fs",
-            run.attempt,
-            outcome,
-            delay,
-            extra={
-                "trace_id": run.trace_id,
-                "outcome": outcome,
-                "detail": detail,
-                "backoff_s": round(delay, 4),
-            },
-        )
-        return True
+        if on_frame is not None:
+            on_frame({"type": "retry", "attempt": attempt,
+                      "outcome": outcome, "error": value,
+                      "backoff_s": round(delay, 4)})
+        if cancel is None:
+            time.sleep(delay)
+        elif cancel.wait(delay):
+            raise JobCancelled()
+
+    record = quarantine_payload(job, attempts)
+    add_event("quarantine", attempts=len(attempts),
+              error=attempts[-1]["detail"])
+    log.warning(
+        "%s quarantined after %d attempt(s)", record["job"], len(attempts),
+        extra={"outcome": record["reason"],
+               "detail": attempts[-1]["detail"]},
+    )
+    return record

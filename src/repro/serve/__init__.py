@@ -12,8 +12,9 @@ Pieces:
 
 * :mod:`repro.serve.protocol` — job submissions, stream frames, errors;
 * :mod:`repro.serve.session` — per-session quotas and 429 backpressure;
-* :mod:`repro.serve.workers` — the bounded worker pool (process or
-  thread) running :func:`repro.lab.run_job` with live
+* :mod:`repro.serve.workers` — the bounded worker slots (process or
+  thread) running each job through the supervised runner
+  :func:`repro.resilience.supervise.run_supervised` with live
   :class:`repro.obs.QueueSink` observation;
 * :mod:`repro.serve.server` — the HTTP endpoint and job lifecycle;
 * :mod:`repro.serve.client` — the blocking client (``repro submit``);
@@ -37,15 +38,10 @@ from repro.serve.session import (
     SessionQuota,
 )
 from repro.serve.testing import ServerThread
-from repro.serve.workers import (
-    CancelToken,
-    JobExecutionError,
-    WorkerBridge,
-)
+from repro.serve.workers import CancelToken, WorkerBridge
 
 __all__ = [
     "CancelToken",
-    "JobExecutionError",
     "JobRecord",
     "JobSubmission",
     "ProtocolError",

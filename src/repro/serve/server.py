@@ -2,7 +2,8 @@
 
 One event loop multiplexes every client: HTTP/1.1 is parsed by hand on
 top of :func:`asyncio.start_server` (stdlib only — no web framework),
-simulations run through the :class:`~repro.serve.workers.WorkerBridge`,
+simulations run through the :class:`~repro.serve.workers.WorkerBridge`
+(the supervised runner ``repro batch --jobs N`` uses too),
 and results flow through the same content-addressed
 :class:`~repro.lab.ResultCache` and :class:`~repro.lab.ResultStore`
 that ``repro batch`` uses.  That shared substrate is the product story:
@@ -52,6 +53,7 @@ from repro.obs.telemetry import (
     PROMETHEUS_CONTENT_TYPE,
     Span,
     TelemetryHub,
+    Tracer,
     activate_span,
     new_trace_id,
     valid_trace_id,
@@ -67,9 +69,9 @@ from repro.serve.protocol import (
     parse_submission,
     state_frame,
 )
-from repro.resilience.supervise import RetryPolicy
+from repro.resilience.supervise import RetryPolicy, is_quarantined
 from repro.serve.session import QuotaExceeded, SessionManager, SessionQuota
-from repro.serve.workers import CancelToken, JobExecutionError, WorkerBridge
+from repro.serve.workers import CancelToken, WorkerBridge
 
 log = logging.getLogger("repro.serve")
 
@@ -208,9 +210,8 @@ class SimulationServer:
         self.cache = cache if cache is not None else NullCache()
         self.store = store
         self.sessions = SessionManager(quota)
-        self.bridge = WorkerBridge(
-            workers=workers, mode=worker_mode, checkpoint_plan=checkpoint_plan
-        )
+        self.bridge = WorkerBridge(workers=workers, mode=worker_mode)
+        self.checkpoint_plan = checkpoint_plan
         self.jobs: Dict[str, JobRecord] = {}
         self.max_queue_depth = max_queue_depth
         self.stream_buffer = stream_buffer
@@ -245,6 +246,9 @@ class SimulationServer:
         self._c_cancelled = hub.registry.counter("repro.jobs.cancelled")
         hub.add_counter_source(self._telemetry_counters)
         hub.add_gauge_source(self._telemetry_gauges)
+        #: The tracer jobs run under: the hub's, plus the per-attempt
+        #: latency histogram fed from each finished ``attempt`` span.
+        self._job_tracer = Tracer(on_end=self._on_span_end)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -372,20 +376,29 @@ class SimulationServer:
             record.frames_dropped += 1
         record.update.set()
 
-    def _on_frame(self, record: JobRecord, frame: dict) -> None:
-        """Observation frame from a worker: ingest spans, stream the rest.
+    def _on_span_end(self, span: Span) -> None:
+        self.telemetry.record_span(span)
+        if span.name == "attempt":
+            self._h_attempt.observe(span.duration_s or 0.0)
 
-        Workers export their in-job spans (``worker.run`` with its
-        checkpoint save/restore events) as ``{"type": "span", ...}``
-        frames over the same relay as metrics/trace rows; the hub keeps
-        them so ``/traces/{id}`` can stitch the full tree, and stream
-        consumers see them inline.
+    def _on_frame(self, record: JobRecord, frame: dict) -> None:
+        """A frame from the runner: count retries, stream everything.
+
+        The runner relays live metrics/trace rows, the workers' finished
+        spans (already recorded in the hub, so ``/traces/{id}`` stitches
+        the full tree) and a ``retry`` frame before each backoff.
         """
-        if frame.get("type") == "span" and isinstance(
-            frame.get("span"), dict
-        ):
-            self.telemetry.ingest_span(frame["span"])
+        if frame.get("type") == "retry":
+            self.retries += 1
+            self._count_failure(record, frame["outcome"], frame["error"])
         self._push_frame(record, frame)
+
+    def _count_failure(self, record: JobRecord, outcome: str,
+                       error: str) -> None:
+        """Account one retriable failed attempt (death or deadline)."""
+        record.attempts.append(f"attempt {len(record.attempts) + 1}: {error}")
+        if outcome == "deadline":
+            self.deadline_expired += 1
 
     def _set_state(self, record: JobRecord, state: str) -> None:
         record.state = state
@@ -451,16 +464,37 @@ class SimulationServer:
             self.sessions.mark_running(record.session_id, record.job_id)
             self._set_state(record, "running")
             try:
-                result = await self._execute_supervised(record)
+                # Worker death and deadline expiry retry under the
+                # policy with seeded backoff (each retry of a
+                # checkpointing job resumes from its last capsule); a
+                # runner exception fails fast.
+                with activate_span(record.span, self._job_tracer):
+                    result = await self.bridge.execute(
+                        record.submission.job,
+                        lambda frame: self._on_frame(record, frame),
+                        record.cancel,
+                        stream=record.submission.stream,
+                        policy=self.retry_policy or RetryPolicy(max_attempts=1),
+                        deadline_s=self.job_deadline_s,
+                        plan=self.checkpoint_plan,
+                        rng=self._retry_rng,
+                    )
             except JobCancelled:
                 self._finish(record, "cancelled")
                 return
-            except JobExecutionError as exc:
-                record.error = str(exc)
-                self._finish(record, "failed")
-                return
-            if record.cancel.is_set():
+            if record.cancel.is_set():   # a DELETE raced the result home
                 self._finish(record, "cancelled")
+                return
+            if is_quarantined(result):
+                last = result["attempts"][-1]
+                record.error = last["detail"]
+                if result["reason"] != "error":
+                    self._count_failure(record, last["outcome"], record.error)
+                    record.quarantined = True
+                    self.quarantined += 1
+                    record.error = (f"quarantined after {last['attempt']} "
+                                    f"attempt(s): {record.error}")
+                self._finish(record, "failed")
                 return
             record.result = result
             self.cache.put(record.key, result)
@@ -469,152 +503,6 @@ class SimulationServer:
             self._finish(record, "done")
         finally:
             self.bridge.release()
-
-    async def _execute_supervised(self, record: JobRecord) -> dict:
-        """``bridge.execute`` wrapped in the supervision policy.
-
-        Infrastructure failures — the worker process dying without a
-        result, or the per-job wall-clock deadline expiring — retry
-        with seeded exponential backoff up to the policy budget (each
-        retry of a checkpointing job resumes from its last capsule).
-        A runner exception fails fast: it is deterministic, so every
-        retry would hit it again.  An exhausted budget raises a
-        :class:`JobExecutionError` with ``record.quarantined`` set.
-        """
-        policy = self.retry_policy
-        max_attempts = policy.max_attempts if policy is not None else 1
-        attempt = 0
-        while True:
-            if record.cancel.is_set():
-                raise JobCancelled()
-            attempt += 1
-            # One cancel token per attempt: the deadline fires only this
-            # attempt's token (so the next attempt starts clean), while
-            # a client DELETE on record.cancel propagates into whichever
-            # attempt is live.
-            attempt_cancel = CancelToken()
-            record.cancel.add_callback(attempt_cancel.set)
-            attempt_span = self.telemetry.tracer.start_span(
-                "attempt",
-                trace_id=record.trace_id or None,
-                parent_id=(
-                    record.span.span_id if record.span is not None else None
-                ),
-                attrs={"attempt": attempt, "job_id": record.job_id},
-            )
-            task = asyncio.ensure_future(
-                self.bridge.execute(
-                    record.submission,
-                    lambda frame: self._on_frame(record, frame),
-                    attempt_cancel,
-                    trace=(record.trace_id, attempt_span.span_id)
-                    if record.trace_id
-                    else None,
-                )
-            )
-            failure: Optional[str] = None
-            try:
-                try:
-                    if self.job_deadline_s is None:
-                        return await asyncio.shield(task)
-                    return await asyncio.wait_for(
-                        asyncio.shield(task), self.job_deadline_s
-                    )
-                except asyncio.TimeoutError:
-                    # Deadline: cooperative cancel of this attempt first
-                    # (checkpoint chunk boundaries and observation frames
-                    # both check it), with the bridge's terminate fallback
-                    # behind it; then wait for the attempt to settle.
-                    self.deadline_expired += 1
-                    attempt_span.event("deadline.expired")
-                    attempt_cancel.set()
-                    try:
-                        # The job can still beat the grace period — a result
-                        # that arrives late is a result, not a failure.
-                        return await task
-                    except (JobCancelled, JobExecutionError):
-                        failure = (
-                            f"exceeded the {self.job_deadline_s:g}s "
-                            "wall-clock deadline"
-                        )
-                except JobCancelled:
-                    attempt_span.end(status="cancelled")
-                    raise  # client DELETE — not a failure, not retried
-                except JobExecutionError as exc:
-                    if not exc.worker_died:
-                        attempt_span.end(status="error:runner")
-                        raise
-                    failure = str(exc)
-            finally:
-                if not attempt_span.ended:
-                    attempt_span.end(
-                        status="ok"
-                        if failure is None
-                        else f"failed:{failure}"
-                    )
-                self._h_attempt.observe(attempt_span.duration_s or 0.0)
-
-            # -------- retriable infrastructure failure --------
-            record.attempts.append(f"attempt {attempt}: {failure}")
-            if record.cancel.is_set():
-                raise JobCancelled()
-            if attempt >= max_attempts:
-                record.quarantined = True
-                self.quarantined += 1
-                if record.span is not None:
-                    record.span.event(
-                        "quarantine", attempts=attempt, error=failure
-                    )
-                log.warning(
-                    "job %s quarantined after %d attempt(s)",
-                    record.job_id,
-                    attempt,
-                    extra={
-                        "job_id": record.job_id,
-                        "trace_id": record.trace_id,
-                        "error": failure,
-                    },
-                )
-                raise JobExecutionError(
-                    f"quarantined after {attempt} attempt(s): {failure}"
-                )
-            self.retries += 1
-            delay = (
-                policy.delay_s(attempt, self._retry_rng)
-                if policy is not None
-                else 0.0
-            )
-            if record.span is not None:
-                record.span.event(
-                    "retry",
-                    attempt=attempt,
-                    error=failure,
-                    backoff_s=round(delay, 4),
-                )
-            log.warning(
-                "job %s attempt %d failed; retrying in %.3fs",
-                record.job_id,
-                attempt,
-                delay,
-                extra={
-                    "job_id": record.job_id,
-                    "trace_id": record.trace_id,
-                    "attempt": attempt,
-                    "error": failure,
-                    "backoff_s": round(delay, 4),
-                },
-            )
-            self._push_frame(
-                record,
-                {
-                    "type": "retry",
-                    "attempt": attempt,
-                    "error": failure,
-                    "backoff_s": round(delay, 4),
-                },
-            )
-            if delay > 0:
-                await asyncio.sleep(delay)
 
     # ------------------------------------------------------------------
     # HTTP plumbing

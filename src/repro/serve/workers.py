@@ -2,27 +2,25 @@
 
 The server core is a single asyncio loop; simulations are CPU-bound
 Python.  :class:`WorkerBridge` is the seam between the two — a bounded
-pool of worker slots that executes :class:`repro.lab.Job` specs through
-the unmodified :func:`repro.lab.run_job` path (so a served result is
-byte-identical to a ``repro batch`` result) while relaying live
-observation frames back to the loop.
+set of worker slots, each running one job through
+:func:`repro.resilience.supervise.run_supervised` on a helper thread, so
+a served result comes from the same supervised runner (and the same
+unmodified :func:`repro.lab.run_job`) as a ``repro batch --jobs N``
+result.  Frames the runner relays — live observation rows, worker
+spans, retry notices — hop onto the event loop with
+``call_soon_threadsafe``.
 
-Two interchangeable modes:
+Two modes:
 
 ``process`` (the deployment default)
-    one ``multiprocessing.Process`` per running job.  The child builds
-    a :class:`repro.obs.QueueSink` whose ``forward`` pushes frames into
-    an ``mp.Queue``; a reader thread in the server process relays them
-    onto the event loop.  Cancellation is cooperative first (an
-    ``mp.Event`` checked at every observation boundary raises
-    :class:`~repro.lab.jobs.JobCancelled` inside the child) with a
-    ``terminate()`` fallback after a grace period, so even a job with
-    no observation hooks cannot outlive its DELETE.
+    each attempt runs in its own child process: a worker that dies is
+    retried, and a DELETE or deadline escalates from cooperative stop
+    to ``terminate()`` to ``kill()``, so no job outlives its slot.
 
 ``thread`` (tests, benchmarks, single-tenant serving)
-    a ``ThreadPoolExecutor`` in-process — no fork/spawn latency, and
-    job kinds registered by the host process (e.g. test fixtures) are
-    visible to the workers.  Cancellation is cooperative only.
+    attempts run on the helper thread itself — no fork latency, and job
+    kinds registered by the host process (e.g. test fixtures) are
+    visible.  Stops are cooperative only.
 
 Either way the bridge exposes the accounting the acceptance criteria
 hang off: ``dispatched`` counts every job handed to a worker, so
@@ -32,191 +30,36 @@ hang off: ``dispatched`` counts every job handed to a worker, so
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
-import queue as queue_mod
-import threading
+import contextvars
+import functools
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional
+from typing import Callable, List
 
-from contextlib import ExitStack
+from repro.lab.jobs import Job
+from repro.resilience.supervise import CancelToken, run_supervised
 
-from repro.lab.jobs import Job, JobCancelled, JobObserver, run_job
-from repro.obs.sinks import QueueSink
-from repro.obs.telemetry import Tracer, use_tracer
-from repro.serve.protocol import JobSubmission
-
-#: Seconds a cancelled process job gets to exit cooperatively before
-#: the bridge terminates it.
-CANCEL_GRACE_S = 2.0
-
-
-class JobExecutionError(Exception):
-    """A job raised inside its worker; the message is the diagnosis.
-
-    ``worker_died`` distinguishes *infrastructure* failure (the child
-    process exited without a terminal sentinel — killed, OOMed,
-    segfaulted) from *application* failure (the runner raised).  The
-    server's supervision layer retries the former and fails the latter
-    fast: a deterministic runner bug would fail every retry anyway.
-    """
-
-    def __init__(self, message: str, worker_died: bool = False):
-        super().__init__(message)
-        self.worker_died = worker_died
-
-
-class CancelToken:
-    """A one-shot, thread-safe cancellation flag with callbacks."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._callbacks: List[Callable[[], None]] = []
-        self._lock = threading.Lock()
-
-    def set(self) -> None:
-        with self._lock:
-            if self._event.is_set():
-                return
-            self._event.set()
-            callbacks = list(self._callbacks)
-        for callback in callbacks:
-            callback()
-
-    def is_set(self) -> bool:
-        return self._event.is_set()
-
-    def add_callback(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` on cancellation (immediately if already set)."""
-        with self._lock:
-            if not self._event.is_set():
-                self._callbacks.append(fn)
-                return
-        fn()
-
-
-def _build_observer(
-    submission: JobSubmission, forward: Callable[[dict], None]
-) -> Optional[JobObserver]:
-    """The JobObserver a submission's stream options ask for, if any."""
-    stream = submission.stream
-    if not stream.wants_observer:
-        return None
-    sink = QueueSink(forward=forward)
-    return JobObserver(
-        metrics_sink=sink if stream.metrics_interval else None,
-        trace_sink=sink if stream.trace else None,
-        metrics_interval=stream.metrics_interval,
-    )
-
-
-# ----------------------------------------------------------------------
-# Process-mode child entry point (must be a module-level function so it
-# pickles under any multiprocessing start method).
-# ----------------------------------------------------------------------
-def _process_entry(payload: dict, frames, cancel_event) -> None:
-    import os
-
-    from repro.resilience.checkpoint import (
-        CheckpointPlan,
-        use_cancel_event,
-        use_checkpoint_plan,
-    )
-
-    job = Job(
-        kind=payload["kind"],
-        params=payload["params"],
-        seed=payload["seed"],
-        tags=tuple(payload["tags"]),
-    )
-    submission = JobSubmission(job=job, stream=payload["stream"])
-
-    def forward(frame: dict) -> None:
-        if cancel_event.is_set():
-            raise JobCancelled()
-        frames.put(frame)
-
-    observer = _build_observer(submission, forward)
-    ckpt = payload.get("checkpoint")
-    plan = (
-        CheckpointPlan(directory=ckpt[0], interval=ckpt[1])
-        if ckpt is not None
-        else None
-    )
-    trace = payload.get("trace")
-    try:
-        # The cancel event rides the resilience ContextVar too, so a
-        # checkpointing runner honors DELETE/deadline at every chunk
-        # boundary even when the job streams no observation frames.
-        # The tracer (when the server propagated a trace) rides its own
-        # ContextVar the same way: runner-side add_event() calls —
-        # checkpoint saves, restore points — land on the worker span,
-        # and finished spans travel home as frames.  A span frame must
-        # never raise JobCancelled (that would turn the span *flush* in
-        # the ExitStack unwind into a crash), so it bypasses forward().
-        with ExitStack() as stack:
-            stack.enter_context(use_cancel_event(cancel_event))
-            stack.enter_context(use_checkpoint_plan(plan))
-            if trace is not None:
-                tracer = Tracer(
-                    on_end=lambda s: frames.put(
-                        {"type": "span", "span": s.to_dict()}
-                    )
-                )
-                stack.enter_context(use_tracer(tracer))
-                stack.enter_context(
-                    tracer.span(
-                        "worker.run",
-                        trace_id=trace[0],
-                        parent_id=trace[1],
-                        attrs={"kind": job.kind, "pid": os.getpid()},
-                    )
-                )
-            result = run_job(job, observer=observer)
-    except JobCancelled:
-        frames.put({"type": "__cancelled__"})
-    except BaseException as exc:  # noqa: BLE001 — relayed, not swallowed
-        frames.put(
-            {"type": "__error__", "error": f"{type(exc).__name__}: {exc}"}
-        )
-    else:
-        frames.put({"type": "__result__", "result": result})
+__all__ = ["CancelToken", "WorkerBridge"]
 
 
 class WorkerBridge:
-    """A bounded pool executing job submissions for the server."""
+    """A bounded pool executing jobs for the server."""
 
-    def __init__(
-        self,
-        workers: int = 2,
-        mode: str = "process",
-        loop: Optional[asyncio.AbstractEventLoop] = None,
-        checkpoint_plan=None,
-    ):
+    def __init__(self, workers: int = 2, mode: str = "process"):
         if workers < 1:
             raise ValueError("need at least one worker slot")
         if mode not in ("process", "thread"):
             raise ValueError(f"unknown worker mode {mode!r}")
         self.workers = workers
         self.mode = mode
-        #: Optional repro.resilience CheckpointPlan: process workers
-        #: install it per job, so a retried job resumes from its last
-        #: capsule instead of recomputing from cycle zero.
-        self.checkpoint_plan = checkpoint_plan
-        self._loop = loop
         self._slots = asyncio.Semaphore(workers)
-        self._pool: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-serve"
-            )
-            if mode == "thread"
-            else None
+        self._pool = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-serve"
         )
         self.busy = 0
         self.dispatched = 0
-        # Live child processes (process mode), for supervision and the
-        # chaos harness: what could be SIGKILLed right now?
+        # Live child processes (process mode), for the chaos harness
+        # and tests: what could be SIGKILLed right now?
         self._procs: set = set()
-        self._procs_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def active_pids(self) -> List[int]:
@@ -225,18 +68,10 @@ class WorkerBridge:
         Empty in thread mode.  The chaos harness aims its SIGKILLs
         here; tests use it to wait for a job to actually be on-CPU.
         """
-        with self._procs_lock:
-            return sorted(
-                p.pid for p in self._procs
-                if p.pid is not None and p.is_alive()
-            )
-
-    # ------------------------------------------------------------------
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            self._loop = asyncio.get_running_loop()
-        return self._loop
+        return sorted(
+            p.pid for p in list(self._procs)
+            if p.pid is not None and p.is_alive()
+        )
 
     @property
     def utilization(self) -> float:
@@ -249,180 +84,41 @@ class WorkerBridge:
         self._slots.release()
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        self._pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     async def execute(
         self,
-        submission: JobSubmission,
+        job: Job,
         emit: Callable[[dict], None],
         cancel: CancelToken,
-        trace: Optional[tuple] = None,
+        **supervision,
     ) -> dict:
-        """Run one admitted submission in a worker and return its result.
+        """Run one admitted job in a worker; its result or quarantine record.
 
-        ``emit`` receives observation frames on the event loop thread.
-        ``trace`` is an optional ``(trace_id, parent_span_id)`` pair:
-        when set, the worker runs under a ``worker.run`` span parented
-        to it, and finished spans come back through ``emit`` as
-        ``{"type": "span", ...}`` frames.  Raises
-        :class:`~repro.lab.jobs.JobCancelled` when ``cancel`` fired,
-        :class:`JobExecutionError` when the runner raised.  The caller
-        has already acquired a slot via :meth:`acquire`.
+        ``emit`` receives the runner's frames on the event loop thread.
+        ``supervision`` holds the :func:`run_supervised` keywords the
+        server owns (stream options, retry policy, deadline, checkpoint
+        plan, backoff rng).  The runner is called in a copy of the
+        caller's context, so its ``attempt`` spans join the trace of the
+        caller's current span.  Raises
+        :class:`~repro.lab.jobs.JobCancelled` when ``cancel`` fired.
+        The caller has already acquired a slot via :meth:`acquire`.
         """
+        loop = asyncio.get_running_loop()
+        run = functools.partial(
+            contextvars.copy_context().run,
+            run_supervised,
+            job,
+            cancel=cancel,
+            on_frame=lambda frame: loop.call_soon_threadsafe(emit, frame),
+            in_thread=self.mode == "thread",
+            procs=self._procs,
+            **supervision,
+        )
         self.busy += 1
         self.dispatched += 1
         try:
-            if self.mode == "thread":
-                return await self._execute_thread(
-                    submission, emit, cancel, trace
-                )
-            return await self._execute_process(
-                submission, emit, cancel, trace
-            )
+            return await loop.run_in_executor(self._pool, run)
         finally:
             self.busy -= 1
-
-    # ------------------------------------------------------------------
-    async def _execute_thread(self, submission, emit, cancel, trace) -> dict:
-        loop = self.loop
-
-        def forward(frame: dict) -> None:
-            if cancel.is_set():
-                raise JobCancelled()
-            loop.call_soon_threadsafe(emit, frame)
-
-        observer = _build_observer(submission, forward)
-
-        def work() -> dict:
-            if trace is None:
-                return run_job(submission.job, observer=observer)
-            # Same span relay as process mode (span frames through
-            # emit), so the server ingests worker spans identically in
-            # both modes.  Flushing a span never checks cancel: the
-            # span of a cancelled job must still make it home.
-            tracer = Tracer(
-                on_end=lambda s: loop.call_soon_threadsafe(
-                    emit, {"type": "span", "span": s.to_dict()}
-                )
-            )
-            with use_tracer(tracer), tracer.span(
-                "worker.run",
-                trace_id=trace[0],
-                parent_id=trace[1],
-                attrs={"kind": submission.job.kind},
-            ):
-                return run_job(submission.job, observer=observer)
-
-        try:
-            return await loop.run_in_executor(self._pool, work)
-        except JobCancelled:
-            raise
-        except Exception as exc:
-            raise JobExecutionError(
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-
-    # ------------------------------------------------------------------
-    async def _execute_process(self, submission, emit, cancel, trace) -> dict:
-        loop = self.loop
-        ctx = multiprocessing.get_context()
-        frames: multiprocessing.Queue = ctx.Queue()
-        cancel_event = ctx.Event()
-        plan = self.checkpoint_plan
-        payload = {
-            "kind": submission.job.kind,
-            "params": dict(submission.job.params),
-            "seed": submission.job.seed,
-            "tags": list(submission.job.tags),
-            "stream": submission.stream,
-            "checkpoint": (
-                (plan.directory, plan.interval) if plan is not None else None
-            ),
-            "trace": tuple(trace) if trace is not None else None,
-        }
-        proc = ctx.Process(
-            target=_process_entry,
-            args=(payload, frames, cancel_event),
-            daemon=True,
-        )
-        proc.start()
-        with self._procs_lock:
-            self._procs.add(proc)
-
-        def on_cancel() -> None:
-            cancel_event.set()
-            timer = threading.Timer(
-                CANCEL_GRACE_S,
-                lambda: proc.terminate() if proc.is_alive() else None,
-            )
-            timer.daemon = True
-            timer.start()
-
-        cancel.add_callback(on_cancel)
-
-        future: asyncio.Future = loop.create_future()
-
-        def resolve(fn: Callable[[], None]) -> None:
-            loop.call_soon_threadsafe(
-                lambda: fn() if not future.done() else None
-            )
-
-        def reader() -> None:
-            try:
-                while True:
-                    try:
-                        frame = frames.get(timeout=0.2)
-                    except queue_mod.Empty:
-                        if proc.is_alive():
-                            continue
-                        # Child died without a terminal sentinel:
-                        # terminated by cancel, or crashed outright.
-                        if cancel.is_set():
-                            resolve(
-                                lambda: future.set_exception(JobCancelled())
-                            )
-                        else:
-                            resolve(
-                                lambda: future.set_exception(
-                                    JobExecutionError(
-                                        "worker process died "
-                                        f"(exitcode {proc.exitcode})",
-                                        worker_died=True,
-                                    )
-                                )
-                            )
-                        return
-                    kind = frame.get("type")
-                    if kind == "__result__":
-                        result = frame["result"]
-                        resolve(lambda: future.set_result(result))
-                        return
-                    if kind == "__cancelled__":
-                        resolve(lambda: future.set_exception(JobCancelled()))
-                        return
-                    if kind == "__error__":
-                        error = frame["error"]
-                        resolve(
-                            lambda: future.set_exception(
-                                JobExecutionError(error)
-                            )
-                        )
-                        return
-                    loop.call_soon_threadsafe(emit, frame)
-            finally:
-                proc.join(timeout=5.0)
-                with self._procs_lock:
-                    self._procs.discard(proc)
-                frames.close()
-
-        thread = threading.Thread(
-            target=reader, name="repro-serve-reader", daemon=True
-        )
-        thread.start()
-        try:
-            return await future
-        finally:
-            if proc.is_alive() and cancel.is_set():
-                proc.terminate()

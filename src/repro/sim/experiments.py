@@ -13,11 +13,10 @@ as library calls:
 Every stochastic run takes an explicit ``seed`` and is fully
 deterministic under it: identical seeds reproduce identical
 :class:`LoadPoint` values field-for-field (the property the
-:mod:`repro.lab` content-addressed cache relies on).  The points of a
-load sweep are independent, so :func:`load_latency_curve` accepts an
-``executor`` (e.g. :class:`repro.lab.ProcessExecutor`) to fan the rates
-out over worker processes — results are byte-identical to the serial
-path.
+:mod:`repro.lab` content-addressed cache relies on).  To fan a load
+sweep's independent rate points out over worker processes, run its
+:func:`repro.lab.load_curve_jobs` through :func:`repro.lab.run_jobs`
+with ``workers`` > 1 — results are byte-identical to this serial path.
 """
 
 from __future__ import annotations
@@ -80,11 +79,6 @@ def _run_point(
     )
 
 
-def _run_point_packed(args: tuple) -> Optional[LoadPoint]:
-    """Tuple-calling wrapper so executors can ``map`` over rate points."""
-    return _run_point(*args)
-
-
 def load_latency_curve(
     topology: Topology,
     table: RoutingTable,
@@ -96,31 +90,24 @@ def load_latency_curve(
     warmup: int = 250,
     packet_size: int = 4,
     seed: int = 1,
-    executor=None,
     kernel: str = "event",
 ) -> List[LoadPoint]:
     """The latency/throughput curve across an injection-rate sweep.
 
-    Each rate point is an independent simulation, so passing an
-    ``executor`` with a ``map(fn, items)`` method (such as
-    :class:`repro.lab.ProcessExecutor`) runs them concurrently;
-    point order and values match the serial path exactly.  ``kernel``
-    selects the simulation kernel per point (results are identical; the
-    event kernel just reaches each point sooner).
+    Each rate point is an independent simulation, run in order; rates
+    without a delivered packet are left out.  ``kernel`` selects the
+    simulation kernel per point (results are identical; the event kernel
+    just reaches each point sooner).
     """
     if not rates:
         raise ValueError("need at least one rate")
     if any(not 0.0 < r <= 1.0 for r in rates):
         raise ValueError("rates must be in (0, 1]")
-    calls = [
-        (topology, table, params, vc_assignment, pattern, rate,
-         cycles, warmup, packet_size, seed, kernel)
+    maybe_points = [
+        _run_point(topology, table, params, vc_assignment, pattern, rate,
+                   cycles, warmup, packet_size, seed, kernel)
         for rate in rates
     ]
-    if executor is None:
-        maybe_points = [_run_point_packed(call) for call in calls]
-    else:
-        maybe_points = executor.map(_run_point_packed, calls)
     return [p for p in maybe_points if p is not None]
 
 

@@ -60,11 +60,10 @@ from repro.sim.stats import StatsCollector
 #: Valid ``NocSimulator(kernel=...)`` selectors.
 KERNELS = ("reference", "event")
 
-#: Retired kernel names, still accepted for one release so stored job
-#: specs, cache entries and checkpoint capsules keep loading.  The
-#: ``"fast"`` kernel's whole-network idle jump is the event kernel's
-#: quiescent jump, so it runs as ``"event"`` with identical results.
-_KERNEL_ALIASES = {"fast": "event"}
+
+def _check_kernel(kernel: str) -> None:
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
 
 
 class DrainTimeoutError(RuntimeError):
@@ -146,11 +145,7 @@ class NocSimulator:
         link_error_probability: float = 0.0,
         kernel: str = "event",
     ):
-        kernel = _KERNEL_ALIASES.get(kernel, kernel)
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; choose from {KERNELS}"
-            )
+        _check_kernel(kernel)
         self.topology = topology
         self.routing_table = routing_table
         self.params = params
@@ -428,8 +423,8 @@ class NocSimulator:
         return state
 
     def __setstate__(self, state):
+        _check_kernel(state["kernel"])
         self.__dict__.update(state)
-        self.kernel = _KERNEL_ALIASES.get(self.kernel, self.kernel)
         # Component __getstate__ hooks dropped the cross-object wiring;
         # rebuild it from the durable attachment records.
         if self._controller is not None:

@@ -12,10 +12,8 @@ import pytest
 from repro.apps import pip, vopd
 from repro.core import CommunicationSpec, DesignSpaceExplorer
 from repro.lab import (
-    ProcessExecutor,
     ResultCache,
     ResultStore,
-    SerialExecutor,
     canonical_json,
     design_point_to_dict,
     fault_campaign_jobs,
@@ -163,18 +161,13 @@ class TestLoadCurveJobs:
         job = load_curve_jobs("mesh", 3, [0.1], cycles=300, warmup=60)[0]
         assert "metrics_interval" not in job.params
 
-    def test_stored_fast_kernel_job_runs_as_default(self):
-        """``"fast"`` is a retired kernel name accepted for one release:
-        a stored job carrying it keeps its cache key and gives the
-        default job's result (it runs on the event kernel)."""
-        kw = dict(cycles=400, warmup=100, seed=3)
-        default = load_curve_jobs("mesh", 4, [0.05], **kw)[0]
-        stored = load_curve_jobs("mesh", 4, [0.05], kernel="fast", **kw)[0]
-        assert stored.params["kernel"] == "fast"
-        assert stored.key == (
-            "0129206de75d137e6a9e603b6b8e41c77fe7b02d5cf3bb225811f2b10b140070"
-        )
-        assert run_jobs([stored]).results == run_jobs([default]).results
+    def test_retired_fast_kernel_is_rejected(self):
+        """The retired ``"fast"`` kernel name is unknown: a stored job
+        carrying it fails loudly instead of running on another kernel."""
+        stored = load_curve_jobs("mesh", 4, [0.05], kernel="fast",
+                                 cycles=400, warmup=100, seed=3)[0]
+        with pytest.raises(ValueError, match="unknown kernel 'fast'"):
+            run_jobs([stored])
 
     def test_utilization_curve_from_batch(self):
         from repro.lab import utilization_curve_from_batch
@@ -245,19 +238,17 @@ class TestFaultCampaignJobs:
 
 class TestExperimentExecutorEntryPoint:
     def test_process_executor_matches_serial(self):
+        """A load curve fanned out over supervised children equals the
+        serial library call and the serial batch, point for point."""
         m = mesh(3, 3)
         table = xy_routing(m)
         rates = [0.05, 0.1, 0.2]
         serial = load_latency_curve(
             m, table, rates, cycles=400, warmup=80, seed=3
         )
-        pooled = load_latency_curve(
-            m, table, rates, cycles=400, warmup=80, seed=3,
-            executor=ProcessExecutor(2),
-        )
-        inline = load_latency_curve(
-            m, table, rates, cycles=400, warmup=80, seed=3,
-            executor=SerialExecutor(),
-        )
-        assert pooled == serial
-        assert inline == serial
+        jobs = load_curve_jobs("mesh", 3, rates, cycles=400, warmup=80,
+                               seed=3)
+        parallel = run_jobs(jobs, workers=2)
+        assert parallel.quarantined == []
+        assert load_curve_from_batch(parallel) == serial
+        assert parallel.results == run_jobs(jobs).results

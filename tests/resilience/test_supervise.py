@@ -1,54 +1,82 @@
-"""SupervisedExecutor: workers die, the batch survives.
+"""Supervised execution: workers die, the batch survives.
 
-Worker functions live at module level so they pickle under any
-multiprocessing start method; attempt counting crosses process
-boundaries through marker files in a temp directory.
+The job kinds below are registered in this module; children are forked,
+so they inherit the registrations.  Attempt counting crosses process
+boundaries through marker files in a temp directory and through the
+``attempt`` spans a tracer collects.
 """
 
 import os
 import random
 import signal
+import threading
+import time
 
 import pytest
 
-from repro.lab import Job, ResultCache, ResultStore, run_jobs
+from repro.lab import Job, ResultCache, ResultStore, run_jobs, runner
+from repro.obs.telemetry import TelemetryHub, use_tracer
 from repro.resilience.supervise import (
+    GRACE_S,
     RetryPolicy,
-    SupervisedExecutor,
     is_quarantined,
     quarantine_payload,
+    run_supervised,
 )
 
 
 # ----------------------------------------------------------------------
-# Module-level worker functions (picklable)
+# Job kinds (registered before any child forks)
 # ----------------------------------------------------------------------
-def _double(x):
-    return x * 2
+@runner("supervise_double")
+def _double(job):
+    return {"value": job.params["x"] * 2}
 
 
-def _die_once(spec):
+@runner("supervise_die_once")
+def _die_once(job):
     """SIGKILL ourselves the first time each marker is seen."""
-    marker, value = spec
+    marker = job.params["marker"]
     if not os.path.exists(marker):
         open(marker, "w").close()
         os.kill(os.getpid(), signal.SIGKILL)
-    return value
+    return {"value": job.params["value"]}
 
 
-def _always_die(value):
+@runner("supervise_always_die")
+def _always_die(job):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _always_raise(value):
-    raise ValueError(f"deterministic bug on {value}")
+@runner("supervise_always_raise")
+def _always_raise(job):
+    raise ValueError(f"deterministic bug on {job.params['x']}")
 
 
-def _sleep_forever(value):
-    import time
-
+@runner("supervise_sleep_forever")
+def _sleep_forever(job):
     time.sleep(300)
-    return value
+    return {}
+
+
+def _job(kind, **params):
+    return Job(kind=kind, params=params)
+
+
+def _values(batch):
+    return [r["value"] for r in batch.results]
+
+
+def _run_with_timeout(fn, timeout_s):
+    """Run ``fn`` on a side thread; its result, or fail if it hangs."""
+    out = {}
+    worker = threading.Thread(
+        target=lambda: out.setdefault("result", fn()), daemon=True
+    )
+    worker.start()
+    worker.join(timeout_s)
+    assert not worker.is_alive(), f"still running after {timeout_s}s"
+    return out["result"]
 
 
 # ----------------------------------------------------------------------
@@ -88,78 +116,107 @@ class TestRetryPolicy:
 
 
 class TestSupervisedExecutor:
+    """The supervised runner, alone and behind ``run_jobs(workers=N)``."""
+
     def test_plain_success_keeps_order(self):
-        ex = SupervisedExecutor(workers=2)
-        assert ex.map(_double, [3, 1, 5]) == [6, 2, 10]
-        assert ex.quarantine == []
+        jobs = [_job("supervise_double", x=x) for x in (3, 1, 5)]
+        batch = run_jobs(jobs, workers=2)
+        assert _values(batch) == [6, 2, 10]
+        assert batch.quarantined == []
 
     def test_worker_death_is_retried(self, tmp_path):
-        ex = SupervisedExecutor(
-            workers=2,
-            policy=RetryPolicy(max_attempts=3, base_delay_s=0.01),
+        jobs = [
+            _job("supervise_die_once", marker=str(tmp_path / f"m{i}"),
+                 value=i)
+            for i in range(3)
+        ]
+        hub = TelemetryHub()
+        with use_tracer(hub.tracer):
+            batch = run_jobs(jobs, workers=2)
+        assert _values(batch) == [0, 1, 2]
+        assert batch.quarantined == []
+        attempts = [s for s in hub.spans() if s["name"] == "attempt"]
+        assert sorted(s["status"] for s in attempts) == (
+            ["failed:died"] * 3 + ["ok"] * 3
         )
-        specs = [(str(tmp_path / f"m{i}"), i) for i in range(3)]
-        assert ex.map(_die_once, specs) == [0, 1, 2]
-        assert ex.worker_deaths.value == 3
-        assert ex.retries.value == 3
-        assert ex.quarantine == []
+        # one trace per job across its attempts; only the surviving
+        # attempt's worker lived to report its worker.run span
+        assert len({s["trace_id"] for s in attempts}) == 3
+        ok_ids = {s["span_id"] for s in attempts if s["status"] == "ok"}
+        worker_runs = [s for s in hub.spans() if s["name"] == "worker.run"]
+        assert {s["parent_id"] for s in worker_runs} == ok_ids
 
     def test_persistent_death_quarantines(self):
-        ex = SupervisedExecutor(
-            workers=2,
+        frames = []
+        record = run_supervised(
+            _job("supervise_always_die"),
             policy=RetryPolicy(max_attempts=2, base_delay_s=0.01),
+            on_frame=frames.append,
         )
-        results = ex.map(_always_die, ["victim"])
-        assert is_quarantined(results[0])
-        assert results[0]["reason"] == "died"
-        assert len(results[0]["attempts"]) == 2
-        assert ex.quarantined_count.value == 1
-        assert ex.quarantine == [results[0]]
+        assert is_quarantined(record)
+        assert record["reason"] == "died"
+        assert len(record["attempts"]) == 2
+        assert [(f["type"], f["outcome"]) for f in frames] == [
+            ("retry", "died")
+        ]
 
     def test_deterministic_error_quarantines_with_diagnosis(self):
-        ex = SupervisedExecutor(
-            workers=1,
-            policy=RetryPolicy(max_attempts=2, base_delay_s=0.01),
+        frames = []
+        record = run_supervised(
+            _job("supervise_always_raise", x="x"),
+            policy=RetryPolicy(max_attempts=3, base_delay_s=0.01),
+            on_frame=frames.append,
         )
-        results = ex.map(_always_raise, ["x"])
-        assert is_quarantined(results[0])
-        assert results[0]["reason"] == "error"
-        assert "deterministic bug on x" in results[0]["attempts"][-1]["detail"]
+        assert is_quarantined(record)
+        assert record["reason"] == "error"
+        assert "deterministic bug on x" in record["attempts"][-1]["detail"]
+        # fail fast: a runner error would fail every retry the same way
+        assert len(record["attempts"]) == 1
+        assert frames == []
 
     def test_deadline_escalation_kills_hung_worker(self):
-        ex = SupervisedExecutor(
-            workers=1,
+        start = time.monotonic()
+        record = run_supervised(
+            _job("supervise_sleep_forever"),
             policy=RetryPolicy(max_attempts=1),
             deadline_s=0.5,
         )
-        results = ex.map(_sleep_forever, ["hung"])
-        assert is_quarantined(results[0])
-        assert results[0]["reason"] == "deadline"
-        assert ex.deadline_kills.value == 1
+        assert is_quarantined(record)
+        assert record["reason"] == "deadline"
+        # the sleeper never checks the stop event: terminate() ends it
+        assert f"exitcode {-signal.SIGTERM}" in record["attempts"][0]["detail"]
+        assert time.monotonic() - start < 0.5 + 2 * GRACE_S + 5.0
 
     def test_mixed_batch_isolates_the_poison(self, tmp_path):
-        ex = SupervisedExecutor(
-            workers=2,
-            policy=RetryPolicy(max_attempts=2, base_delay_s=0.01),
-        )
-        marker = str(tmp_path / "once")
-        results = ex.map(_dispatch, [
-            ("ok", 7),
-            ("die", None),
-            ("once", (marker, 42)),
-        ])
-        assert results[0] == 14
-        assert is_quarantined(results[1])
-        assert results[2] == 42
+        jobs = [
+            _job("supervise_double", x=7),
+            _job("supervise_always_die"),
+            _job("supervise_die_once", marker=str(tmp_path / "once"),
+                 value=42),
+        ]
+        batch = run_jobs(jobs, workers=2)
+        assert batch.results[0]["value"] == 14
+        assert is_quarantined(batch.results[1])
+        assert batch.results[2]["value"] == 42
 
+    def test_always_killed_job_does_not_hang_the_batch(self):
+        """A worker SIGKILLed on every attempt costs its slot, nothing more.
 
-def _dispatch(spec):
-    kind, payload = spec
-    if kind == "ok":
-        return payload * 2
-    if kind == "die":
-        return _always_die(payload)
-    return _die_once(payload)
+        A ``multiprocessing.Pool`` never returns from ``map`` once one
+        of its workers dies; the supervised path must.
+        """
+        jobs = [
+            _job("supervise_double", x=1),
+            _job("supervise_always_die"),
+            _job("supervise_double", x=2),
+            _job("supervise_double", x=3),
+        ]
+        batch = _run_with_timeout(lambda: run_jobs(jobs, workers=2), 30.0)
+        victim = batch.results[1]
+        assert is_quarantined(victim)
+        assert victim["reason"] == "died"
+        assert len(victim["attempts"]) == RetryPolicy().max_attempts
+        assert [batch.results[i]["value"] for i in (0, 2, 3)] == [2, 4, 6]
 
 
 class TestRunJobsIntegration:
@@ -175,10 +232,7 @@ class TestRunJobsIntegration:
         ]
         cache = ResultCache(tmp_path / "cache")
         store = ResultStore(tmp_path / "store.jsonl")
-        ex = SupervisedExecutor(
-            workers=2, policy=RetryPolicy(max_attempts=2, base_delay_s=0.01)
-        )
-        batch = run_jobs(jobs, executor=ex, cache=cache, store=store)
+        batch = run_jobs(jobs, workers=2, cache=cache, store=store)
         assert batch.results[0]["point"] is not None
         assert is_quarantined(batch.results[1])
         assert len(batch.quarantined) == 1
@@ -187,5 +241,5 @@ class TestRunJobsIntegration:
         assert cache.get(jobs[1].key) is None
         assert len(store) == 1
         # a rerun recomputes (and re-fails) the quarantined job only
-        batch2 = run_jobs(jobs, executor=ex, cache=cache, store=store)
+        batch2 = run_jobs(jobs, workers=2, cache=cache, store=store)
         assert batch2.cached == 1 and batch2.computed == 1

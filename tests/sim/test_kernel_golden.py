@@ -147,9 +147,7 @@ SCENARIOS = {
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-# "fast" is the retired kernel name, still accepted for one release
-# (stored job specs and capsules may carry it); it must run as "event".
-@pytest.mark.parametrize("kernel", KERNELS + ("fast",))
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_matches_golden(name, kernel):
     path = GOLDEN_DIR / f"{name}.json"
     assert path.exists(), (

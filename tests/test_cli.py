@@ -221,6 +221,39 @@ class TestBatch:
         assert "saturation throughput" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("sweep, extra", [
+        ("synthesis", ["--workload", "pip", "--switches", "2",
+                       "--frequencies", "500"]),
+        ("loadcurve", ["--size", "3", "--rates", "0.05", "0.1",
+                       "--cycles", "300", "--warmup", "60"]),
+        ("saturation", ["--size", "2", "--cycles", "300", "--warmup", "60"]),
+        ("faults", ["--size", "3", "--runs", "2", "--cycles", "400"]),
+    ])
+    def test_quarantined_job_is_reported_and_fails_the_run(
+        self, monkeypatch, capsys, sweep, extra
+    ):
+        import repro.lab
+        from repro.resilience import quarantine_payload
+
+        real_run_jobs = repro.lab.run_jobs
+        lost = []
+
+        def run_jobs_losing_the_first(jobs, **kwargs):
+            batch = real_run_jobs(jobs, **kwargs)
+            lost.append(jobs[0])
+            batch.results[0] = quarantine_payload(jobs[0], [{
+                "attempt": 3, "outcome": "died",
+                "detail": "worker process died (exitcode -9)",
+            }])
+            return batch
+
+        monkeypatch.setattr(repro.lab, "run_jobs", run_jobs_losing_the_first)
+        assert main(["batch", sweep, "--no-cache", *extra]) == 1
+        out = capsys.readouterr().out
+        assert (f"quarantined {lost[0].describe()}: died "
+                "(worker process died (exitcode -9))") in out
+
+
 class TestObserve:
     def _run(self, tmp_path, name, extra=()):
         out_dir = tmp_path / name
