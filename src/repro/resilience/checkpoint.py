@@ -68,11 +68,27 @@ class CheckpointVersionError(CheckpointError):
 # ----------------------------------------------------------------------
 # Capsule encode / decode
 # ----------------------------------------------------------------------
+class _Frames(list):
+    """A write-only file that keeps each pickle frame as it is flushed."""
+
+    def write(self, data) -> int:
+        self.append(bytes(data))
+        return len(data)
+
+
 def snapshot_simulator(sim, traffic=None) -> bytes:
-    """Serialize ``(sim, traffic)`` into a checksummed capsule."""
+    """Serialize ``(sim, traffic)`` into a checksummed capsule.
+
+    The pickle goes out in frames of ~64 KiB rather than into one
+    buffer grown by reallocation: a growing multi-MB buffer is copied
+    or not depending on where the allocator placed it, so the peak
+    memory of a large snapshot — or of one that fails part-way — would
+    vary from run to run.
+    """
     from repro.arch.packet import packet_id_watermark
 
-    body = pickle.dumps(
+    frames = _Frames()
+    pickle.dump(
         {
             "version": CHECKPOINT_VERSION,
             "cycle": sim.cycle,
@@ -80,10 +96,13 @@ def snapshot_simulator(sim, traffic=None) -> bytes:
             "sim": sim,
             "traffic": traffic,
         },
+        frames,
         protocol=pickle.HIGHEST_PROTOCOL,
     )
+    body = b"".join(frames)
+    del frames[:]  # free the frames before the capsule is copied out
     digest = payload_digest(body).encode("ascii")
-    return _MAGIC + digest + b"\n" + body
+    return b"".join((_MAGIC, digest, b"\n", body))
 
 
 def validate_capsule(capsule: bytes) -> bytes:

@@ -165,6 +165,23 @@ class TestCapsuleIntegrity:
         body = validate_capsule(self._capsule())
         assert isinstance(body, bytes) and body
 
+    def test_framed_body_is_the_one_shot_pickle(self):
+        # The capsule is written frame by frame; its body must still be
+        # byte for byte what pickle.dumps gives for the same document.
+        sim, traffic = _build_fault_sim()
+        sim.run(600, traffic)
+        body = validate_capsule(snapshot_simulator(sim, traffic))
+        assert body == pickle.dumps(
+            {
+                "version": CHECKPOINT_VERSION,
+                "cycle": sim.cycle,
+                "packet_watermark": packet_id_watermark(),
+                "sim": sim,
+                "traffic": traffic,
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+
     def test_truncation_detected(self):
         capsule = self._capsule()
         with pytest.raises(CheckpointCorruptError):
