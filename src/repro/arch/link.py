@@ -226,15 +226,6 @@ class Link:
     def busy(self) -> bool:
         return bool(self._in_flight)
 
-    # -- clock-jump support ------------------------------------------------
-    def on_idle_skip(self, elapsed: int) -> None:
-        """The clock is jumping ``elapsed`` cycles over provably idle time.
-
-        Subclasses whose tick() has per-cycle side effects even when no
-        flit moves (ON/OFF backpressure sampling) fast-forward here; the
-        base pipeline has none.
-        """
-
 
 class CreditLink(Link):
     """Exact credit-based flow control with credit-return latency."""
@@ -298,11 +289,22 @@ class CreditLink(Link):
 class OnOffLink(Link):
     """ON/OFF backpressure: delayed buffer-state observation.
 
-    The sender samples the downstream free-slot count as it was
+    The sender sees the downstream free-slot count as it was
     ``delay_cycles`` ago (the backpressure wire has the same latency as
     the data wires) and additionally accounts for its own in-flight
     flits, so the downstream buffer can never overflow.  The OFF
     threshold reserves slots to absorb flits already in the pipeline.
+
+    The wire is a per-VC log of timestamped changes, not a per-cycle
+    sample.  An entry ``(stamp, free)`` says the receiver holds ``free``
+    slots at every *sample point* from cycle ``stamp`` on — the point in
+    the link phase, right after this link's own deliveries, where a
+    per-cycle sampler would read the count.  ``can_send`` at cycle ``c``
+    folds the entries stamped up to ``c - delay_cycles`` into the count
+    the sender sees (``buffer_depth`` before the first sample point, at
+    construction or repair).  Switch input ports and target NIs report
+    every change, so the link has work only on its delivery cycles;
+    any other receiver is polled on each tick.
     """
 
     def __init__(
@@ -321,42 +323,114 @@ class OnOffLink(Link):
         # can_send() runs once per hop per flit on both sides of the
         # grant; the OFF comparison point never changes after init.
         self._off_floor = max(0, threshold - 1)
-        # History of observed free slots per VC, oldest first; index 0 is
-        # the sample the sender sees "now".
-        self._history: List[Deque[int]] = [
-            deque([buffer_depth] * delay_cycles, maxlen=delay_cycles)
-            for __ in range(num_vcs)
-        ]
         self._in_flight_per_vc = [0] * num_vcs
+        # Other links whose logs a delivery here changes (set_observers).
+        self._observers: Tuple[Tuple["OnOffLink", int], ...] = ()
+        self._polled = True
+        self._reset_log(0)
+
+    def connect(self, receiver: Receiver) -> None:
+        super().connect(receiver)
+        self._polled = not getattr(receiver, "reports_free_slots", False)
+        self._reset_log(0)
+
+    def set_observers(self, observers: Tuple[Tuple["OnOffLink", int], ...]) -> None:
+        """Other links whose receiver this link shares.
+
+        A delivery here at cycle ``c`` is logged on each ``(link,
+        late)`` with stamp ``c + late``: 0 for links ticked after this
+        one in the link phase (their sample point follows the delivery),
+        1 for those ticked before it (they sampled already).
+        """
+        self._observers = observers
+
+    def _reset_log(self, stamp: int) -> None:
+        """Start the log at sample point ``stamp``.
+
+        ``log[0]`` is the entry in force at the last read; a leading
+        ``(-1 - delay, buffer_depth)`` entry answers reads before
+        ``stamp``.  A receiver whose one buffer serves every VC gets one
+        log, aliased per VC.
+        """
+        recv = self.receiver
+        before = -1 - self.delay_cycles
+
+        def log(vc: int) -> Deque[Tuple[int, int]]:
+            free = self.buffer_depth if recv is None else recv.free_slots(vc)
+            return deque([(before, self.buffer_depth), (stamp, free)])
+
+        if getattr(recv, "shared_free_slots", False):
+            self._free_log: List[Deque[Tuple[int, int]]] = (
+                [log(0)] * self.num_vcs
+            )
+        else:
+            self._free_log = [log(vc) for vc in range(self.num_vcs)]
+
+    def observe(self, vc: int, stamp: int, free: int) -> None:
+        """The receiver holds ``free`` slots on ``vc`` from sample point
+        ``stamp`` on.  Stamps arrive in non-decreasing order."""
+        log = self._free_log[vc]
+        log.append((stamp, free))
+        # Every read from now on is at ``cycle - delay >= floor``: drop
+        # the entries superseded by then, so a link that never sends
+        # keeps a short log.
+        floor = stamp - self.delay_cycles - 1
+        while log[1][0] <= floor:
+            log.popleft()
 
     def can_send(self, vc: int, cycle: int) -> bool:
         if self.failed:
             return True  # blackhole: the flit will be dropped on arrival
-        return (
-            self._history[vc][0] - self._in_flight_per_vc[vc]
-            > self._off_floor
-        )
+        log = self._free_log[vc]
+        if len(log) > 1:
+            at = cycle - self.delay_cycles
+            while log[1][0] <= at:
+                log.popleft()
+                if len(log) == 1:
+                    break
+        return log[0][1] - self._in_flight_per_vc[vc] > self._off_floor
 
     def send(self, flit: Flit, cycle: int) -> None:
-        super().send(flit, cycle)
+        # Link.send, inlined: this runs once per flit-hop.
+        if self._last_send_cycle == cycle:
+            raise RuntimeError(f"link {self.name}: second send in cycle {cycle}")
+        self._last_send_cycle = cycle
+        deliver_at = cycle + self.delay_cycles
+        self._in_flight.append((deliver_at, flit))
+        self.flits_carried += 1
         self._in_flight_per_vc[flit.vc] += 1
+        if self.wakeup is not None:
+            self.wakeup(deliver_at)
 
     def tick(self, cycle: int) -> None:
-        super().tick(cycle)
-        # Sample the downstream state for the sender to observe later.
-        recv = self.receiver
-        if recv is not None:
-            free = recv.free_slots
-            for vc, history in enumerate(self._history):
-                history.append(free(vc))
+        in_flight = self._in_flight
+        if in_flight and not (
+            self.failed or self._poisoned or cycle < self._burst_until
+        ):
+            # Clean delivery, as in Link.tick.
+            while in_flight and in_flight[0][0] <= cycle:
+                self._deliver(in_flight.popleft()[1], cycle)
+        elif in_flight:
+            super().tick(cycle)
+        if self._polled and self.receiver is not None:
+            free = self.receiver.free_slots
+            for vc in range(self.num_vcs):
+                self.observe(vc, cycle, free(vc))
 
     def _deliver(self, flit: Flit, cycle: int) -> None:
-        self._in_flight_per_vc[flit.vc] -= 1
-        accepted = self.receiver.accept(flit)
-        if not accepted:  # pragma: no cover - conservative gating prevents this
+        vc = flit.vc
+        self._in_flight_per_vc[vc] -= 1
+        recv = self.receiver
+        if not recv.accept(flit):  # pragma: no cover - conservative gating prevents this
             raise RuntimeError(
                 f"link {self.name}: receiver overflow under ON/OFF flow control"
             )
+        if self._polled:
+            return
+        free = recv.free_slots(vc)
+        self._free_log[vc].append((cycle, free))
+        for link, late in self._observers:
+            link.observe(vc, cycle + late, free)
 
     def _discard(self, flit: Flit, cycle: int) -> None:
         self._in_flight_per_vc[flit.vc] -= 1
@@ -368,41 +442,8 @@ class OnOffLink(Link):
         return lost
 
     def _on_repair(self, cycle: int) -> None:
-        for history in self._history:
-            history.clear()
-            history.extend([self.buffer_depth] * self.delay_cycles)
+        self._reset_log(cycle)
         self._in_flight_per_vc = [0] * self.num_vcs
-
-    def history_converged(self) -> bool:
-        """True when every queued sample equals the current free-slot
-        count — i.e. further ticks would only re-append values the ring
-        already holds.  The event kernel may deactivate this link only
-        once it is idle *and* converged; until then skipped samples
-        would change what the sender observes.
-        """
-        if self.receiver is None:
-            return True
-        for vc in range(self.num_vcs):
-            current = self.receiver.free_slots(vc)
-            for sample in self._history[vc]:
-                if sample != current:
-                    return False
-        return True
-
-    def on_idle_skip(self, elapsed: int) -> None:
-        # The backpressure wire samples every cycle even while the
-        # network is idle; replay the samples the skipped ticks would
-        # have taken.  Nothing delivers or drains inside a skipped
-        # interval, so the downstream free-slot counts are frozen at
-        # their current values, and only the last ``delay_cycles``
-        # samples can survive the ring buffer anyway.
-        if self.receiver is None:
-            return
-        for vc in range(self.num_vcs):
-            sample = self.receiver.free_slots(vc)
-            history = self._history[vc]
-            for __ in range(min(elapsed, self.delay_cycles)):
-                history.append(sample)
 
 
 class AckNackLink(Link):

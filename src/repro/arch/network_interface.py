@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.arch.link import Link
+from repro.arch.link import CreditLink, Link, OnOffLink
 from repro.arch.packet import EndToEndAck, Flit, MessageClass, Packet
 from repro.arch.parameters import NocParameters
 
@@ -97,6 +97,29 @@ class RetransmissionPolicy:
         )
 
 
+class PortPlans:
+    """``route -> Packet.ports`` for one network, memoized per route.
+
+    ``out_index`` maps each switch to its ``{downstream: port index}``
+    (``SwitchModel.out_index``).  A hop that leaves a core, or that no
+    port serves, plans -1; a switch raises when a flit asks for it.
+    """
+
+    def __init__(self, out_index: Dict[str, Dict[str, int]]):
+        self._out_index = out_index
+        self._plans: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
+
+    def plan(self, route: Tuple[str, ...]) -> Tuple[int, ...]:
+        ports = self._plans.get(route)
+        if ports is None:
+            no_switch: Dict[str, int] = {}
+            ports = self._plans[route] = tuple(
+                self._out_index.get(node, no_switch).get(nxt, -1)
+                for node, nxt in zip(route, route[1:])
+            )
+        return ports
+
+
 @dataclass
 class _PendingTransfer:
     """Book-keeping for one unacknowledged logical transfer."""
@@ -153,6 +176,9 @@ class InitiatorNI:
         # entry point for all backlog gains (sends, responses, acks,
         # retransmission copies).  None outside the event kernel.
         self.wakeup: Optional[Callable[[], None]] = None
+        # route -> Packet.ports, shared by a simulator's NIs; packets
+        # get their per-hop output ports when they start serializing.
+        self.port_plans: Optional["PortPlans"] = None
 
     def connect(self, link: Link) -> None:
         self.injection_link = link
@@ -251,13 +277,18 @@ class InitiatorNI:
             queue = self._gt_queues.get(connection_id)
             if not queue:
                 return None
-            current = queue.popleft().flits()
+            packet = queue.popleft()
+            if self.port_plans is not None:
+                packet.ports = self.port_plans.plan(packet.route)
+            current = packet.flits()
             self._current_gt[connection_id] = current
             self.packets_injected += 1
         return current[0]
 
     def _try_inject_gt(self, cycle: int) -> bool:
-        if not self._gt_queues and not any(self._current_gt.values()):
+        # _current_gt never holds an emptied stream (its entry is
+        # deleted with the last flit), so its truth value is the test.
+        if not self._gt_queues and not self._current_gt:
             return False
         # Only the owner of the current slot may inject: look up whose
         # turn it is rather than serializing connections through a FIFO.
@@ -293,10 +324,14 @@ class InitiatorNI:
         if self._current_be is None:
             if not self._be_queue:
                 return
-            self._current_be = self._be_queue.popleft().flits()
+            packet = self._be_queue.popleft()
+            if self.port_plans is not None:
+                packet.ports = self.port_plans.plan(packet.route)
+            self._current_be = packet.flits()
             self.packets_injected += 1
         flit = self._current_be[0]
-        flit.vc = flit.packet.vc_on_link(0)
+        vc_path = flit.packet.vc_path
+        flit.vc = vc_path[0] if vc_path is not None else 0
         if not self.injection_link.can_send_flit(flit, cycle):
             self.injection_stall_cycles += 1
             return
@@ -448,8 +483,14 @@ class TargetNI:
     (always drained at one flit per cycle) keeps the consumption
     guarantee honest while still exerting realistic backpressure if the
     link delivers faster than the drain rate (it cannot: links also
-    carry one flit per cycle).
+    carry one flit per cycle).  Every VC shares the buffer, and every
+    ON/OFF ejection link is told each change of its free-slot count.
     """
+
+    #: An upstream ON/OFF link need not poll this receiver.
+    reports_free_slots = True
+    #: One ejection buffer serves every VC.
+    shared_free_slots = True
 
     def __init__(self, core: str, params: NocParameters,
                  ejection_depth: int = 8):
@@ -458,6 +499,8 @@ class TargetNI:
         self.ejection_depth = ejection_depth
         self._buffer: Deque[Flit] = deque()
         self._ejection_links: Dict[str, Link] = {}  # upstream switch -> link
+        self._onoff_links: List[OnOffLink] = []  # in link-phase order
+        self._credit_links: Dict[str, CreditLink] = {}  # credit returns
         self._responder: Optional[Callable[[Packet, int], Optional[Packet]]] = None
         self.trace = None  # optional callback(cycle, flit) on drain
         self._service_cycles = 0
@@ -515,8 +558,27 @@ class TargetNI:
         self._service_cycles = service_cycles
 
     def register_ejection_link(self, upstream: str, link: Link) -> None:
-        """Record the link arriving from ``upstream`` (credit returns)."""
+        """Record the link arriving from ``upstream`` (credit returns,
+        ON/OFF free-slot reports).
+
+        The simulator ticks a target's ejection links in upstream-name
+        order, so a delivery on one ON/OFF link is logged for the links
+        after it at this cycle's sample point and for those before it
+        (which sampled already) at the next one.
+        """
         self._ejection_links[upstream] = link
+        if isinstance(link, CreditLink):
+            self._credit_links[upstream] = link
+        self._onoff_links = [
+            l for __, l in sorted(self._ejection_links.items())
+            if isinstance(l, OnOffLink)
+        ]
+        for pos, l in enumerate(self._onoff_links):
+            l.set_observers(tuple(
+                (other, 0 if i > pos else 1)
+                for i, other in enumerate(self._onoff_links)
+                if i != pos
+            ))
 
     # -- Receiver contract -------------------------------------------------
     def free_slots(self, vc: int) -> int:
@@ -545,10 +607,15 @@ class TargetNI:
         if not self._buffer:
             return
         flit = self._buffer.popleft()
-        upstream = flit.packet.route[flit.hop - 1]
-        link = self._ejection_links.get(upstream)
-        if link is not None and hasattr(link, "return_credit"):
-            link.return_credit(flit.vc, cycle)
+        if self._onoff_links:
+            # The drain follows the link phase: links see it next cycle.
+            free = self.ejection_depth - len(self._buffer)
+            for link in self._onoff_links:
+                link.observe(0, cycle + 1, free)
+        if self._credit_links:
+            link = self._credit_links.get(flit.packet.route[flit.hop - 1])
+            if link is not None:
+                link.return_credit(flit.vc, cycle)
         self.flits_received += 1
         flit.arrival_cycle = cycle
         if self.trace is not None:

@@ -26,6 +26,12 @@ class FlitType(Enum):
     SINGLE = "single"  # head and tail in one (single-flit packet)
 
 
+# Hoisted members: an enum class attribute lookup costs a __getattr__.
+_HEAD, _BODY, _TAIL, _SINGLE = (
+    FlitType.HEAD, FlitType.BODY, FlitType.TAIL, FlitType.SINGLE
+)
+
+
 class MessageClass(Enum):
     """Traffic class, for QoS and message-dependent deadlock analysis."""
 
@@ -100,6 +106,14 @@ class Packet:
     #: target NI can discard duplicates and ack the original.  ``None``
     #: when retransmission is disabled (the default).
     transfer_id: Optional[Tuple[str, int]] = None
+    #: Output-port index at each hop: ``ports[h]`` is the port of switch
+    #: ``route[h]`` that leads to ``route[h + 1]`` (-1 where ``route[h]``
+    #: is not a switch).  Resolved once per route by the injecting NI so
+    #: switches never look a port up by name; ``None`` for packets that
+    #: no simulator injected.
+    ports: Optional[Tuple[int, ...]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.size_flits < 1:
@@ -121,13 +135,13 @@ class Packet:
 
     def flits(self) -> List["Flit"]:
         """Serialize into head/body/tail flits."""
-        if self.size_flits == 1:
-            return [Flit(self, 0, FlitType.SINGLE)]
-        out = [Flit(self, 0, FlitType.HEAD)]
-        out.extend(
-            Flit(self, i, FlitType.BODY) for i in range(1, self.size_flits - 1)
-        )
-        out.append(Flit(self, self.size_flits - 1, FlitType.TAIL))
+        last = self.size_flits - 1
+        if last == 0:
+            return [Flit(self, 0, _SINGLE)]
+        out = [Flit(self, 0, _HEAD)]
+        for i in range(1, last):
+            out.append(Flit(self, i, _BODY))
+        out.append(Flit(self, last, _TAIL))
         return out
 
 
@@ -147,10 +161,26 @@ class Flit:
     is_head: bool = field(init=False, repr=False, compare=False)
     is_tail: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        ft = self.flit_type
-        self.is_head = ft is FlitType.HEAD or ft is FlitType.SINGLE
-        self.is_tail = ft is FlitType.TAIL or ft is FlitType.SINGLE
+    def __init__(
+        self,
+        packet: Packet,
+        index: int,
+        flit_type: FlitType,
+        hop: int = 0,
+        vc: int = 0,
+        arrival_cycle: Optional[int] = None,
+    ):
+        # Hand-written (the dataclass keeps its repr and eq): one flit
+        # is built per flit injected, and a generated __init__ plus
+        # __post_init__ costs two calls.
+        self.packet = packet
+        self.index = index
+        self.flit_type = flit_type
+        self.hop = hop
+        self.vc = vc
+        self.arrival_cycle = arrival_cycle
+        self.is_head = flit_type is _HEAD or flit_type is _SINGLE
+        self.is_tail = flit_type is _TAIL or flit_type is _SINGLE
 
     @property
     def route(self) -> Tuple[str, ...]:

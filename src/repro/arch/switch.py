@@ -14,7 +14,15 @@ The model is an input-queued wormhole switch with per-(port, VC) FIFOs:
   head to tail, so packets never interleave within a VC (but different
   VCs share the physical link cycle-by-cycle);
 * on buffer pop, a credit returns to the upstream link (credit-based
-  flow control) — other flow controls observe buffer occupancy instead.
+  flow control), or the new free-slot count is reported to it (ON/OFF);
+  ACK/NACK links probe the buffer on delivery instead.
+
+Switch state is int-indexed.  Output ports are numbered in sorted
+downstream-name order (the arbitration order), input VC *slots* as
+``input index * num_vcs + vc`` in sorted upstream-name order.  Each
+packet carries its per-hop output index (``Packet.ports``), resolved
+once per route by the injecting NI, and requests, wormhole locks,
+arbiters and per-output counters are flat lists over those indices.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.arch.arbiter import RoundRobinArbiter, TdmaArbiter
-from repro.arch.link import CreditLink, Link
+from repro.arch.link import CreditLink, Link, OnOffLink
 from repro.arch.packet import Flit, MessageClass
 from repro.arch.parameters import ArbitrationKind, NocParameters
 
@@ -36,11 +44,15 @@ _GT = MessageClass.GUARANTEED
 class InputPort:
     """Per-upstream-neighbour input: one FIFO per virtual channel.
 
-    Implements the link Receiver contract (``free_slots`` / ``accept``).
+    Implements the link Receiver contract (``free_slots`` / ``accept``)
+    and reports every free-slot change to an upstream ON/OFF link.
     Each buffered flit carries its *ready cycle* — arrival plus the
     router pipeline depth — so multi-stage switches are modelled by
     delaying eligibility, not by extra buffer structures.
     """
+
+    #: An upstream ON/OFF link need not poll this receiver.
+    reports_free_slots = True
 
     def __init__(self, switch: "SwitchModel", upstream: str, num_vcs: int, depth: int):
         self.switch = switch
@@ -55,15 +67,8 @@ class InputPort:
         ]
         self.upstream_link: Optional[Link] = None
         self._upstream_credit = False  # kept in sync with upstream_link
+        self._onoff: Optional[OnOffLink] = None  # ditto, ON/OFF upstream
         self.peak_occupancy = 0  # deepest any single VC FIFO ever got
-        # Event-kernel wakeup hook: fired by pop() so the upstream
-        # ON/OFF link re-samples the free-slot count it advertises.
-        self.wake_upstream = None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["wake_upstream"] = None
-        return state
 
     def free_slots(self, vc: int) -> int:
         return self.depth - len(self.buffers[vc])
@@ -93,12 +98,19 @@ class InputPort:
         return flit if cycle >= ready else None
 
     def pop(self, vc: int, cycle: int) -> Flit:
-        flit, __ = self.buffers[vc].popleft()
-        if self.wake_upstream is not None:
-            self.wake_upstream()
+        buf = self.buffers[vc]
+        flit, __ = buf.popleft()
         if self._upstream_credit:
-            self.upstream_link.return_credit(flit.vc, cycle)
+            self.upstream_link.return_credit(vc, cycle)
+        elif self._onoff is not None:
+            self._onoff.observe(vc, cycle, self.depth - len(buf))
         return flit
+
+    def _report_all(self, stamp: int) -> None:
+        """Report every VC's free-slot count after a bulk change."""
+        if self._onoff is not None:
+            for vc, buf in enumerate(self.buffers):
+                self._onoff.observe(vc, stamp, self.depth - len(buf))
 
     @property
     def occupancy(self) -> int:
@@ -113,13 +125,6 @@ class SwitchModel:
         self.params = params
         self.inputs: Dict[str, InputPort] = {}
         self.outputs: Dict[str, Link] = {}
-        # Wormhole ownership: (output node, vc) -> (input node, input vc)
-        self._locks: Dict[Tuple[str, int], Tuple[str, int]] = {}
-        # Which packet holds each lock — needed to release locks of
-        # packets purged by the recovery controller without disturbing
-        # healthy in-flight wormholes.
-        self._lock_owner: Dict[Tuple[str, int], "object"] = {}
-        self._arbiters: Dict[str, RoundRobinArbiter] = {}
         self._tdma: Dict[str, TdmaArbiter] = {}
         self.now = -1  # updated at each tick; used for pipeline timing
         self.trace = None  # optional callback(cycle, flit) on forward
@@ -132,12 +137,10 @@ class SwitchModel:
         # Observability counters (repro.obs): cheap always-on integers in
         # the same spirit as flits_forwarded/peak_occupancy.  They live
         # on blocked or per-packet paths, never on the per-flit fast path.
-        self.stall_cycles_by_output: Dict[str, int] = {}  # downstream link refused
-        self.contention_cycles_by_output: Dict[str, int] = {}  # >1 candidates
         self.contention_losers = 0  # candidates denied by arbitration
         self.lock_hold_cycles = 0   # accumulated wormhole-lock hold time
         self.locks_taken = 0        # completed (head..tail) wormhole locks
-        self._lock_since: Dict[Tuple[str, int], int] = {}
+        self._finalized = False
 
     def __getstate__(self):
         """Pickle state minus the host-wired trace callback.
@@ -161,6 +164,7 @@ class SwitchModel:
         )
         port.upstream_link = link
         port._upstream_credit = isinstance(link, CreditLink)
+        port._onoff = link if isinstance(link, OnOffLink) else None
         self.inputs[upstream] = port
         return port
 
@@ -168,50 +172,66 @@ class SwitchModel:
         if downstream in self.outputs:
             raise ValueError(f"duplicate output to {downstream!r}")
         self.outputs[downstream] = link
-        self.stall_cycles_by_output[downstream] = 0
-        self.contention_cycles_by_output[downstream] = 0
 
     def set_tdma_table(self, downstream: str, arbiter: TdmaArbiter) -> None:
         """Install an Aethereal slot table on one output port."""
         if downstream not in self.outputs:
             raise KeyError(f"no output to {downstream!r}")
         self._tdma[downstream] = arbiter
+        if self._finalized:
+            self._tdma_at[self.out_index[downstream]] = arbiter
 
     def finalize_wiring(self) -> None:
-        """Precompute the sorted port views tick() otherwise builds lazily.
+        """Number the ports and size the int-indexed state.
 
         The simulator calls this once its wiring is complete (ports are
-        never added afterwards), so the first simulated cycle pays no
-        construction cost and the hot loop's ``hasattr`` guards always
-        hit their caches.
+        never added afterwards); a switch driven directly finalizes on
+        its first tick.
+
+        The flat ``_scan`` list drives tick()'s sweep over every (input,
+        VC) FIFO.  Caching the deques is safe because they are created
+        once per port and only ever mutated in place (purge/fail
+        clear-and-extend, never rebind), so the references stay live
+        across faults, purges and checkpoint restores.
         """
+        nvcs = self.params.num_vcs
         self._sorted_inputs = sorted(self.inputs)
         self._sorted_outputs = sorted(self.outputs)
-        self._build_scan()
-
-    def _build_scan(self) -> None:
-        """Flatten the (input, VC) sweep into one precomputed list.
-
-        tick() visits every FIFO every cycle; the flat list removes the
-        per-port dict lookup and enumerate from that sweep.  Safe to
-        cache because the deques are created once per port and only
-        ever mutated in place (purge/fail clear-and-extend, never
-        rebind), so the references stay live across faults, purges and
-        checkpoint restores.  The arbitration slot constants ride
-        along: they only depend on the same wiring.
-        """
+        #: downstream node -> output index (the order arbitration visits)
+        self.out_index = {
+            name: i for i, name in enumerate(self._sorted_outputs)
+        }
+        self._out_links = [self.outputs[n] for n in self._sorted_outputs]
         self._scan = [
-            (upstream, vc, port.buffers[vc], port)
-            for upstream in self._sorted_inputs
+            (i * nvcs + vc, vc, port.buffers[vc], port)
+            for i, upstream in enumerate(self._sorted_inputs)
             for port in (self.inputs[upstream],)
             for vc in range(len(port.buffers))
         ]
-        self._input_index = {
-            name: i for i, name in enumerate(self._sorted_inputs)
-        }
-        self._nvcs = self.params.num_vcs
-        self._nslots = len(self._input_index) * self._nvcs
+        nout = len(self._sorted_outputs)
+        self._nvcs = nvcs
+        self._nslots = len(self._sorted_inputs) * nvcs
         self._rr = self.params.arbitration is not ArbitrationKind.FIXED_PRIORITY
+        # Wormhole ownership per (output index * nvcs + output VC): the
+        # owning input slot (-1 when free), the owning packet (to
+        # release locks of purged packets without disturbing healthy
+        # wormholes) and the cycle the lock was taken.
+        self._locks = [-1] * (nout * nvcs)
+        self._lock_owner: List[Optional[object]] = [None] * (nout * nvcs)
+        self._lock_since = [0] * (nout * nvcs)
+        self._arbiters = [
+            RoundRobinArbiter(self._nslots) if self._nslots else None
+            for __ in range(nout)
+        ]
+        self._tdma_at: List[Optional[TdmaArbiter]] = [
+            self._tdma.get(name) for name in self._sorted_outputs
+        ]
+        # Per-output candidate lists, filled and emptied within a tick.
+        self._requests: List[Optional[list]] = [None] * nout
+        self._stalls = [0] * nout       # downstream link refused
+        self._stall_mark = [-1] * nout  # last cycle counted in _stalls
+        self._contention = [0] * nout   # more than one candidate
+        self._finalized = True
 
     # ------------------------------------------------------------------
     # Per-cycle operation
@@ -232,16 +252,15 @@ class SwitchModel:
         self.now = cycle
         if self.failed:
             return None
-        if not hasattr(self, "_scan"):
-            self._sorted_inputs = sorted(self.inputs)
-            self._sorted_outputs = sorted(self.outputs)
-            self._build_scan()
-        outputs = self.outputs
+        if not self._finalized:
+            self.finalize_wiring()
+        out_links = self._out_links
         locks = self._locks
-        requests: Dict[str, List[Candidate]] = {}
+        nvcs = self._nvcs
+        requests = self._requests
+        touched = None  # output indices with candidates, in scan order
         occupied = None  # non-empty FIFOs, for the post-forward nr scan
-        stalled_outputs = None  # outputs whose link refused a ready flit
-        for upstream, vc, buf, port in self._scan:
+        for slot, vc, buf, port in self._scan:
             if not buf:
                 continue
             if occupied is None:
@@ -252,99 +271,90 @@ class SwitchModel:
             if cycle < ready:
                 continue
             packet = flit.packet
-            # Inlined flit.next_node() / packet.vc_on_link(): this
-            # scan runs for every ready head every cycle, and the
-            # hop is known valid (targets consume flits, so a flit
-            # held by a switch always has a next node).
-            route = packet.route
-            hop1 = flit.hop + 1
-            downstream = route[hop1] if hop1 < len(route) else None
-            link = outputs.get(downstream)
-            if link is None:
+            hop = flit.hop
+            ports = packet.ports
+            if ports is not None:
+                oi = ports[hop]
+            else:  # built outside a simulator: resolve by node name
+                route = packet.route
+                oi = self.out_index.get(
+                    route[hop + 1] if hop + 1 < len(route) else None, -1
+                )
+            if oi < 0:
+                route = packet.route
                 raise RuntimeError(
-                    f"switch {self.name}: flit routed to unknown "
-                    f"output {downstream!r}"
+                    f"switch {self.name}: flit routed to unknown output "
+                    f"{route[hop + 1] if hop + 1 < len(route) else None!r}"
                 )
             vc_path = packet.vc_path
-            out_vc = vc_path[flit.hop] if vc_path is not None else 0
+            out_vc = vc_path[hop] if vc_path is not None else 0
             if packet.message_class is not _GT:
                 # GT flits own their time slots end to end; slot
                 # reservation already serializes them, so only
                 # best-effort traffic takes wormhole locks.
-                key = (downstream, out_vc)
-                lock = locks.get(key)
+                li = oi * nvcs + out_vc
+                owner = locks[li]
                 if flit.is_head:
-                    if lock is not None and (
-                        lock[0] != upstream or lock[1] != vc
-                    ):
+                    if owner >= 0 and owner != slot:
                         continue  # VC busy with another packet
-                elif lock is None or (
-                    lock[0] != upstream or lock[1] != vc
-                ):
+                elif owner != slot:
                     continue  # only the owner may send body/tail
             else:
-                key = None
+                li = -1
+            link = out_links[oi]
             if not link.can_send(out_vc, cycle):
-                if stalled_outputs is None:
-                    stalled_outputs = {downstream}
-                else:
-                    stalled_outputs.add(downstream)
+                if self._stall_mark[oi] != cycle:
+                    self._stall_mark[oi] = cycle
+                    self._stalls[oi] += 1
                 continue
-            cand = (upstream, vc, flit, out_vc, link, key, port)
-            cand_list = requests.get(downstream)
+            cand = (slot, vc, flit, out_vc, link, li, port)
+            cand_list = requests[oi]
             if cand_list is None:
-                requests[downstream] = [cand]
+                requests[oi] = [cand]
+                if touched is None:
+                    touched = [oi]
+                else:
+                    touched.append(oi)
             else:
                 cand_list.append(cand)
-        if stalled_outputs is not None:
-            for downstream in stalled_outputs:
-                self.stall_cycles_by_output[downstream] += 1
-        if requests:
-            # A single requested output needs no sorted output sweep.
-            outs = requests if len(requests) == 1 else self._sorted_outputs
-            tdma = self._tdma
-            for downstream in outs:
-                candidates = requests.get(downstream)
-                if not candidates:
-                    continue
-                if len(candidates) == 1 and not tdma:
+        if touched is not None:
+            if len(touched) > 1:
+                touched.sort()
+            tdma_at = self._tdma_at if self._tdma else None
+            for oi in touched:
+                candidates = requests[oi]
+                requests[oi] = None
+                tdma = tdma_at[oi] if tdma_at is not None else None
+                if len(candidates) == 1 and tdma is None:
                     # Uncontended output without a slot table (the
                     # overwhelmingly common case): grant the lone
-                    # requester inline.  Round-robin still advances
-                    # its pointer past the winner, exactly as
-                    # ``_arbitrate``'s grant would.
+                    # requester.  Round-robin still advances its
+                    # pointer past the winner, exactly as a grant would.
                     winner = candidates[0]
                     if self._rr:
-                        arbiter = self._arbiters.get(downstream)
-                        if arbiter is None or arbiter.n != self._nslots:
-                            arbiter = RoundRobinArbiter(self._nslots)
-                            self._arbiters[downstream] = arbiter
-                        arbiter._pointer = (
-                            self._input_index[winner[0]] * self._nvcs
-                            + winner[1] + 1
+                        self._arbiters[oi]._pointer = (
+                            winner[0] + 1
                         ) % self._nslots
                 else:
                     if len(candidates) > 1:
-                        self.contention_cycles_by_output[downstream] += 1
+                        self._contention[oi] += 1
                         self.contention_losers += len(candidates) - 1
-                    winner = self._arbitrate(downstream, candidates, cycle)
+                    winner = self._arbitrate(oi, tdma, candidates, cycle)
                     if winner is None:
                         continue
-                upstream, vc, __, out_vc, link, key, port = winner
-                flit = port.pop(vc, cycle)
+                __, vc, flit, out_vc, link, li, port = winner
+                port.pop(vc, cycle)
                 flit.vc = out_vc
-                if key is not None:  # best-effort: wormhole lock ops
+                if li >= 0:  # best-effort: wormhole lock ops
                     if flit.is_head:
-                        locks[key] = (upstream, vc)
-                        self._lock_owner[key] = flit.packet
-                        self._lock_since[key] = cycle
+                        locks[li] = winner[0]
+                        self._lock_owner[li] = flit.packet
+                        self._lock_since[li] = cycle
                     if flit.is_tail:
-                        locks.pop(key, None)
-                        self._lock_owner.pop(key, None)
-                        since = self._lock_since.pop(key, None)
-                        if since is not None:
-                            self.lock_hold_cycles += cycle - since + 1
-                            self.locks_taken += 1
+                        locks[li] = -1
+                        self._lock_owner[li] = None
+                        self.lock_hold_cycles += cycle - self._lock_since[li] + 1
+                        self.locks_taken += 1
                 link.send(flit, cycle)
                 flit.hop += 1
                 self.flits_forwarded += 1
@@ -365,40 +375,25 @@ class SwitchModel:
 
     def _arbitrate(
         self,
-        downstream: str,
-        candidates: List[Candidate],
+        oi: int,
+        tdma: Optional[TdmaArbiter],
+        candidates: List[tuple],
         cycle: int,
-    ) -> Optional[Candidate]:
-        if not hasattr(self, "_input_index"):
-            self._input_index = {
-                name: i for i, name in enumerate(sorted(self.inputs))
-            }
-        index_of = self._input_index
-        num_vcs = self.params.num_vcs
-        n = len(index_of) * num_vcs
-
-        tdma = self._tdma.get(downstream) if self._tdma else None
+    ) -> Optional[tuple]:
+        n = self._nslots
         if tdma is None and len(candidates) == 1:
             # Uncontended output (the overwhelmingly common case): both
             # best-effort policies grant the lone requester without
             # needing the request vector.  Round-robin still advances
             # its pointer past the winner, exactly as ``grant`` would.
-            if self.params.arbitration is not ArbitrationKind.FIXED_PRIORITY:
-                arbiter = self._arbiters.get(downstream)
-                if arbiter is None or arbiter.n != n:
-                    arbiter = RoundRobinArbiter(n)
-                    self._arbiters[downstream] = arbiter
-                upstream, vc = candidates[0][0], candidates[0][1]
-                arbiter._pointer = (
-                    index_of[upstream] * num_vcs + vc + 1
-                ) % n
+            if self._rr:
+                self._arbiters[oi]._pointer = (candidates[0][0] + 1) % n
             return candidates[0]
 
         requests = [False] * n
-        by_slot: Dict[int, Candidate] = {}
+        by_slot: Dict[int, tuple] = {}
         for cand in candidates:
-            upstream, vc = cand[0], cand[1]
-            s = index_of[upstream] * num_vcs + vc
+            s = cand[0]
             requests[s] = True
             by_slot[s] = cand
 
@@ -409,15 +404,10 @@ class SwitchModel:
                 if flit.packet.message_class is _GT:
                     connection_of[s] = flit.packet.connection_id
             granted = tdma.grant(cycle, requests, connection_of)
+        elif not self._rr:
+            granted = next((i for i, r in enumerate(requests) if r), None)
         else:
-            if self.params.arbitration is ArbitrationKind.FIXED_PRIORITY:
-                granted = next((i for i, r in enumerate(requests) if r), None)
-            else:
-                arbiter = self._arbiters.get(downstream)
-                if arbiter is None or arbiter.n != n:
-                    arbiter = RoundRobinArbiter(n)
-                    self._arbiters[downstream] = arbiter
-                granted = arbiter.grant(requests)
+            granted = self._arbiters[oi].grant(requests)
         if granted is None:
             return None
         return by_slot[granted]
@@ -425,6 +415,12 @@ class SwitchModel:
     # ------------------------------------------------------------------
     # Fault injection and recovery support
     # ------------------------------------------------------------------
+    def _release_locks(self, keep=None) -> None:
+        for li, owner in enumerate(self._lock_owner):
+            if owner is not None and (keep is None or not keep(owner)):
+                self._locks[li] = -1
+                self._lock_owner[li] = None
+
     def fail(self, cycle: int) -> int:
         """Kill the switch: drop all buffered flits, stop forwarding."""
         self.failed = True
@@ -433,10 +429,10 @@ class SwitchModel:
             for buf in port.buffers:
                 dropped += len(buf)
                 buf.clear()
+            port._report_all(cycle)
         self.flits_dropped += dropped
-        self._locks.clear()
-        self._lock_owner.clear()
-        self._lock_since.clear()
+        if self._finalized:
+            self._release_locks()
         return dropped
 
     def repair(self, cycle: int) -> None:
@@ -448,26 +444,28 @@ class SwitchModel:
 
         Credits for purged flits return upstream (the slot is freed),
         and wormhole locks owned by purged packets are released so the
-        output VCs they were holding become available again.
+        output VCs they were holding become available again.  The
+        recovery controller purges after the link phase, so an ON/OFF
+        upstream sees the freed slots from the next cycle on.
         """
         purged = 0
         for port in self.inputs.values():
+            before = purged
             for buf in port.buffers:
                 keep = deque()
                 for flit, ready in buf:
                     if predicate(flit.packet):
-                        if isinstance(port.upstream_link, CreditLink):
+                        if port._upstream_credit:
                             port.upstream_link.return_credit(flit.vc, cycle)
                         purged += 1
                     else:
                         keep.append((flit, ready))
                 buf.clear()
                 buf.extend(keep)
-        for key, owner in list(self._lock_owner.items()):
-            if predicate(owner):
-                self._locks.pop(key, None)
-                self._lock_owner.pop(key, None)
-                self._lock_since.pop(key, None)
+            if purged != before:
+                port._report_all(cycle + 1)
+        if self._finalized:
+            self._release_locks(keep=lambda owner: not predicate(owner))
         return purged
 
     @property
@@ -478,18 +476,31 @@ class SwitchModel:
     # ------------------------------------------------------------------
     # Observability aggregates (repro.obs reads these)
     # ------------------------------------------------------------------
+    def _per_output(self, counts: str) -> Dict[str, int]:
+        if not self._finalized:
+            return {name: 0 for name in sorted(self.outputs)}
+        return dict(zip(self._sorted_outputs, getattr(self, counts)))
+
+    @property
+    def stall_cycles_by_output(self) -> Dict[str, int]:
+        """Cycles in which a ready flit bound for each output was refused
+        by downstream flow control (credit exhaustion / OFF backpressure)."""
+        return self._per_output("_stalls")
+
+    @property
+    def contention_cycles_by_output(self) -> Dict[str, int]:
+        """Cycles in which each output port had more than one candidate."""
+        return self._per_output("_contention")
+
     @property
     def stall_cycles(self) -> int:
-        """Cycles in which a ready flit was refused by downstream flow
-        control (credit exhaustion / OFF backpressure), summed over
-        output ports."""
-        return sum(self.stall_cycles_by_output.values())
+        """Stall cycles summed over output ports."""
+        return sum(self._stalls) if self._finalized else 0
 
     @property
     def contention_cycles(self) -> int:
-        """Cycles in which an output port had more than one candidate
-        flit, summed over output ports."""
-        return sum(self.contention_cycles_by_output.values())
+        """Contention cycles summed over output ports."""
+        return sum(self._contention) if self._finalized else 0
 
     @property
     def mean_lock_hold_cycles(self) -> float:

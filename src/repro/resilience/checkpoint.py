@@ -47,7 +47,9 @@ from repro.resilience.integrity import (
 )
 
 #: Bump when the capsule layout or the pickled state shape changes.
-CHECKPOINT_VERSION = 1
+#: 2: ON/OFF links log free-slot changes instead of per-cycle samples,
+#: and switches keep int-indexed locks, arbiters and counters.
+CHECKPOINT_VERSION = 2
 
 _MAGIC = b"repro-ckpt\x00"
 _DIGEST_LEN = 64  # sha256 hexdigest

@@ -25,13 +25,11 @@ Wakeups are posted by the components themselves, through the optional
 * ``InputPort.accept`` wakes its switch (refreshing ``switch.now``,
   which the reference kernel refreshes by ticking every switch) by
   posting the new flit's ready cycle on the switch wheel;
-* ``InputPort.pop`` wakes its upstream ON/OFF link — the pop changed
-  the free-slot count the link's backpressure wire samples;
 * ``TargetNI.accept`` wakes the target;
 * ``InitiatorNI.enqueue`` wakes the initiator — covering traffic
   injections, responses, end-to-end acks, and retransmission copies;
-* ``Link.send`` posts the delivery cycle on the link wheel (pipelined
-  links) or activates the link (ON/OFF and ACK/NACK links, which have
+* ``Link.send`` posts the delivery cycle on the link wheel (credit and
+  ON/OFF links) or activates the link (ACK/NACK links, which have
   per-cycle protocol work while busy).
 
 Byte-identity with the reference kernel rests on two invariants that
@@ -45,20 +43,14 @@ Byte-identity with the reference kernel rests on two invariants that
   active set or on a wheel (:meth:`EventScheduler.find_lost_wakeups`
   is the detector).
 
-Two subtleties:
-
-* A switch tick with no *ready* head flit mutates nothing (stall and
-  contention counters only move when an eligible flit exists), so an
-  occupied switch may sleep until the minimum ready stamp over its
-  head flits; arrivals on the way post their own ready cycles.
-* An ON/OFF link's tick *samples* the downstream free-slot count every
-  cycle — but that count only changes when the link itself delivers
-  (it is busy, hence active) or when the owner pops/drains (the
-  ``pop`` hook above; target drains keep the link active while the
-  target is).  Once the sample history has converged to the current
-  value, skipped ticks would append the value the ring already holds,
-  so skipping is exact.  Purges and fault repairs bypass the hooks and
-  trigger a full :meth:`rescan` instead.
+A switch tick with no *ready* head flit mutates nothing (stall and
+contention counters only move when an eligible flit exists), so an
+occupied switch may sleep until the minimum ready stamp over its head
+flits; arrivals on the way post their own ready cycles.  An ON/OFF
+link needs no tick between deliveries: its receiver logs each change of
+the free-slot count the backpressure wire carries (see
+:class:`repro.arch.link.OnOffLink`).  Purges and fault repairs bypass
+the hooks and trigger a full :meth:`rescan`.
 
 Everything the scheduler holds is derivable from component state, so
 checkpoint capsules do not carry it: :meth:`EventScheduler.rescan`
@@ -69,11 +61,10 @@ test_event_checkpoint.py``).
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+import weakref
 from typing import Dict, List, Optional, Set
 
-from repro.arch.link import AckNackLink, OnOffLink
-from repro.arch.switch import InputPort
+from repro.arch.link import AckNackLink
 from repro.sim.tracing import TraceEventKind
 
 __all__ = ["WakeupWheel", "EventScheduler"]
@@ -107,6 +98,9 @@ class WakeupWheel:
         bucket = self._buckets.pop(cycle, None)
         return bucket if bucket is not None else ()
 
+    def clear(self) -> None:
+        self._buckets.clear()
+
     def next_cycle(self) -> Optional[int]:
         """Earliest populated bucket, or None when the wheel is empty."""
         if not self._buckets:
@@ -137,10 +131,18 @@ class EventScheduler:
 
     One instance per simulator; built lazily on the first event-kernel
     ``run()`` and excluded from checkpoints (see module docstring).
+
+    The simulator owns its scheduler, and the wakeup closures the
+    components hold reach the scheduler; so the scheduler refers back
+    to the simulator only weakly, and neither it nor a closure forms a
+    reference cycle through the simulator.  A simulator dropped after
+    its run is freed at once, by reference counting.
     """
 
     def __init__(self, sim):
-        self.sim = sim
+        self._sim = weakref.ref(sim)
+        #: The cycle being executed (the switch wakers' clock).
+        self.now = sim.cycle
         self.wheel = WakeupWheel()    # link delivery cycles
         self.swheel = WakeupWheel()   # switch ready cycles
         self.active_switches: Set[int] = set()
@@ -151,50 +153,20 @@ class EventScheduler:
         #: lazily; a superset is safe, a miss would lose a deadline).
         self.rt_watch: Set[int] = set()
 
-        # Link-phase state: a sorted list of link indices lives only
-        # while the phase runs, so wakeups fired *by deliveries* (a
-        # shared target NI activating its other ejection links) can
-        # join the current cycle at their correct sorted position.
-        self._link_order: Optional[List[int]] = None
-        self._link_cursor = -1
         self._last_link_tick = [-1] * len(sim._link_seq)
-
-        # Classify links; ON/OFF links additionally need to know which
-        # component drains the buffer they advertise (switch pops fire
-        # the per-port hook; target drains are covered by keeping the
-        # target's ejection links active while the target is).
-        target_index = {id(t): i for i, t in enumerate(sim._target_seq)}
-        self._link_kind: List[str] = []
-        self._link_target: List[Optional[int]] = []
-        self._target_in_onoff: List[List[int]] = [
-            [] for __ in sim._target_seq
+        #: ACK/NACK links have per-cycle protocol work while busy and
+        #: are level-active; every other link is wheel-managed (its
+        #: deliveries are its only events).
+        self._acknack = [
+            isinstance(link, AckNackLink) for link in sim._link_seq
         ]
-        #: Per-link deactivation dispatch for the hot phase-3 walk:
-        #: 0 = ON/OFF into a switch port, 1 = ON/OFF into a target NI,
-        #: 2 = ACK/NACK, 3 = pipelined (wheel-managed deliveries).
-        self._kind_code: List[int] = []
-        for i, link in enumerate(sim._link_seq):
-            recv = link.receiver
-            tgt = None
-            if not isinstance(recv, InputPort) and id(recv) in target_index:
-                tgt = target_index[id(recv)]
-            if isinstance(link, OnOffLink):
-                kind = "onoff"
-                code = 0 if tgt is None else 1
-                if tgt is not None:
-                    self._target_in_onoff[tgt].append(i)
-            elif isinstance(link, AckNackLink):
-                kind = "acknack"
-                code = 2
-            else:  # CreditLink / base pipeline: delivery is the event
-                kind = "pipelined"
-                code = 3
-            self._link_kind.append(kind)
-            self._link_target.append(tgt)
-            self._kind_code.append(code)
 
         self._install_wakers()
         self.rescan()
+
+    @property
+    def sim(self):
+        return self._sim()
 
     # ------------------------------------------------------------------
     # Wakeup hooks
@@ -208,30 +180,25 @@ class EventScheduler:
         for i, tgt in enumerate(sim._target_seq):
             tgt.wakeup = self._make_target_waker(i)
         for i, link in enumerate(sim._link_seq):
-            if self._link_kind[i] == "pipelined":
-                link.wakeup = self._make_delivery_waker(i)
-            else:
+            if self._acknack[i]:
                 link.wakeup = self._make_link_waker(i)
-                if self._link_kind[i] == "onoff" and isinstance(
-                    link.receiver, InputPort
-                ):
-                    link.receiver.wake_upstream = self._make_port_waker(i)
+            else:
+                link.wakeup = self._make_delivery_waker(i)
 
     # The wakers close over the active sets directly (``rescan`` mutates
     # them in place rather than rebinding, to keep these references
-    # valid) and guard membership inline: wakeups fire on every send,
-    # pop, and delivery, and the common case — the component is already
+    # valid) and guard membership inline: wakeups fire on every send
+    # and delivery, and the common case — the component is already
     # active — must cost one set lookup, not a method call.
     def _make_switch_waker(self, i: int, sw):
         latency = sw.params.switch_latency_cycles
         active = self.active_switches
-        sim = self.sim
 
         def wake() -> None:
             # The reference kernel refreshes ``now`` by ticking every
             # switch every cycle; the waker refreshes it on delivery so
             # InputPort.accept computes the same pipeline-ready cycle.
-            cyc = sim.cycle
+            cyc = self.now
             if sw.now < cyc:
                 sw.now = cyc
             if i not in active:
@@ -258,51 +225,29 @@ class EventScheduler:
 
     def _make_target_waker(self, i: int):
         active = self.active_targets
-        in_onoff = self._target_in_onoff[i]
 
         def wake() -> None:
-            if i not in active:
-                active.add(i)
-                for li in in_onoff:
-                    self._activate_link(li)
+            active.add(i)
         return wake
 
     def _make_delivery_waker(self, i: int):
+        # WakeupWheel.post, inlined: one call per flit-hop.
+        buckets = self.wheel._buckets
+
         def wake(deliver_at: int) -> None:
-            self.wheel.post(deliver_at, i)
+            bucket = buckets.get(deliver_at)
+            if bucket is None:
+                buckets[deliver_at] = [i]
+            else:
+                bucket.append(i)
         return wake
 
     def _make_link_waker(self, i: int):
         active = self.active_links
 
         def wake(_deliver_at: int) -> None:
-            if i not in active:
-                self._activate_link(i)
+            active.add(i)
         return wake
-
-    def _make_port_waker(self, i: int):
-        active = self.active_links
-
-        def wake() -> None:
-            if i not in active:
-                self._activate_link(i)
-        return wake
-
-    def _activate_link(self, i: int) -> None:
-        if i not in self.active_links:
-            self.active_links.add(i)
-            order = self._link_order
-            cursor = self._link_cursor
-            if order is not None and i > cursor:
-                # Mid-link-phase activation: join this cycle's sweep at
-                # the correct sorted position.  Links at or before the
-                # cursor missed nothing — they were inactive, so their
-                # skipped tick is provably a no-op (converged history,
-                # nothing in flight); they tick from the next cycle.
-                # Everything at or left of the walk position is <=
-                # cursor, so bisecting past the cursor value re-derives
-                # the walk position without per-tick bookkeeping.
-                insort(order, i, lo=bisect_right(order, cursor))
 
     # ------------------------------------------------------------------
     # Reconstruction (run start, post-fault, post-recovery, post-restore)
@@ -311,8 +256,7 @@ class EventScheduler:
         """Rebuild the wheels and active sets from component state.
 
         Every scheduling fact is derivable: buffered flits, queued
-        packets, in-flight deliveries, unacknowledged transfers, and
-        unconverged ON/OFF histories.  Called at each ``run()`` entry
+        packets, in-flight deliveries and unacknowledged transfers.  Called at each ``run()`` entry
         (state may have been mutated between runs — direct ``inject``,
         fault attachment, checkpoint restore), after fault events
         (repairs reset link protocol state wholesale), and after
@@ -320,11 +264,11 @@ class EventScheduler:
         firing the pop hooks).
         """
         sim = self.sim
-        # The active sets are mutated in place, never rebound: the
-        # wakeup closures hold direct references to them.
+        # The wheels and active sets are mutated in place, never
+        # rebound: the wakeup closures hold direct references to them.
         # Occupied switches start active and demote themselves to the
         # switch wheel on their first tick if nothing is ready yet.
-        self.swheel = WakeupWheel()
+        self.swheel.clear()
         self.active_switches.clear()
         self.active_switches.update(
             i for i, sw in enumerate(sim._switch_seq) if sw.occupancy
@@ -342,30 +286,22 @@ class EventScheduler:
             i for i, ni in enumerate(sim._initiator_seq)
             if ni.pending_transfers
         )
-        self.wheel = WakeupWheel()
-        active_links = self.active_links
-        active_links.clear()
+        self.wheel.clear()
+        self.active_links.clear()
         for i, link in enumerate(sim._link_seq):
-            kind = self._link_kind[i]
-            if kind == "pipelined":
+            if self._acknack[i]:
+                if link.busy:
+                    self.active_links.add(i)
+            else:
                 for deliver_at, __ in link._in_flight:
                     self.wheel.post(deliver_at, i)
-            elif kind == "acknack":
-                if link.busy:
-                    active_links.add(i)
-            else:  # onoff
-                if (
-                    link.busy
-                    or self._link_target[i] in self.active_targets
-                    or not link.history_converged()
-                ):
-                    active_links.add(i)
 
     # ------------------------------------------------------------------
     # One executed cycle (the reference step(), on the active subset)
     # ------------------------------------------------------------------
     def execute_cycle(self, c: int) -> None:
-        sim = self.sim
+        sim = self._sim()
+        self.now = c
         if sim._fault_schedule is not None and sim._apply_due_faults(c):
             # Fault events rewire components wholesale (repairs reset
             # flow-control state, failures drop buffered work); rebuild
@@ -373,7 +309,7 @@ class EventScheduler:
             self.rescan()
 
         # Phase 1: switches arbitrate and forward.
-        due = self.swheel.pop_due(c)
+        due = self.swheel._buckets.pop(c, None)
         if due:
             self.active_switches.update(due)
         if self.active_switches:
@@ -412,68 +348,33 @@ class EventScheduler:
                     done.append(i)
             self.active_initiators.difference_update(done)
 
-        # Phase 3: links deliver (active set merged with the wheel's
-        # due bucket, in sorted link order; deliveries may activate
-        # further links mid-phase — see _activate_link).  Each link's
-        # deactivation verdict is taken right after its tick where the
-        # predicate is already final — a link's protocol state only
-        # changes inside its own tick during this phase (no sends
-        # happen between deliveries) — except that links feeding a
-        # target NI must wait for the phase's final active-target set,
-        # since a later delivery may activate the target that keeps
-        # them alive.
-        order = list(self.active_links)
-        due = self.wheel.pop_due(c)
-        if due:
-            order.extend(due)
+        # Phase 3: links deliver (the active ACK/NACK links merged with
+        # the wheel's due bucket, in sorted link order).  No delivery
+        # activates a link, and an ACK/NACK link's protocol state only
+        # changes inside its own tick during this phase, so its
+        # deactivation verdict is final right after that tick.
+        order = self.wheel.pop_due(c)
+        if self.active_links:
+            order = [*order, *self.active_links]
         if order:
-            order.sort()
-            self._link_order = order
+            if len(order) > 1:
+                order = sorted(order)
             seq = sim._link_seq
             last = self._last_link_tick
-            codes = self._kind_code
-            done = []
-            tcheck = []
-            idx = 0
-            while idx < len(order):
-                i = order[idx]
-                idx += 1
+            acknack = self._acknack
+            done = None
+            for i in order:
                 if last[i] == c:
                     continue  # posted twice (active + wheel, or dupes)
                 last[i] = c
-                self._link_cursor = i
                 link = seq[i]
                 link.tick(c)
-                code = codes[i]
-                if code == 0:  # ON/OFF into a switch port
-                    # OnOffLink inherits ``busy`` == bool(_in_flight),
-                    # read directly: this runs once per active link per
-                    # executed cycle.
-                    if not link._in_flight and link.history_converged():
+                if acknack[i] and not link.busy:
+                    if done is None:
+                        done = [i]
+                    else:
                         done.append(i)
-                elif code == 3:  # pipelined: wheel-managed between
-                    if not link.busy:   # deliveries, never level-active
-                        done.append(i)
-                else:  # ON/OFF into a target NI, or ACK/NACK
-                    tcheck.append(i)
-            self._link_order = None
-            self._link_cursor = -1
-            if tcheck:
-                act_targets = self.active_targets
-                targets = self._link_target
-                for i in tcheck:
-                    link = seq[i]
-                    if codes[i] == 1:  # ON/OFF into a target NI
-                        if (
-                            link._in_flight
-                            or targets[i] in act_targets
-                            or not link.history_converged()
-                        ):
-                            continue
-                    elif link.busy:  # acknack: busy is overridden
-                        continue
-                    done.append(i)
-            if done:
+            if done is not None:
                 self.active_links.difference_update(done)
 
         # Phase 4: target NIs drain and complete packets.
@@ -661,22 +562,12 @@ class EventScheduler:
                 )
         wheel_tokens = self.wheel.tokens()
         for i, link in enumerate(sim._link_seq):
-            kind = self._link_kind[i]
-            if kind == "pipelined":
-                if link._in_flight and i not in wheel_tokens and (
-                    i not in self.active_links
-                ):
-                    lost.append(
-                        f"link {link.name}: in-flight flit(s) "
-                        "but no wheel entry"
-                    )
-            elif link.busy and i not in self.active_links:
-                lost.append(f"link {link.name}: busy but not active")
-            elif kind == "onoff" and i not in self.active_links and (
-                not link.history_converged()
-            ):
+            if self._acknack[i]:
+                if link.busy and i not in self.active_links:
+                    lost.append(f"link {link.name}: busy but not active")
+            elif link._in_flight and i not in wheel_tokens:
                 lost.append(
-                    f"link {link.name}: unconverged ON/OFF history "
-                    "but not active"
+                    f"link {link.name}: in-flight flit(s) "
+                    "but no wheel entry"
                 )
         return lost

@@ -6,8 +6,9 @@ them cycle by cycle with a deterministic two-phase schedule:
 
 1. switches arbitrate and forward (at most one flit per output link);
 2. initiator NIs inject (one flit per NI);
-3. links deliver flits whose traversal completes, and sample buffer
-   state for ON/OFF backpressure;
+3. links deliver flits whose traversal completes (ON/OFF links read
+   the receivers' free-slot logs as of this point, see
+   :class:`repro.arch.link.OnOffLink`);
 4. target NIs drain, complete packets, and issue responses.
 
 Every send at cycle ``c`` lands no earlier than ``c + link delay``, so a
@@ -46,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.arch.link import AckNackLink, Link, make_link
 from repro.arch.network_interface import (
     InitiatorNI,
+    PortPlans,
     RetransmissionPolicy,
     RoutingLut,
     TargetNI,
@@ -205,6 +207,11 @@ class NocSimulator:
         self._link_seq = tuple(self.links[k] for k in self._link_order)
         for sw in self._switch_seq:
             sw.finalize_wiring()
+        plans = PortPlans(
+            {name: sw.out_index for name, sw in self.switches.items()}
+        )
+        for ni in self._initiator_seq:
+            ni.port_plans = plans
 
     # ------------------------------------------------------------------
     # Construction
@@ -580,8 +587,6 @@ class NocSimulator:
         elapsed = target - self.cycle
         if self._skip_hook is not None:
             self._skip_hook(self.cycle, target)
-        for link in self._link_seq:
-            link.on_idle_skip(elapsed)
         self.cycles_skipped += elapsed
         self.cycle = target
 

@@ -260,6 +260,9 @@ class FlowGraphTraffic:
     def __init__(self, flows: Sequence[Flow]):
         self.flows = list(flows)
         self._credit = [0.0] * len(self.flows)
+        self._accrual = [
+            (f.flits_per_cycle, f.packet_size_flits) for f in self.flows
+        ]
         self.packets_offered = 0
         self._pending: Dict[int, List[int]] = {}
         self._drawn_until = 0
@@ -273,11 +276,14 @@ class FlowGraphTraffic:
         byte-identical with the reference kernel.
         """
         emitted: List[int] = []
-        for i, flow in enumerate(self.flows):
-            self._credit[i] += flow.flits_per_cycle
-            while self._credit[i] >= flow.packet_size_flits:
-                self._credit[i] -= flow.packet_size_flits
-                emitted.append(i)
+        credit = self._credit
+        for i, (rate, size) in enumerate(self._accrual):
+            c = credit[i] + rate
+            if c >= size:
+                while c >= size:
+                    c -= size
+                    emitted.append(i)
+            credit[i] = c
         return emitted
 
     def tick(self, cycle: int, simulator) -> None:

@@ -214,6 +214,23 @@ class TestCapsuleIntegrity:
         with pytest.raises(CheckpointVersionError):
             restore_simulator(forged)
 
+    def test_previous_version_rejected(self):
+        # A capsule stamped with the version before the current one
+        # holds the old component state layout: refuse it.
+        from repro.resilience import checkpoint as ck
+
+        doc = pickle.loads(validate_capsule(self._capsule()))
+        doc["version"] = CHECKPOINT_VERSION - 1
+        body = pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
+        forged = (
+            ck._MAGIC
+            + ck.payload_digest(body).encode("ascii")
+            + b"\n"
+            + body
+        )
+        with pytest.raises(CheckpointVersionError):
+            restore_simulator(forged)
+
 
 class TestCheckpointStore:
     def test_save_load_discard(self, tmp_path):

@@ -185,3 +185,31 @@ class TestUtilities:
         sim = NocSimulator(m, table)
         with pytest.raises(ValueError):
             sim.run(-1)
+
+
+class TestReclamation:
+    """A finished simulator is freed by reference counting alone: the
+    event scheduler's back-reference and the wakeup closures the
+    components hold form no cycle through it."""
+
+    @pytest.mark.parametrize("kernel", ["event", "reference"])
+    @pytest.mark.parametrize("fc", ["on_off", "credit"])
+    def test_dropped_simulator_is_freed_without_the_cyclic_gc(
+        self, mesh44, kernel, fc
+    ):
+        import gc
+        import weakref
+
+        m, table = mesh44
+        params = NocParameters(flow_control=FlowControlKind(fc))
+        gc.disable()
+        try:
+            sim = NocSimulator(m, table, params, kernel=kernel)
+            sim.run(300, SyntheticTraffic("uniform", 0.2, 4, seed=3),
+                    drain=True)
+            assert sim.stats.packets_delivered > 0
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
