@@ -295,16 +295,19 @@ class OnOffLink(Link):
     flits, so the downstream buffer can never overflow.  The OFF
     threshold reserves slots to absorb flits already in the pipeline.
 
-    The wire is a per-VC log of timestamped changes, not a per-cycle
-    sample.  An entry ``(stamp, free)`` says the receiver holds ``free``
-    slots at every *sample point* from cycle ``stamp`` on — the point in
-    the link phase, right after this link's own deliveries, where a
-    per-cycle sampler would read the count.  ``can_send`` at cycle ``c``
-    folds the entries stamped up to ``c - delay_cycles`` into the count
-    the sender sees (``buffer_depth`` before the first sample point, at
-    construction or repair).  Switch input ports and target NIs report
-    every change, so the link has work only on its delivery cycles;
-    any other receiver is polled on each tick.
+    The wire's history is written when the count changes, not sampled
+    every cycle.  The count is defined at each cycle's *sample point* —
+    in the link phase, right after this link's own deliveries, where a
+    per-cycle sampler would read it.  The receiver reports each change
+    with the first sample point that sees it (:meth:`observe`), and the
+    link keeps, per VC, the last reported stamp and count plus a ring
+    over the last ``delay_cycles + 2`` sample points, filled forward
+    only when a report skips points.  ``can_send`` at cycle ``c`` reads
+    the count as of ``c - delay_cycles``; before the link's first sample
+    point (construction or repair) the sender sees ``buffer_depth``.
+    Switch input ports and target NIs report every change, so the link
+    has work only on its delivery cycles; any other receiver is polled
+    on each tick.
     """
 
     def __init__(
@@ -323,72 +326,74 @@ class OnOffLink(Link):
         # can_send() runs once per hop per flit on both sides of the
         # grant; the OFF comparison point never changes after init.
         self._off_floor = max(0, threshold - 1)
+        self._span = delay_cycles + 2  # ring size: reads trail by delay
         self._in_flight_per_vc = [0] * num_vcs
-        # Other links whose logs a delivery here changes (set_observers).
+        # Other links whose wires a delivery here changes (set_observers).
         self._observers: Tuple[Tuple["OnOffLink", int], ...] = ()
         self._polled = True
-        self._reset_log(0)
+        self._reset_wire(0)
 
     def connect(self, receiver: Receiver) -> None:
         super().connect(receiver)
         self._polled = not getattr(receiver, "reports_free_slots", False)
-        self._reset_log(0)
+        self._reset_wire(0)
 
     def set_observers(self, observers: Tuple[Tuple["OnOffLink", int], ...]) -> None:
         """Other links whose receiver this link shares.
 
-        A delivery here at cycle ``c`` is logged on each ``(link,
+        A delivery here at cycle ``c`` is reported to each ``(link,
         late)`` with stamp ``c + late``: 0 for links ticked after this
         one in the link phase (their sample point follows the delivery),
         1 for those ticked before it (they sampled already).
         """
         self._observers = observers
 
-    def _reset_log(self, stamp: int) -> None:
-        """Start the log at sample point ``stamp``.
+    def _reset_wire(self, start: int) -> None:
+        """Start the history at sample point ``start``.
 
-        ``log[0]`` is the entry in force at the last read; a leading
-        ``(-1 - delay, buffer_depth)`` entry answers reads before
-        ``stamp``.  A receiver whose one buffer serves every VC gets one
-        log, aliased per VC.
+        Per VC: ``[last stamp, count at it, ring]``.  A receiver whose
+        one buffer serves every VC gets one history, aliased per VC.
         """
         recv = self.receiver
-        before = -1 - self.delay_cycles
+        self._start = start
 
-        def log(vc: int) -> Deque[Tuple[int, int]]:
+        def wire(vc: int) -> list:
             free = self.buffer_depth if recv is None else recv.free_slots(vc)
-            return deque([(before, self.buffer_depth), (stamp, free)])
+            return [start, free, [free] * self._span]
 
         if getattr(recv, "shared_free_slots", False):
-            self._free_log: List[Deque[Tuple[int, int]]] = (
-                [log(0)] * self.num_vcs
-            )
+            self._wire = [wire(0)] * self.num_vcs
         else:
-            self._free_log = [log(vc) for vc in range(self.num_vcs)]
+            self._wire = [wire(vc) for vc in range(self.num_vcs)]
 
     def observe(self, vc: int, stamp: int, free: int) -> None:
         """The receiver holds ``free`` slots on ``vc`` from sample point
         ``stamp`` on.  Stamps arrive in non-decreasing order."""
-        log = self._free_log[vc]
-        log.append((stamp, free))
-        # Every read from now on is at ``cycle - delay >= floor``: drop
-        # the entries superseded by then, so a link that never sends
-        # keeps a short log.
-        floor = stamp - self.delay_cycles - 1
-        while log[1][0] <= floor:
-            log.popleft()
+        wire = self._wire[vc]
+        last = wire[0]
+        ring = wire[2]
+        span = self._span
+        if stamp > last:
+            if stamp > last + 1:  # carry the count over skipped points
+                held = wire[1]
+                for point in range(last + 1, min(stamp, last + 1 + span)):
+                    ring[point % span] = held
+            wire[0] = stamp
+        ring[stamp % span] = free
+        wire[1] = free
 
     def can_send(self, vc: int, cycle: int) -> bool:
         if self.failed:
             return True  # blackhole: the flit will be dropped on arrival
-        log = self._free_log[vc]
-        if len(log) > 1:
-            at = cycle - self.delay_cycles
-            while log[1][0] <= at:
-                log.popleft()
-                if len(log) == 1:
-                    break
-        return log[0][1] - self._in_flight_per_vc[vc] > self._off_floor
+        wire = self._wire[vc]
+        at = cycle - self.delay_cycles
+        if at >= wire[0]:
+            free = wire[1]
+        elif at >= self._start:
+            free = wire[2][at % self._span]
+        else:
+            free = self.buffer_depth
+        return free - self._in_flight_per_vc[vc] > self._off_floor
 
     def send(self, flit: Flit, cycle: int) -> None:
         # Link.send, inlined: this runs once per flit-hop.
@@ -428,7 +433,7 @@ class OnOffLink(Link):
         if self._polled:
             return
         free = recv.free_slots(vc)
-        self._free_log[vc].append((cycle, free))
+        self.observe(vc, cycle, free)
         for link, late in self._observers:
             link.observe(vc, cycle + late, free)
 
@@ -442,7 +447,7 @@ class OnOffLink(Link):
         return lost
 
     def _on_repair(self, cycle: int) -> None:
-        self._reset_log(cycle)
+        self._reset_wire(cycle)
         self._in_flight_per_vc = [0] * self.num_vcs
 
 

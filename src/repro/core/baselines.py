@@ -90,9 +90,25 @@ def mesh_baseline(
     packet_size_flits: int = 4,
 ) -> DesignPoint:
     """Map the spec onto the smallest mesh that fits, route XY, score."""
-    evaluator = evaluator or DesignEvaluator(
-        TechnologyLibrary.for_node(TechNode.NM_65)
+    return _score_mesh(
+        spec,
+        _mesh_network(spec, flit_width, tile_pitch_mm),
+        evaluator,
+        frequency_hz,
+        flit_width,
+        packet_size_flits,
     )
+
+
+def _mesh_network(
+    spec: CommunicationSpec, flit_width: int, tile_pitch_mm: float = 1.5
+) -> Tuple[str, Topology, RoutingTable]:
+    """The routed mesh of :func:`mesh_baseline`, before scoring.
+
+    Independent of the operating frequency, so a sweep builds it once
+    per flit width and scores it at every frequency; scoring only reads
+    the topology and table.
+    """
     n = len(spec.core_names)
     width = max(2, math.ceil(math.sqrt(n)))
     height = max(2, math.ceil(n / width))
@@ -118,9 +134,23 @@ def mesh_baseline(
     table = route_all(
         topo, lambda s, d: _xy_switch_path(topo, s, d, x_first=True), pairs
     )
+    return f"{spec.name}-mesh{width}x{height}", topo, table
 
+
+def _score_mesh(
+    spec: CommunicationSpec,
+    network: Tuple[str, Topology, RoutingTable],
+    evaluator: Optional[DesignEvaluator],
+    frequency_hz: float,
+    flit_width: int,
+    packet_size_flits: int = 4,
+) -> DesignPoint:
+    evaluator = evaluator or DesignEvaluator(
+        TechnologyLibrary.for_node(TechNode.NM_65)
+    )
+    name, topo, table = network
     return evaluator.evaluate(
-        name=f"{spec.name}-mesh{width}x{height}",
+        name=name,
         spec=spec,
         topology=topo,
         routing_table=table,

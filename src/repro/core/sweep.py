@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.core.baselines import mesh_baseline, star_baseline
+from repro.core.baselines import _mesh_network, _score_mesh, star_baseline
 from repro.core.evaluate import DesignPoint
 from repro.core.pareto import DEFAULT_OBJECTIVES, Objectives, pareto_front
 from repro.core.spec import CommunicationSpec
@@ -112,10 +112,12 @@ class DesignSpaceExplorer:
         baselines: List[DesignPoint] = []
         if include_baselines:
             for width in flit_widths:
+                mesh_network = _mesh_network(self.spec, width)
                 for freq in frequencies_hz:
                     baselines.append(
-                        mesh_baseline(
+                        _score_mesh(
                             self.spec,
+                            mesh_network,
                             self.synthesizer.evaluator,
                             frequency_hz=freq,
                             flit_width=width,

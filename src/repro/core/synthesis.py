@@ -101,6 +101,8 @@ class TopologySynthesizer:
         for core in spec.core_names:
             if core not in self.input_floorplan:
                 raise ValueError(f"floorplan lacks a block for core {core!r}")
+        # switch count -> (mapping, placed floorplan); see _place_cores.
+        self._placements: Dict[int, Tuple[Mapping, Floorplan]] = {}
 
     def _default_floorplan(self) -> Floorplan:
         fp = Floorplan()
@@ -129,12 +131,7 @@ class TopologySynthesizer:
         packet_size_flits: int = 4,
     ) -> SynthesisResult:
         """Produce one design point at the given operating point."""
-        core_positions = {
-            name: self.input_floorplan.block(name).center
-            for name in self.spec.core_names
-        }
-        mapping = map_cores(self.spec, num_switches, positions=core_positions)
-        floorplan = self._place_switches(mapping)
+        mapping, floorplan = self._place_cores(num_switches)
         positions = {
             switch_name(i): floorplan.block(switch_name(i)).center
             for i in range(num_switches)
@@ -165,6 +162,32 @@ class TopologySynthesizer:
         return SynthesisResult(design=design, mapping=mapping, opened_links=sorted(opened))
 
     # ------------------------------------------------------------------
+    def _place_cores(self, num_switches: int) -> Tuple[Mapping, Floorplan]:
+        """Map cores onto ``num_switches`` switches and place the switches.
+
+        Both stages depend only on the spec, the input floorplan and the
+        switch count, so a sweep over frequencies and flit widths runs
+        them once per switch count.  Each design point gets its own
+        copies: a caller may edit one point's mapping or floorplan
+        without touching another's.
+        """
+        placed = self._placements.get(num_switches)
+        if placed is None:
+            core_positions = {
+                name: self.input_floorplan.block(name).center
+                for name in self.spec.core_names
+            }
+            mapping = map_cores(
+                self.spec, num_switches, positions=core_positions
+            )
+            placed = (mapping, self._place_switches(mapping))
+            self._placements[num_switches] = placed
+        mapping, floorplan = placed
+        return (
+            Mapping([list(cluster) for cluster in mapping.clusters]),
+            floorplan.copy(),
+        )
+
     def _place_switches(self, mapping: Mapping) -> Floorplan:
         """Incremental floorplanning: insert switches near their cores."""
         planner = IncrementalFloorplanner(self.input_floorplan)

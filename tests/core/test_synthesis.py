@@ -167,3 +167,54 @@ class TestPareto:
         synth = TopologySynthesizer(spec)
         design = synth.synthesize(2, frequency_hz=600e6).design
         assert design.feasible
+
+
+class TestSweepReuse:
+    """The default sweep runs each frequency-independent stage once."""
+
+    def test_default_sweep_maps_and_places_once_per_switch_count(
+        self, monkeypatch
+    ):
+        from repro.apps.workloads import synthetic_soc
+        from repro.core import DesignSpaceExplorer
+        from repro.core import baselines, synthesis
+        from repro.physical.floorplan import IncrementalFloorplanner
+
+        calls = {"map_cores": 0, "place": 0, "tiles": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            synthesis, "map_cores", counting("map_cores", synthesis.map_cores)
+        )
+        monkeypatch.setattr(
+            IncrementalFloorplanner, "place",
+            counting("place", IncrementalFloorplanner.place),
+        )
+        monkeypatch.setattr(
+            baselines, "_traffic_aware_tile_assignment",
+            counting("tiles", baselines._traffic_aware_tile_assignment),
+        )
+        spec = CommunicationSpec.from_workload(
+            synthetic_soc(36, num_memories=4, seed=31)
+        )
+        sweep = DesignSpaceExplorer(spec).explore()
+        # 5 switch counts x 3 frequencies, plus mesh and star baselines.
+        assert len(sweep.points) == 15
+        assert len(sweep.baselines) == 6
+        assert calls == {"map_cores": 5, "place": 5, "tiles": 1}
+
+    def test_points_share_no_mapping_or_floorplan(self, synth):
+        a = synth.synthesize(4, frequency_hz=400e6)
+        b = synth.synthesize(4, frequency_hz=800e6)
+        assert a.mapping == b.mapping
+        assert a.mapping is not b.mapping
+        assert a.mapping.clusters[0] is not b.mapping.clusters[0]
+        assert a.design.floorplan is not b.design.floorplan
+        assert [
+            (blk.name, blk.x_mm, blk.y_mm) for blk in a.design.floorplan
+        ] == [(blk.name, blk.x_mm, blk.y_mm) for blk in b.design.floorplan]
