@@ -725,11 +725,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         wait_timeout_s=args.wait_timeout,
         kernel=args.kernel,
     )
+    # With --json, stdout carries exactly the JSON document; the human
+    # lines go to stderr and the exit code still carries the verdict.
+    human = sys.stderr if args.json else sys.stdout
     print(f"chaos campaign: {config.jobs} jobs, seed {config.seed}, "
           f"{config.workers} process workers "
           f"(<= {config.max_kills} kills, "
           f"{config.max_corruptions} corruptions, "
-          f"{config.stall_streams} stalled streams)", flush=True)
+          f"{config.stall_streams} stalled streams)", file=human, flush=True)
     report = run_chaos_campaign(config, root=args.dir)
     doc = report.to_dict()
     if args.json:
@@ -747,7 +750,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               f"{report.deadline_expired} deadline expiries")
         for note in report.notes:
             print(f"  note: {note}")
-    print("chaos verdict: " + ("OK" if report.ok else "FAILED"), flush=True)
+    print("chaos verdict: " + ("OK" if report.ok else "FAILED"),
+          file=human, flush=True)
     return 0 if report.ok else 1
 
 

@@ -321,3 +321,21 @@ class TestObserve:
         rows = ResultStore(tmp_path / "store.jsonl").utilization_curve()
         assert [r["offered_rate"] for r in rows] == [0.05, 0.1]
         assert all(r["peak_link_utilization"] > 0 for r in rows)
+
+
+class TestChaos:
+    def test_json_stdout_is_exactly_one_document(self, tmp_path, capsys):
+        import json
+
+        rc = main([
+            "chaos", "--jobs", "2", "--workers", "1", "--cycles", "300",
+            "--poison-jobs", "0", "--fault-jobs", "0", "--max-kills", "0",
+            "--max-corruptions", "0", "--stall-streams", "0",
+            "--dir", str(tmp_path / "chaos"), "--json",
+        ])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["ok"] is True and rc == 0
+        assert doc["completed"] == 2
+        assert "chaos campaign:" in captured.err
+        assert "chaos verdict: OK" in captured.err
