@@ -298,16 +298,17 @@ class OnOffLink(Link):
     The wire's history is written when the count changes, not sampled
     every cycle.  The count is defined at each cycle's *sample point* —
     in the link phase, right after this link's own deliveries, where a
-    per-cycle sampler would read it.  The receiver reports each change
-    with the first sample point that sees it (:meth:`observe`), and the
+    per-cycle sampler would read it.  Each change is reported with the
+    first sample point that sees it (:meth:`observe`), and the
     link keeps, per VC, the last reported stamp and count plus a ring
     over the last ``delay_cycles + 2`` sample points, filled forward
     only when a report skips points.  ``can_send`` at cycle ``c`` reads
     the count as of ``c - delay_cycles``; before the link's first sample
     point (construction or repair) the sender sees ``buffer_depth``.
-    Switch input ports and target NIs report every change, so the link
-    has work only on its delivery cycles; any other receiver is polled
-    on each tick.
+    A switch input port reports its own accepts and pops; a target NI
+    reports its drains, and each of its ejection links reports its
+    deliveries (see :meth:`set_observers`).  So the link has work only
+    on its delivery cycles.  Any other receiver is polled on each tick.
     """
 
     def __init__(
@@ -328,7 +329,7 @@ class OnOffLink(Link):
         self._off_floor = max(0, threshold - 1)
         self._span = delay_cycles + 2  # ring size: reads trail by delay
         self._in_flight_per_vc = [0] * num_vcs
-        # Other links whose wires a delivery here changes (set_observers).
+        # Links whose wires a delivery here changes (set_observers).
         self._observers: Tuple[Tuple["OnOffLink", int], ...] = ()
         self._polled = True
         self._reset_wire(0)
@@ -339,12 +340,14 @@ class OnOffLink(Link):
         self._reset_wire(0)
 
     def set_observers(self, observers: Tuple[Tuple["OnOffLink", int], ...]) -> None:
-        """Other links whose receiver this link shares.
+        """Links to report this link's deliveries to.
 
-        A delivery here at cycle ``c`` is reported to each ``(link,
-        late)`` with stamp ``c + late``: 0 for links ticked after this
-        one in the link phase (their sample point follows the delivery),
-        1 for those ticked before it (they sampled already).
+        For a receiver that cannot stamp its own accepts (a target NI,
+        whose ejection links all watch one buffer).  A delivery here at
+        cycle ``c`` is reported to each ``(link, late)`` with stamp
+        ``c + late``: 0 for this link and those ticked after it in the
+        link phase (their sample point follows the delivery), 1 for
+        those ticked before it (they sampled already).
         """
         self._observers = observers
 
@@ -408,15 +411,7 @@ class OnOffLink(Link):
             self.wakeup(deliver_at)
 
     def tick(self, cycle: int) -> None:
-        in_flight = self._in_flight
-        if in_flight and not (
-            self.failed or self._poisoned or cycle < self._burst_until
-        ):
-            # Clean delivery, as in Link.tick.
-            while in_flight and in_flight[0][0] <= cycle:
-                self._deliver(in_flight.popleft()[1], cycle)
-        elif in_flight:
-            super().tick(cycle)
+        super().tick(cycle)
         if self._polled and self.receiver is not None:
             free = self.receiver.free_slots
             for vc in range(self.num_vcs):
@@ -430,12 +425,10 @@ class OnOffLink(Link):
             raise RuntimeError(
                 f"link {self.name}: receiver overflow under ON/OFF flow control"
             )
-        if self._polled:
-            return
-        free = recv.free_slots(vc)
-        self.observe(vc, cycle, free)
-        for link, late in self._observers:
-            link.observe(vc, cycle + late, free)
+        if self._observers:
+            free = recv.free_slots(vc)
+            for link, late in self._observers:
+                link.observe(vc, cycle + late, free)
 
     def _discard(self, flit: Flit, cycle: int) -> None:
         self._in_flight_per_vc[flit.vc] -= 1

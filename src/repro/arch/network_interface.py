@@ -266,7 +266,11 @@ class InitiatorNI:
         """Inject at most one flit into the NoC (GT first in its slots)."""
         if self.injection_link is None:
             raise RuntimeError(f"initiator NI {self.core!r} is not connected")
-        if self._try_inject_gt(cycle):
+        # _current_gt never holds an emptied stream (its entry is
+        # deleted with the last flit), so its truth value is the test.
+        if (self._gt_queues or self._current_gt) and self._try_inject_gt(
+            cycle
+        ):
             return
         self._try_inject_be(cycle)
 
@@ -286,10 +290,6 @@ class InitiatorNI:
         return current[0]
 
     def _try_inject_gt(self, cycle: int) -> bool:
-        # _current_gt never holds an emptied stream (its entry is
-        # deleted with the last flit), so its truth value is the test.
-        if not self._gt_queues and not self._current_gt:
-            return False
         # Only the owner of the current slot may inject: look up whose
         # turn it is rather than serializing connections through a FIFO.
         if self.slot_table is not None:
@@ -336,7 +336,12 @@ class InitiatorNI:
             self.injection_stall_cycles += 1
             return
         self._current_be.pop(0)
-        self._transmit(flit, cycle)
+        # _transmit, inlined: this runs once per injected flit.
+        self.injection_link.send(flit, cycle)
+        flit.hop += 1
+        self.flits_injected += 1
+        if self.trace is not None:
+            self.trace(cycle, flit)
         if not self._current_be:
             self._current_be = None
 
@@ -575,9 +580,8 @@ class TargetNI:
         ]
         for pos, l in enumerate(self._onoff_links):
             l.set_observers(tuple(
-                (other, 0 if i > pos else 1)
+                (other, 0 if i >= pos else 1)
                 for i, other in enumerate(self._onoff_links)
-                if i != pos
             ))
 
     # -- Receiver contract -------------------------------------------------

@@ -87,6 +87,10 @@ class InputPort:
         occupied = len(buf)
         if occupied > self.peak_occupancy:
             self.peak_occupancy = occupied
+        if self._onoff is not None:
+            # Deliveries land in the link phase, before this cycle's
+            # sample point; ``now`` is the current cycle (see above).
+            self._onoff.observe(flit.vc, switch.now, self.depth - occupied)
         return True
 
     def head(self, vc: int, cycle: int) -> Optional[Flit]:
@@ -343,7 +347,13 @@ class SwitchModel:
                     if winner is None:
                         continue
                 __, vc, flit, out_vc, link, li, port = winner
-                port.pop(vc, cycle)
+                # InputPort.pop, inlined: one pop per flit-hop.
+                buf = port.buffers[vc]
+                buf.popleft()
+                if port._upstream_credit:
+                    port.upstream_link.return_credit(vc, cycle)
+                elif port._onoff is not None:
+                    port._onoff.observe(vc, cycle, port.depth - len(buf))
                 flit.vc = out_vc
                 if li >= 0:  # best-effort: wormhole lock ops
                     if flit.is_head:

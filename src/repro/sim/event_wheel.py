@@ -344,7 +344,9 @@ class EventScheduler:
             for i in sorted(self.active_initiators):
                 ni = seq[i]
                 ni.tick(c)
-                if not ni.backlog:
+                # A queued best-effort packet settles it without the
+                # full backlog count.
+                if not ni._be_queue and not ni.backlog:
                     done.append(i)
             self.active_initiators.difference_update(done)
 
@@ -390,7 +392,7 @@ class EventScheduler:
                 if len(received) != before:
                     for packet, arrival in received[before:]:
                         record_packet(packet, arrival)
-                if tgt.idle:
+                if not tgt._buffer and tgt.idle:
                     done.append(i)
             self.active_targets.difference_update(done)
 
