@@ -411,7 +411,29 @@ class OnOffLink(Link):
             self.wakeup(deliver_at)
 
     def tick(self, cycle: int) -> None:
-        super().tick(cycle)
+        in_flight = self._in_flight
+        if in_flight and not (
+            self.failed or self._poisoned or cycle < self._burst_until
+        ):
+            # Clean delivery, as in Link.tick, with _deliver inlined:
+            # this runs once per flit-hop.
+            recv = self.receiver
+            in_flight_per_vc = self._in_flight_per_vc
+            while in_flight and in_flight[0][0] <= cycle:
+                flit = in_flight.popleft()[1]
+                vc = flit.vc
+                in_flight_per_vc[vc] -= 1
+                if not recv.accept(flit):  # pragma: no cover - gated
+                    raise RuntimeError(
+                        f"link {self.name}: receiver overflow under ON/OFF "
+                        "flow control"
+                    )
+                if self._observers:
+                    free = recv.free_slots(vc)
+                    for link, late in self._observers:
+                        link.observe(vc, cycle + late, free)
+        elif in_flight:
+            super().tick(cycle)
         if self._polled and self.receiver is not None:
             free = self.receiver.free_slots
             for vc in range(self.num_vcs):

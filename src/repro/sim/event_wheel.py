@@ -344,9 +344,8 @@ class EventScheduler:
             for i in sorted(self.active_initiators):
                 ni = seq[i]
                 ni.tick(c)
-                # A queued best-effort packet settles it without the
-                # full backlog count.
-                if not ni._be_queue and not ni.backlog:
+                # Best-effort work settles it without the full count.
+                if not (ni._be_queue or ni._current_be) and not ni.backlog:
                     done.append(i)
             self.active_initiators.difference_update(done)
 
@@ -392,7 +391,7 @@ class EventScheduler:
                 if len(received) != before:
                     for packet, arrival in received[before:]:
                         record_packet(packet, arrival)
-                if not tgt._buffer and tgt.idle:
+                if not (tgt._buffer or tgt._pending_responses):  # idle
                     done.append(i)
             self.active_targets.difference_update(done)
 
