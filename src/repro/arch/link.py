@@ -399,41 +399,11 @@ class OnOffLink(Link):
         return free - self._in_flight_per_vc[vc] > self._off_floor
 
     def send(self, flit: Flit, cycle: int) -> None:
-        # Link.send, inlined: this runs once per flit-hop.
-        if self._last_send_cycle == cycle:
-            raise RuntimeError(f"link {self.name}: second send in cycle {cycle}")
-        self._last_send_cycle = cycle
-        deliver_at = cycle + self.delay_cycles
-        self._in_flight.append((deliver_at, flit))
-        self.flits_carried += 1
+        super().send(flit, cycle)
         self._in_flight_per_vc[flit.vc] += 1
-        if self.wakeup is not None:
-            self.wakeup(deliver_at)
 
     def tick(self, cycle: int) -> None:
-        in_flight = self._in_flight
-        if in_flight and not (
-            self.failed or self._poisoned or cycle < self._burst_until
-        ):
-            # Clean delivery, as in Link.tick, with _deliver inlined:
-            # this runs once per flit-hop.
-            recv = self.receiver
-            in_flight_per_vc = self._in_flight_per_vc
-            while in_flight and in_flight[0][0] <= cycle:
-                flit = in_flight.popleft()[1]
-                vc = flit.vc
-                in_flight_per_vc[vc] -= 1
-                if not recv.accept(flit):  # pragma: no cover - gated
-                    raise RuntimeError(
-                        f"link {self.name}: receiver overflow under ON/OFF "
-                        "flow control"
-                    )
-                if self._observers:
-                    free = recv.free_slots(vc)
-                    for link, late in self._observers:
-                        link.observe(vc, cycle + late, free)
-        elif in_flight:
-            super().tick(cycle)
+        super().tick(cycle)
         if self._polled and self.receiver is not None:
             free = self.receiver.free_slots
             for vc in range(self.num_vcs):

@@ -256,12 +256,12 @@ class EventScheduler:
         """Rebuild the wheels and active sets from component state.
 
         Every scheduling fact is derivable: buffered flits, queued
-        packets, in-flight deliveries and unacknowledged transfers.  Called at each ``run()`` entry
-        (state may have been mutated between runs — direct ``inject``,
-        fault attachment, checkpoint restore), after fault events
-        (repairs reset link protocol state wholesale), and after
-        recovery-controller actions (purges empty buffers without
-        firing the pop hooks).
+        packets, in-flight deliveries and unacknowledged transfers.
+        Called at each ``run()`` entry (state may have been mutated
+        between runs — direct ``inject``, fault attachment, checkpoint
+        restore), after fault events (repairs reset link protocol state
+        wholesale), and after recovery-controller actions (purges empty
+        buffers and hot-swap routes behind the hooks' back).
         """
         sim = self.sim
         # The wheels and active sets are mutated in place, never
