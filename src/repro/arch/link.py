@@ -337,6 +337,11 @@ class OnOffLink(Link):
     def connect(self, receiver: Receiver) -> None:
         super().connect(receiver)
         self._polled = not getattr(receiver, "reports_free_slots", False)
+        # A buffer shared by every VC (a target NI) may be fed by several
+        # links, so its feeding links report their own deliveries: to
+        # this link alone until the receiver names the others.
+        shared = getattr(receiver, "shared_free_slots", False)
+        self._observers = ((self, 0),) if shared and not self._polled else ()
         self._reset_wire(0)
 
     def set_observers(self, observers: Tuple[Tuple["OnOffLink", int], ...]) -> None:

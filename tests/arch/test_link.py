@@ -135,6 +135,59 @@ class TestOnOffLink:
                 recv.pop()  # drain one per cycle
         assert sent >= 9  # near-full throughput with drain matching rate
 
+    # The OFF threshold covers each link's round trip (threshold >=
+    # delay), as NocParameters.onoff_threshold requires.
+    @pytest.mark.parametrize("delay,depth,threshold,seed", [
+        (1, 2, 1, 1), (2, 2, 2, 2), (3, 4, 3, 3), (5, 6, 5, 4), (2, 6, 3, 5),
+    ])
+    def test_reported_changes_match_per_cycle_polling(
+        self, delay, depth, threshold, seed
+    ):
+        """A receiver that reports each change of its free-slot count
+        (as switch ports do) must let the sender see exactly what a
+        per-cycle sample of that count would show."""
+        import random
+
+        class ReportingReceiver(FakeReceiver):
+            reports_free_slots = True
+
+            def __init__(self, depth):
+                super().__init__(depth)
+                self.link = None
+                self.now = 0
+
+            def accept(self, flit):
+                ok = super().accept(flit)
+                self.link.observe(0, self.now, self.free_slots(0))
+                return ok
+
+            def pop(self, vc=0):
+                flit = super().pop(vc)
+                self.link.observe(0, self.now, self.free_slots(0))
+                return flit
+
+        traces = []
+        for reporting in (False, True):
+            rng = random.Random(seed)
+            recv = ReportingReceiver(depth) if reporting else FakeReceiver(depth)
+            link = OnOffLink("l", delay, 1, depth, threshold=threshold)
+            link.connect(recv)
+            if reporting:
+                recv.link = link
+            trace = []
+            for cycle in range(200):
+                recv.now = cycle
+                if recv.total and rng.random() < 0.4:
+                    recv.pop()  # drains before the link phase
+                ok = link.can_send(0, cycle)
+                if ok and rng.random() < 0.8:
+                    link.send(make_flit(), cycle)
+                link.tick(cycle)
+                trace.append((ok, recv.total))
+            traces.append(trace)
+        assert traces[0] == traces[1]
+        assert any(not ok for ok, __ in traces[0])  # backpressure engaged
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             OnOffLink("l", 1, 1, 2, threshold=3)
