@@ -112,7 +112,7 @@ class Packet:
     #: switches never look a port up by name; ``None`` for packets that
     #: no simulator injected.
     ports: Optional[Tuple[int, ...]] = field(
-        default=None, compare=False, repr=False
+        default=None, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
