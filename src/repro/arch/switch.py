@@ -347,13 +347,7 @@ class SwitchModel:
                     if winner is None:
                         continue
                 __, vc, flit, out_vc, link, li, port = winner
-                # InputPort.pop, inlined: one pop per flit-hop.
-                buf = port.buffers[vc]
-                buf.popleft()
-                if port._upstream_credit:
-                    port.upstream_link.return_credit(vc, cycle)
-                elif port._onoff is not None:
-                    port._onoff.observe(vc, cycle, port.depth - len(buf))
+                port.pop(vc, cycle)
                 flit.vc = out_vc
                 if li >= 0:  # best-effort: wormhole lock ops
                     if flit.is_head:
