@@ -336,12 +336,7 @@ class InitiatorNI:
             self.injection_stall_cycles += 1
             return
         self._current_be.pop(0)
-        # _transmit, inlined: this runs once per injected flit.
-        self.injection_link.send(flit, cycle)
-        flit.hop += 1
-        self.flits_injected += 1
-        if self.trace is not None:
-            self.trace(cycle, flit)
+        self._transmit(flit, cycle)
         if not self._current_be:
             self._current_be = None
 
