@@ -97,29 +97,6 @@ class RetransmissionPolicy:
         )
 
 
-class PortPlans:
-    """``route -> Packet.ports`` for one network, memoized per route.
-
-    ``out_index`` maps each switch to its ``{downstream: port index}``
-    (``SwitchModel.out_index``).  A hop that leaves a core, or that no
-    port serves, plans -1; a switch raises when a flit asks for it.
-    """
-
-    def __init__(self, out_index: Dict[str, Dict[str, int]]):
-        self._out_index = out_index
-        self._plans: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
-
-    def plan(self, route: Tuple[str, ...]) -> Tuple[int, ...]:
-        ports = self._plans.get(route)
-        if ports is None:
-            no_switch: Dict[str, int] = {}
-            ports = self._plans[route] = tuple(
-                self._out_index.get(node, no_switch).get(nxt, -1)
-                for node, nxt in zip(route, route[1:])
-            )
-        return ports
-
-
 @dataclass
 class _PendingTransfer:
     """Book-keeping for one unacknowledged logical transfer."""
@@ -176,9 +153,6 @@ class InitiatorNI:
         # entry point for all backlog gains (sends, responses, acks,
         # retransmission copies).  None outside the event kernel.
         self.wakeup: Optional[Callable[[], None]] = None
-        # route -> Packet.ports, shared by a simulator's NIs; packets
-        # get their per-hop output ports when they start serializing.
-        self.port_plans: Optional["PortPlans"] = None
 
     def connect(self, link: Link) -> None:
         self.injection_link = link
@@ -282,8 +256,6 @@ class InitiatorNI:
             if not queue:
                 return None
             packet = queue.popleft()
-            if self.port_plans is not None:
-                packet.ports = self.port_plans.plan(packet.route)
             current = packet.flits()
             self._current_gt[connection_id] = current
             self.packets_injected += 1
@@ -324,10 +296,7 @@ class InitiatorNI:
         if self._current_be is None:
             if not self._be_queue:
                 return
-            packet = self._be_queue.popleft()
-            if self.port_plans is not None:
-                packet.ports = self.port_plans.plan(packet.route)
-            self._current_be = packet.flits()
+            self._current_be = self._be_queue.popleft().flits()
             self.packets_injected += 1
         flit = self._current_be[0]
         vc_path = flit.packet.vc_path

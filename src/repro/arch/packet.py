@@ -106,14 +106,6 @@ class Packet:
     #: target NI can discard duplicates and ack the original.  ``None``
     #: when retransmission is disabled (the default).
     transfer_id: Optional[Tuple[str, int]] = None
-    #: Output-port index at each hop: ``ports[h]`` is the port of switch
-    #: ``route[h]`` that leads to ``route[h + 1]`` (-1 where ``route[h]``
-    #: is not a switch).  Resolved once per route by the injecting NI so
-    #: switches never look a port up by name; ``None`` for packets that
-    #: no simulator injected.
-    ports: Optional[Tuple[int, ...]] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.size_flits < 1:

@@ -19,10 +19,10 @@ The model is an input-queued wormhole switch with per-(port, VC) FIFOs:
 
 Switch state is int-indexed.  Output ports are numbered in sorted
 downstream-name order (the arbitration order), input VC *slots* as
-``input index * num_vcs + vc`` in sorted upstream-name order.  Each
-packet carries its per-hop output index (``Packet.ports``), resolved
-once per route by the injecting NI, and requests, wormhole locks,
-arbiters and per-output counters are flat lists over those indices.
+``input index * num_vcs + vc`` in sorted upstream-name order.  A
+ready flit's output index is looked up by its next node's name, and
+requests, wormhole locks, arbiters and per-output counters are flat
+lists over those indices, rebuilt as each port is wired.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class SwitchModel:
         self.contention_losers = 0  # candidates denied by arbitration
         self.lock_hold_cycles = 0   # accumulated wormhole-lock hold time
         self.locks_taken = 0        # completed (head..tail) wormhole locks
-        self._finalized = False
+        self.finalize_wiring()
 
     def __getstate__(self):
         """Pickle state minus the host-wired trace callback.
@@ -170,27 +170,28 @@ class SwitchModel:
         port._upstream_credit = isinstance(link, CreditLink)
         port._onoff = link if isinstance(link, OnOffLink) else None
         self.inputs[upstream] = port
+        self.finalize_wiring()
         return port
 
     def add_output(self, downstream: str, link: Link) -> None:
         if downstream in self.outputs:
             raise ValueError(f"duplicate output to {downstream!r}")
         self.outputs[downstream] = link
+        self.finalize_wiring()
 
     def set_tdma_table(self, downstream: str, arbiter: TdmaArbiter) -> None:
         """Install an Aethereal slot table on one output port."""
         if downstream not in self.outputs:
             raise KeyError(f"no output to {downstream!r}")
         self._tdma[downstream] = arbiter
-        if self._finalized:
-            self._tdma_at[self.out_index[downstream]] = arbiter
+        self._tdma_at[self.out_index[downstream]] = arbiter
 
     def finalize_wiring(self) -> None:
         """Number the ports and size the int-indexed state.
 
-        The simulator calls this once its wiring is complete (ports are
-        never added afterwards); a switch driven directly finalizes on
-        its first tick.
+        Called on construction and again as each port is wired, so the
+        state always matches the ports; wiring is done before the first
+        tick, so nothing it resets has been counted yet.
 
         The flat ``_scan`` list drives tick()'s sweep over every (input,
         VC) FIFO.  Caching the deques is safe because they are created
@@ -235,7 +236,6 @@ class SwitchModel:
         self._stalls = [0] * nout       # downstream link refused
         self._stall_mark = [-1] * nout  # last cycle counted in _stalls
         self._contention = [0] * nout   # more than one candidate
-        self._finalized = True
 
     # ------------------------------------------------------------------
     # Per-cycle operation
@@ -256,8 +256,6 @@ class SwitchModel:
         self.now = cycle
         if self.failed:
             return None
-        if not self._finalized:
-            self.finalize_wiring()
         out_links = self._out_links
         locks = self._locks
         nvcs = self._nvcs
@@ -276,16 +274,11 @@ class SwitchModel:
                 continue
             packet = flit.packet
             hop = flit.hop
-            ports = packet.ports
-            if ports is not None:
-                oi = ports[hop]
-            else:  # built outside a simulator: resolve by node name
-                route = packet.route
-                oi = self.out_index.get(
-                    route[hop + 1] if hop + 1 < len(route) else None, -1
-                )
+            route = packet.route
+            oi = self.out_index.get(
+                route[hop + 1] if hop + 1 < len(route) else None, -1
+            )
             if oi < 0:
-                route = packet.route
                 raise RuntimeError(
                     f"switch {self.name}: flit routed to unknown output "
                     f"{route[hop + 1] if hop + 1 < len(route) else None!r}"
@@ -385,15 +378,6 @@ class SwitchModel:
         cycle: int,
     ) -> Optional[tuple]:
         n = self._nslots
-        if tdma is None and len(candidates) == 1:
-            # Uncontended output (the overwhelmingly common case): both
-            # best-effort policies grant the lone requester without
-            # needing the request vector.  Round-robin still advances
-            # its pointer past the winner, exactly as ``grant`` would.
-            if self._rr:
-                self._arbiters[oi]._pointer = (candidates[0][0] + 1) % n
-            return candidates[0]
-
         requests = [False] * n
         by_slot: Dict[int, tuple] = {}
         for cand in candidates:
@@ -435,8 +419,7 @@ class SwitchModel:
                 buf.clear()
             port._report_all(cycle)
         self.flits_dropped += dropped
-        if self._finalized:
-            self._release_locks()
+        self._release_locks()
         return dropped
 
     def repair(self, cycle: int) -> None:
@@ -468,8 +451,7 @@ class SwitchModel:
                 buf.extend(keep)
             if purged != before:
                 port._report_all(cycle + 1)
-        if self._finalized:
-            self._release_locks(keep=lambda owner: not predicate(owner))
+        self._release_locks(keep=lambda owner: not predicate(owner))
         return purged
 
     @property
@@ -481,8 +463,6 @@ class SwitchModel:
     # Observability aggregates (repro.obs reads these)
     # ------------------------------------------------------------------
     def _per_output(self, counts: str) -> Dict[str, int]:
-        if not self._finalized:
-            return {name: 0 for name in sorted(self.outputs)}
         return dict(zip(self._sorted_outputs, getattr(self, counts)))
 
     @property
@@ -499,12 +479,12 @@ class SwitchModel:
     @property
     def stall_cycles(self) -> int:
         """Stall cycles summed over output ports."""
-        return sum(self._stalls) if self._finalized else 0
+        return sum(self._stalls)
 
     @property
     def contention_cycles(self) -> int:
         """Contention cycles summed over output ports."""
-        return sum(self._contention) if self._finalized else 0
+        return sum(self._contention)
 
     @property
     def mean_lock_hold_cycles(self) -> float:

@@ -71,7 +71,9 @@ def _build_topology(kind: str, size: int):
     return inst.topology, inst.table, inst.vc_assignment, inst.min_vcs
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _build_simulation(args: argparse.Namespace):
+    """The topology, simulator and synthetic traffic that ``simulate``
+    and ``observe`` both run, built from their shared flags."""
     from repro.arch import FlowControlKind, NocParameters
     from repro.sim import NocSimulator, SyntheticTraffic
 
@@ -81,16 +83,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         num_vcs=max(min_vcs, args.vcs),
         buffer_depth=args.buffer_depth,
         output_buffer_depth=(
-            args.buffer_depth
-            if args.flow_control == "ack_nack"
-            else 0
+            args.buffer_depth if args.flow_control == "ack_nack" else 0
         ),
     )
     sim = NocSimulator(topo, table, params, vc_assignment=vca,
-                       warmup_cycles=args.warmup, kernel=args.kernel)
+                       warmup_cycles=args.warmup)
     traffic = SyntheticTraffic(
         args.pattern, args.rate, args.packet_size, seed=args.seed
     )
+    return topo, sim, traffic
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    topo, sim, traffic = _build_simulation(args)
     sim.run(args.cycles, traffic, drain=True)
     cores = len(topo.cores)
     window = max(1, args.cycles - args.warmup)
@@ -208,7 +213,6 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.arch import FlowControlKind, NocParameters
     from repro.obs import (
         ChromeTraceSink,
         JsonlMetricsSink,
@@ -216,20 +220,8 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         TraceFanout,
         bottleneck_report,
     )
-    from repro.sim import NocSimulator, SyntheticTraffic
 
-    topo, table, vca, min_vcs = _build_topology(args.topology, args.size)
-    params = NocParameters(
-        flow_control=FlowControlKind(args.flow_control),
-        num_vcs=max(min_vcs, args.vcs),
-        buffer_depth=args.buffer_depth,
-        output_buffer_depth=(
-            args.buffer_depth if args.flow_control == "ack_nack" else 0
-        ),
-    )
-    sim = NocSimulator(topo, table, params, vc_assignment=vca,
-                       warmup_cycles=args.warmup, kernel=args.kernel)
-
+    _, sim, traffic = _build_simulation(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_sink = JsonlMetricsSink(out_dir / "metrics.jsonl")
@@ -242,9 +234,6 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         )
         sim.enable_tracing(trace_fanout)
 
-    traffic = SyntheticTraffic(
-        args.pattern, args.rate, args.packet_size, seed=args.seed
-    )
     sim.run(args.cycles, traffic, drain=True)
     probe.finalize()
     metrics_sink.close()
@@ -321,7 +310,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             pattern=args.pattern, cycles=args.cycles, warmup=args.warmup,
             packet_size=args.packet_size, seed=args.seed,
             metrics_interval=args.metrics_interval,
-            kernel=args.kernel,
         )
         print(f"Batch load curve on {args.topology} (size {args.size}), "
               f"{len(jobs)} rates")
@@ -333,7 +321,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             switch_faults=args.switch_faults,
             transient_bursts=args.transient_bursts,
             repair_after=args.repair_after, seed=args.seed,
-            kernel=args.kernel,
         )
         print(f"Batch fault campaign on {args.topology} "
               f"(size {args.size}), {len(jobs)} runs")
@@ -342,7 +329,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             args.topology, args.size,
             pattern=args.pattern, cycles=args.cycles, warmup=args.warmup,
             packet_size=args.packet_size, seed=args.seed,
-            kernel=args.kernel,
         )]
         print(f"Batch saturation search on {args.topology} "
               f"(size {args.size})")
@@ -723,7 +709,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         max_corruptions=args.max_corruptions,
         stall_streams=args.stall_streams,
         wait_timeout_s=args.wait_timeout,
-        kernel=args.kernel,
     )
     # With --json, stdout carries exactly the JSON document; the human
     # lines go to stderr and the exit code still carries the verdict.
@@ -786,11 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vcs", type=int, default=1)
     p.add_argument("--buffer-depth", type=int, default=4)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--kernel", default="event",
-                   choices=("event", "reference"),
-                   help="simulation kernel (identical results; 'event' "
-                        "schedules only woken components and jumps over "
-                        "idle cycles, 'reference' executes every cycle)")
     p.add_argument("--heatmap", action="store_true",
                    help="print an ASCII link-load heat map (mesh/torus)")
     p.set_defaults(func=_cmd_simulate)
@@ -842,11 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "congestion.csv, summary.json")
     p.add_argument("--no-trace", action="store_true",
                    help="skip per-flit trace files (metrics only)")
-    p.add_argument("--kernel", default="event",
-                   choices=("event", "reference"),
-                   help="simulation kernel (identical results; 'event' "
-                        "schedules only woken components and jumps over "
-                        "idle cycles, 'reference' executes every cycle)")
     p.set_defaults(func=_cmd_observe)
 
     p = sub.add_parser(
@@ -902,11 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transient-bursts", type=int, default=0)
     p.add_argument("--repair-after", type=int, default=None,
                    help="repair each hard fault after this many cycles")
-    p.add_argument("--kernel", default=None,
-                   choices=("event", "reference"),
-                   help="simulation kernel for the sweep jobs (identical "
-                        "results; default: event, with the kernel left "
-                        "out of the cache key)")
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser(
@@ -1065,11 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stream connections opened and left unread")
     p.add_argument("--wait-timeout", type=float, default=300.0,
                    help="campaign-wide completion deadline (seconds)")
-    p.add_argument("--kernel", default=None,
-                   choices=("event", "reference"),
-                   help="simulation kernel for every campaign job "
-                        "(identical results; default: event, with the "
-                        "kernel left out of the cache key)")
     p.add_argument("--dir", default=None,
                    help="cache/checkpoint root (default: fresh temp dir)")
     p.add_argument("--json", action="store_true",

@@ -63,38 +63,14 @@ class DesignSpaceExplorer:
         flit_widths: Sequence[int] = (32,),
         include_baselines: bool = True,
         objectives: Objectives = DEFAULT_OBJECTIVES,
-        parallel: bool = False,
-        workers: Optional[int] = None,
-        cache=None,
-        store=None,
     ) -> SweepResult:
         """Run the sweep; returns all points and the Pareto front.
 
-        With ``parallel=True`` (or any of ``workers``/``cache``/``store``
-        set) the sweep is delegated to :mod:`repro.lab`: design points
-        become content-addressed jobs run by up to ``workers`` supervised
-        child processes, previously computed points are reused
-        from ``cache``, and every result can be persisted to ``store``.
-        The point list is byte-identical to the serial path.
+        To fan the design points out over worker processes, with a
+        result cache and store, run the same sweep through
+        :func:`repro.lab.run_synthesis_sweep`; its point list is
+        byte-identical to this one.
         """
-        if parallel or workers is not None or cache is not None \
-                or store is not None:
-            from repro.lab.sweeps import run_synthesis_sweep
-
-            sweep, _ = run_synthesis_sweep(
-                self.spec,
-                switch_counts=switch_counts,
-                frequencies_hz=frequencies_hz,
-                flit_widths=flit_widths,
-                include_baselines=include_baselines,
-                tech_node=self.tech.node,
-                floorplan=self.synthesizer.input_floorplan,
-                objectives=objectives,
-                workers=workers,
-                cache=cache,
-                store=store,
-            )
-            return sweep
         n = len(self.spec.core_names)
         if switch_counts is None:
             switch_counts = sorted({max(1, n // 4), max(2, n // 3),

@@ -20,9 +20,9 @@ by supervised child processes, with:
   (synthesis exploration, load curves, saturation searches) as jobs and
   reassemble the classic result objects afterwards.
 
-Entry points elsewhere in the stack delegate here:
-``DesignSpaceExplorer.explore(parallel=True)`` and the ``repro batch``
-CLI subcommand.
+The ``repro batch`` CLI subcommand and the job server delegate here;
+:func:`run_synthesis_sweep` is the parallel, cached counterpart of
+``DesignSpaceExplorer.explore``.
 """
 
 from repro.lab.cache import NullCache, ResultCache

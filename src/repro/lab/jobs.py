@@ -284,10 +284,6 @@ def _run_load_point(job: Job) -> dict:
         p.get("warmup", 250),
         p.get("packet_size", 4),
         job.seed,
-        # Both kernels are byte-identical, so the key may stay absent
-        # (preserving every pre-existing cache key) and cached results
-        # remain valid whichever kernel computed them.
-        kernel=p.get("kernel", "event"),
         on_sim=on_sim,
     )
     result = {"point": None if point is None else load_point_to_dict(point)}
@@ -319,7 +315,6 @@ def _run_saturation(job: Job) -> dict:
         packet_size=p.get("packet_size", 4),
         seed=job.seed,
         tolerance=p.get("tolerance", 0.02),
-        kernel=p.get("kernel", "event"),
     )
     return {"saturation_rate": rate}
 
@@ -392,7 +387,6 @@ def _run_fault_campaign(job: Job) -> dict:
         sim = NocSimulator(
             inst.topology, inst.table, params,
             vc_assignment=inst.vc_assignment,
-            kernel=p.get("kernel", "event"),
         )
         sim.attach_fault_schedule(schedule)
         # Bounded retries keep the drain finite even when the controller

@@ -183,7 +183,6 @@ def load_curve_jobs(
     seed: int = 1,
     noc_params: Optional[dict] = None,
     metrics_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
     tags: Sequence[str] = (),
 ) -> List[Job]:
     """One job per injection rate of a load-latency curve.
@@ -193,10 +192,7 @@ def load_curve_jobs(
     storing a compact utilization summary in every result — the
     utilization-vs-load view :meth:`ResultStore.utilization_curve`
     replays.  ``None`` (the default) leaves the params — and therefore
-    every cache key — exactly as before.  The same absent-by-default
-    convention applies to ``kernel`` (``"event"`` / ``"reference"``);
-    both kernels produce byte-identical results, so cached points stay
-    valid either way.
+    every cache key — exactly as before.
     """
     if topology not in STANDARD_KINDS:
         raise ValueError(
@@ -217,8 +213,6 @@ def load_curve_jobs(
         }
         if metrics_interval is not None:
             params["metrics_interval"] = metrics_interval
-        if kernel is not None:
-            params["kernel"] = kernel
         jobs.append(
             Job(kind="load_point", params=params, seed=seed, tags=base_tags)
         )
@@ -283,7 +277,6 @@ def fault_campaign_jobs(
     repair_after: Optional[int] = None,
     seed: int = 1,
     noc_params: Optional[dict] = None,
-    kernel: Optional[str] = None,
     tags: Sequence[str] = (),
 ) -> List[Job]:
     """A robustness campaign: ``runs`` seeded live-fault simulations.
@@ -313,8 +306,6 @@ def fault_campaign_jobs(
         "repair_after": repair_after,
         "noc_params": noc_params,
     }
-    if kernel is not None:  # absent by default: cache keys unchanged
-        params["kernel"] = kernel
     return [
         Job(
             kind="fault_campaign",
@@ -381,7 +372,6 @@ def saturation_job(
     seed: int = 1,
     tolerance: float = 0.02,
     noc_params: Optional[dict] = None,
-    kernel: Optional[str] = None,
     tags: Sequence[str] = (),
 ) -> Job:
     """A single saturation bisection as a cacheable job."""
@@ -400,8 +390,6 @@ def saturation_job(
         "tolerance": tolerance,
         "noc_params": noc_params,
     }
-    if kernel is not None:  # absent by default: cache keys unchanged
-        params["kernel"] = kernel
     return Job(
         kind="saturation",
         params=params,

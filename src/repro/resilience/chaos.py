@@ -70,10 +70,6 @@ class ChaosConfig:
     stall_streams: int = 2
     stall_hold_s: float = 1.5
     wait_timeout_s: float = 300.0
-    #: Simulation kernel for every job in the campaign (None = the
-    #: job-runner default).  All kernels are byte-identical, so the
-    #: pre-chaos reference fingerprints stay valid either way.
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.jobs < self.poison_jobs + self.fault_jobs + 1:
@@ -92,7 +88,6 @@ class ChaosConfig:
             "max_kills": self.max_kills,
             "max_corruptions": self.max_corruptions,
             "stall_streams": self.stall_streams,
-            "kernel": self.kernel,
         }
 
 
@@ -158,7 +153,6 @@ class ChaosReport:
 def build_campaign_jobs(config: ChaosConfig) -> Tuple[List[Job], Set[str]]:
     """The deterministic job list and the keys expected to quarantine."""
     jobs: List[Job] = []
-    kernel = {} if config.kernel is None else {"kernel": config.kernel}
     plain = config.jobs - config.poison_jobs - config.fault_jobs
     for i in range(plain):
         jobs.append(Job(
@@ -168,7 +162,7 @@ def build_campaign_jobs(config: ChaosConfig) -> Tuple[List[Job], Set[str]]:
                 "rate": round(0.04 + 0.01 * (i % 8), 3),
                 "cycles": config.cycles,
                 "warmup": min(250, config.cycles // 4),
-                "packet_size": 4, **kernel,
+                "packet_size": 4,
             },
             seed=config.seed * 1000 + i,
             tags=("chaos",),
@@ -179,7 +173,7 @@ def build_campaign_jobs(config: ChaosConfig) -> Tuple[List[Job], Set[str]]:
             params={
                 "topology": "mesh", "size": 4, "rate": 0.08,
                 "cycles": config.cycles, "switch_faults": 1,
-                "packet_size": 4, **kernel,
+                "packet_size": 4,
             },
             seed=config.seed * 1000 + 500 + i,
             tags=("chaos", "faults"),
@@ -193,7 +187,7 @@ def build_campaign_jobs(config: ChaosConfig) -> Tuple[List[Job], Set[str]]:
             params={
                 "topology": "mesh", "size": 8, "pattern": "uniform",
                 "rate": 0.25, "cycles": 900_000, "warmup": 1000,
-                "packet_size": 4, **kernel,
+                "packet_size": 4,
             },
             seed=config.seed * 1000 + 900 + i,
             tags=("chaos", "poison"),

@@ -49,7 +49,8 @@ from repro.resilience.integrity import (
 #: Bump when the capsule layout or the pickled state shape changes.
 #: 2: ON/OFF links log free-slot changes instead of per-cycle samples,
 #: and switches keep int-indexed locks, arbiters and counters.
-CHECKPOINT_VERSION = 2
+#: 3: packets carry no per-hop port plan, and switches no wiring flag.
+CHECKPOINT_VERSION = 3
 
 _MAGIC = b"repro-ckpt\x00"
 _DIGEST_LEN = 64  # sha256 hexdigest

@@ -52,12 +52,11 @@ def _run_point(
     warmup: int,
     packet_size: int,
     seed: int,
-    kernel: str = "event",
     on_sim=None,
 ) -> Optional[LoadPoint]:
     sim = NocSimulator(
         topology, table, params, vc_assignment=vc_assignment,
-        warmup_cycles=warmup, kernel=kernel,
+        warmup_cycles=warmup,
     )
     if on_sim is not None:
         # Observability hook: attach read-only instrumentation (e.g. a
@@ -90,14 +89,11 @@ def load_latency_curve(
     warmup: int = 250,
     packet_size: int = 4,
     seed: int = 1,
-    kernel: str = "event",
 ) -> List[LoadPoint]:
     """The latency/throughput curve across an injection-rate sweep.
 
     Each rate point is an independent simulation, run in order; rates
-    without a delivered packet are left out.  ``kernel`` selects the
-    simulation kernel per point (results are identical; the event kernel
-    just reaches each point sooner).
+    without a delivered packet are left out.
     """
     if not rates:
         raise ValueError("need at least one rate")
@@ -105,7 +101,7 @@ def load_latency_curve(
         raise ValueError("rates must be in (0, 1]")
     maybe_points = [
         _run_point(topology, table, params, vc_assignment, pattern, rate,
-                   cycles, warmup, packet_size, seed, kernel)
+                   cycles, warmup, packet_size, seed)
         for rate in rates
     ]
     return [p for p in maybe_points if p is not None]
@@ -123,7 +119,6 @@ def saturation_throughput(
     packet_size: int = 4,
     seed: int = 1,
     tolerance: float = 0.02,
-    kernel: str = "event",
 ) -> float:
     """Saturation injection rate (flits/cycle/core) by bisection.
 
@@ -135,7 +130,7 @@ def saturation_throughput(
         raise ValueError("latency factor must exceed 1.0")
     base = _run_point(
         topology, table, params, vc_assignment, pattern, 0.02,
-        cycles, warmup, packet_size, seed, kernel,
+        cycles, warmup, packet_size, seed,
     )
     if base is None:
         raise RuntimeError("no packets delivered at the probe rate")
@@ -144,7 +139,7 @@ def saturation_throughput(
     lo, hi = 0.02, 1.0
     point_hi = _run_point(
         topology, table, params, vc_assignment, pattern, hi,
-        cycles, warmup, packet_size, seed, kernel,
+        cycles, warmup, packet_size, seed,
     )
     if point_hi is not None and point_hi.mean_latency < threshold:
         return hi  # never saturates within the sweepable range
@@ -152,7 +147,7 @@ def saturation_throughput(
         mid = (lo + hi) / 2.0
         point = _run_point(
             topology, table, params, vc_assignment, pattern, mid,
-            cycles, warmup, packet_size, seed, kernel,
+            cycles, warmup, packet_size, seed,
         )
         if point is not None and point.mean_latency < threshold:
             lo = mid

@@ -47,7 +47,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.arch.link import AckNackLink, Link, make_link
 from repro.arch.network_interface import (
     InitiatorNI,
-    PortPlans,
     RetransmissionPolicy,
     RoutingLut,
     TargetNI,
@@ -205,13 +204,6 @@ class NocSimulator:
         )
         self._target_seq = tuple(self.targets[n] for n in self._target_order)
         self._link_seq = tuple(self.links[k] for k in self._link_order)
-        for sw in self._switch_seq:
-            sw.finalize_wiring()
-        plans = PortPlans(
-            {name: sw.out_index for name, sw in self.switches.items()}
-        )
-        for ni in self._initiator_seq:
-            ni.port_plans = plans
 
     # ------------------------------------------------------------------
     # Construction

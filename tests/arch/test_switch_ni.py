@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.arch.arbiter import TdmaArbiter
 from repro.arch.link import CreditLink
 from repro.arch.network_interface import InitiatorNI, RoutingLut, TargetNI
 from repro.arch.packet import MessageClass, Packet
@@ -183,6 +184,34 @@ class TestEndToEnd:
         p0.accept(f)
         with pytest.raises(RuntimeError, match="unknown"):
             switch.tick(0)
+
+    def test_port_by_port_wiring_is_usable_before_first_tick(self):
+        """A switch wired one port at a time answers its per-output
+        counters and takes a slot table before it has ever ticked, and
+        the table survives wiring a further input."""
+        switch = SwitchModel("s0", PARAMS)
+        pa = switch.add_input("a", CreditLink("a->s0", 1, 1, 4))
+        switch.add_output("c", CreditLink("s0->c", 1, 1, 4))
+        switch.add_output("d", CreditLink("s0->d", 1, 1, 4))
+        assert switch.stall_cycles_by_output == {"c": 0, "d": 0}
+        assert switch.contention_cycles_by_output == {"c": 0, "d": 0}
+        assert switch.stall_cycles == switch.contention_cycles == 0
+        switch.set_tdma_table("c", TdmaArbiter([3], n=2))
+        pb = switch.add_input("b", CreditLink("b->s0", 1, 1, 4))
+        be = Packet("a", "c", 1, ("a", "s0", "c"))
+        gt = Packet("b", "c", 1, ("b", "s0", "c"),
+                    message_class=MessageClass.GUARANTEED, connection_id=3)
+        for port, packet in ((pa, be), (pb, gt)):
+            (f,) = packet.flits()
+            f.hop = 1
+            assert port.accept(f)
+        sent = []
+        switch.trace = lambda cycle, flit: sent.append(flit.packet)
+        switch.tick(0)
+        # Slot 0 belongs to connection 3: the GT flit on the later input
+        # wins over the round-robin favourite on input "a".
+        assert sent == [gt]
+        assert switch.contention_cycles_by_output == {"c": 1, "d": 0}
 
     def test_multi_flit_packets_share_link_across_vcs(self):
         """With 2 VCs, flits of two packets may interleave on the link."""

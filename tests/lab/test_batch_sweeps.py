@@ -12,6 +12,7 @@ import pytest
 from repro.apps import pip, vopd
 from repro.core import CommunicationSpec, DesignSpaceExplorer
 from repro.lab import (
+    Job,
     ResultCache,
     ResultStore,
     canonical_json,
@@ -20,6 +21,7 @@ from repro.lab import (
     fault_summary_from_batch,
     load_curve_from_batch,
     load_curve_jobs,
+    run_job,
     run_jobs,
     saturation_job,
     sweep_result_from_batch,
@@ -93,17 +95,6 @@ class TestSynthesisSweepAcceptance:
         assert widened.computed == 1
         assert widened.cached == len(widened.jobs) - 1
 
-    def test_explorer_parallel_entry_point(self, tmp_path, serial_sweep):
-        explorer = DesignSpaceExplorer(_spec())
-        sweep = explorer.explore(
-            switch_counts=SWITCHES,
-            frequencies_hz=FREQS,
-            parallel=True,
-            workers=2,
-            cache=ResultCache(tmp_path),
-        )
-        assert _fingerprint(sweep.points) == _fingerprint(serial_sweep.points)
-
     def test_store_replay_matches_recomputation(self, tmp_path, serial_sweep):
         store = ResultStore(tmp_path / "sweep.jsonl")
         jobs = synthesis_sweep_jobs(
@@ -161,13 +152,19 @@ class TestLoadCurveJobs:
         job = load_curve_jobs("mesh", 3, [0.1], cycles=300, warmup=60)[0]
         assert "metrics_interval" not in job.params
 
-    def test_retired_fast_kernel_is_rejected(self):
-        """The retired ``"fast"`` kernel name is unknown: a stored job
-        carrying it fails loudly instead of running on another kernel."""
-        stored = load_curve_jobs("mesh", 4, [0.05], kernel="fast",
-                                 cycles=400, warmup=100, seed=3)[0]
-        with pytest.raises(ValueError, match="unknown kernel 'fast'"):
-            run_jobs([stored])
+    def test_stored_kernel_key_runs_on_the_default_kernel(self):
+        """A stored job spec that still names a kernel (``"reference"``,
+        or the retired ``"fast"``) is handled like any other unknown
+        param key: it runs on the default kernel, with the same payload
+        as the same job without the key."""
+        job = load_curve_jobs("mesh", 4, [0.05], cycles=400, warmup=100,
+                              seed=3)[0]
+        expected = run_job(job)
+        for kernel in ("reference", "fast"):
+            stored = Job(kind=job.kind,
+                         params={**job.params, "kernel": kernel},
+                         seed=job.seed)
+            assert run_job(stored) == expected
 
     def test_utilization_curve_from_batch(self):
         from repro.lab import utilization_curve_from_batch

@@ -53,16 +53,6 @@ class TestConfig:
         kinds = [j.kind for j in jobs_a]
         assert kinds.count("fault_campaign") == SMOKE.fault_jobs
 
-    def test_kernel_threads_into_every_job(self):
-        import dataclasses
-        config = dataclasses.replace(SMOKE, kernel="event")
-        jobs, _ = build_campaign_jobs(config)
-        assert all(j.params["kernel"] == "event" for j in jobs)
-        assert config.to_dict()["kernel"] == "event"
-        # Default leaves params untouched, so cache keys are unchanged.
-        default_jobs, _ = build_campaign_jobs(SMOKE)
-        assert all("kernel" not in j.params for j in default_jobs)
-
     def test_poison_jobs_respect_cycle_budget(self):
         config = ChaosConfig(jobs=8, poison_jobs=2, deadline_s=2.0)
         jobs, poison = build_campaign_jobs(config)
