@@ -21,9 +21,10 @@ All links carry at most one flit per cycle, regardless of VC count, and
 deliver after ``delay_cycles`` (1 + pipeline stages).
 
 The receiver contract: a downstream object exposes ``free_slots(vc)``
-and ``accept(flit)``; credit/ON-OFF links never call ``accept`` unless
-the model guarantees space, while the ACK/NACK link probes with
-``try_accept`` semantics (accept returns False when full).
+and ``accept(flit, cycle)``, where ``cycle`` is the delivery cycle;
+credit/ON-OFF links never call ``accept`` unless the model guarantees
+space, while the ACK/NACK link probes with ``try_accept`` semantics
+(accept returns False when full).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class Receiver(Protocol):
 
     def free_slots(self, vc: int) -> int: ...
 
-    def accept(self, flit: Flit) -> bool: ...
+    def accept(self, flit: Flit, cycle: int) -> bool: ...
 
 
 class Link:
@@ -268,7 +269,7 @@ class CreditLink(Link):
         super().tick(cycle)
 
     def _deliver(self, flit: Flit, cycle: int) -> None:
-        accepted = self.receiver.accept(flit)
+        accepted = self.receiver.accept(flit, cycle)
         if not accepted:  # pragma: no cover - credits prevent this
             raise RuntimeError(
                 f"link {self.name}: receiver overflow under credit flow control"
@@ -418,7 +419,7 @@ class OnOffLink(Link):
         vc = flit.vc
         self._in_flight_per_vc[vc] -= 1
         recv = self.receiver
-        if not recv.accept(flit):  # pragma: no cover - conservative gating prevents this
+        if not recv.accept(flit, cycle):  # pragma: no cover - conservative gating prevents this
             raise RuntimeError(
                 f"link {self.name}: receiver overflow under ON/OFF flow control"
             )
@@ -580,7 +581,7 @@ class AckNackLink(Link):
             # Out-of-order (post-rewind duplicate or gap): request replay.
             self._nack(self._expected_seq, cycle)
             return
-        if self.receiver.accept(flit):
+        if self.receiver.accept(flit, cycle):
             self._expected_seq += 1
             self._last_nacked = None
             self._control.append((cycle + self.delay_cycles, "ack", seq))
@@ -627,6 +628,14 @@ def make_link(
     ``flit_error_probability`` enables transmission-error injection; it
     requires the retransmitting (ACK/NACK) flow control, since the other
     schemes have no recovery path.
+
+    An ON/OFF link's OFF threshold is ``params.onoff_threshold`` raised
+    to the link's delay, within the buffer depth.  The sender reads a
+    sample ``delay`` cycles old and subtracts only the flits still on
+    the wire, so up to ``delay - 1`` flits delivered since the sample
+    are counted nowhere; the threshold must absorb them.  A one-slot
+    buffer behind a pipelined link overflows at any threshold and is
+    refused.
     """
     if flit_error_probability > 0.0 and params.flow_control is not (
         FlowControlKind.ACK_NACK
@@ -638,12 +647,19 @@ def make_link(
     if params.flow_control is FlowControlKind.CREDIT:
         return CreditLink(name, delay_cycles, params.num_vcs, params.buffer_depth)
     if params.flow_control is FlowControlKind.ON_OFF:
+        depth = params.buffer_depth
+        if depth < 2 and delay_cycles > 1:
+            raise ValueError(
+                f"link {name}: ON/OFF flow control cannot keep a "
+                f"{delay_cycles}-cycle link from overflowing a "
+                f"{depth}-flit buffer"
+            )
         return OnOffLink(
             name,
             delay_cycles,
             params.num_vcs,
-            params.buffer_depth,
-            threshold=params.onoff_threshold,
+            depth,
+            threshold=min(max(params.onoff_threshold, delay_cycles), depth),
         )
     if params.flow_control is FlowControlKind.ACK_NACK:
         if params.num_vcs != 1:

@@ -552,7 +552,7 @@ class TargetNI:
     def free_slots(self, vc: int) -> int:
         return self.ejection_depth - len(self._buffer)
 
-    def accept(self, flit: Flit) -> bool:
+    def accept(self, flit: Flit, cycle: int) -> bool:
         if len(self._buffer) >= self.ejection_depth:
             return False
         self._buffer.append(flit)

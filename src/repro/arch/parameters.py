@@ -64,8 +64,9 @@ class NocParameters:
     max_packet_flits:
         Upper bound on packet length accepted by the NIs.
     onoff_threshold:
-        Free-slot threshold under which ON/OFF asserts OFF; must cover
-        the link round-trip to avoid overflow.
+        Free-slot threshold under which ON/OFF asserts OFF.  Each link
+        raises it to its own delay (within the buffer depth), which
+        covers the flits its stale sample cannot see.
     ack_nack_window:
         Retransmission window (= output buffer slots reserved per link).
     switch_latency_cycles:

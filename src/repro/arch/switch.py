@@ -73,24 +73,25 @@ class InputPort:
     def free_slots(self, vc: int) -> int:
         return self.depth - len(self.buffers[vc])
 
-    def accept(self, flit: Flit) -> bool:
+    def accept(self, flit: Flit, cycle: int) -> bool:
+        """Buffer a flit delivered in ``cycle``'s link phase.
+
+        The flit may be forwarded from ``cycle + latency`` on.  The
+        delivery lands before ``cycle``'s sample point, so an ON/OFF
+        upstream sees the new count from ``cycle`` on.
+        """
         buf = self.buffers[flit.vc]
         if len(buf) >= self.depth:
             return False
-        switch = self.switch
-        if switch.wakeup is not None:
-            # Event kernel: schedule the switch — and refresh its clock
-            # *before* stamping the ready cycle, since an idle switch
-            # was not ticked this cycle and its ``now`` may be stale.
-            switch.wakeup()
-        buf.append((flit, switch.now + self._latency))
+        buf.append((flit, cycle + self._latency))
         occupied = len(buf)
         if occupied > self.peak_occupancy:
             self.peak_occupancy = occupied
         if self._onoff is not None:
-            # Deliveries land in the link phase, before this cycle's
-            # sample point; ``now`` is the current cycle (see above).
-            self._onoff.observe(flit.vc, switch.now, self.depth - occupied)
+            self._onoff.observe(flit.vc, cycle, self.depth - occupied)
+        wakeup = self.switch.wakeup
+        if wakeup is not None:
+            wakeup()
         return True
 
     def head(self, vc: int, cycle: int) -> Optional[Flit]:
@@ -130,10 +131,9 @@ class SwitchModel:
         self.inputs: Dict[str, InputPort] = {}
         self.outputs: Dict[str, Link] = {}
         self._tdma: Dict[str, TdmaArbiter] = {}
-        self.now = -1  # updated at each tick; used for pipeline timing
         self.trace = None  # optional callback(cycle, flit) on forward
         # Event-kernel wakeup hook: fired by InputPort.accept so a
-        # delivery schedules the switch (and refreshes ``now``).
+        # delivery activates the switch.
         self.wakeup = None
         self.flits_forwarded = 0
         self.failed = False  # a dead switch neither buffers nor forwards
@@ -240,35 +240,29 @@ class SwitchModel:
     # ------------------------------------------------------------------
     # Per-cycle operation
     # ------------------------------------------------------------------
-    def tick(self, cycle: int) -> Optional[int]:
+    def tick(self, cycle: int) -> bool:
         """Arbitrate each output port and forward at most one flit on it.
 
         All (input, VC) head flits are scanned exactly once, so an input
         FIFO supplies at most one flit per cycle (the crossbar's input
         bandwidth constraint) and each output link carries at most one.
 
-        Returns the earliest *ready* stamp among the head flits still
-        buffered after forwarding, or None when every FIFO is empty.
-        The event kernel sleeps the switch until that cycle; the
-        reference kernel ignores the return value, and an empty switch
-        pays two no-op instructions for it.
+        Returns whether the switch still holds flits (False for a dead
+        switch).  The event kernel keeps the switch active while it
+        does; the reference kernel ignores the return value.
         """
-        self.now = cycle
         if self.failed:
-            return None
+            return False
         out_links = self._out_links
         locks = self._locks
         nvcs = self._nvcs
         requests = self._requests
         touched = None  # output indices with candidates, in scan order
-        occupied = None  # non-empty FIFOs, for the post-forward nr scan
+        held = 0  # non-empty FIFOs, less those a pop below empties
         for slot, vc, buf, port in self._scan:
             if not buf:
                 continue
-            if occupied is None:
-                occupied = [buf]
-            else:
-                occupied.append(buf)
+            held += 1
             flit, ready = buf[0]
             if cycle < ready:
                 continue
@@ -304,7 +298,7 @@ class SwitchModel:
                     self._stall_mark[oi] = cycle
                     self._stalls[oi] += 1
                 continue
-            cand = (slot, vc, flit, out_vc, link, li, port)
+            cand = (slot, vc, flit, out_vc, link, li, port, buf)
             cand_list = requests[oi]
             if cand_list is None:
                 requests[oi] = [cand]
@@ -339,8 +333,10 @@ class SwitchModel:
                     winner = self._arbitrate(oi, tdma, candidates, cycle)
                     if winner is None:
                         continue
-                __, vc, flit, out_vc, link, li, port = winner
+                __, vc, flit, out_vc, link, li, port, buf = winner
                 port.pop(vc, cycle)
+                if not buf:
+                    held -= 1
                 flit.vc = out_vc
                 if li >= 0:  # best-effort: wormhole lock ops
                     if flit.is_head:
@@ -357,18 +353,7 @@ class SwitchModel:
                 self.flits_forwarded += 1
                 if self.trace is not None:
                     self.trace(cycle, flit)
-        if occupied is None:
-            return None
-        # Re-peek only the FIFOs seen non-empty above: pops may have
-        # advanced (or emptied) their heads, and ready stamps within a
-        # FIFO are non-decreasing, so this minimum is exact.
-        nr = None
-        for buf in occupied:
-            if buf:
-                r = buf[0][1]
-                if nr is None or r < nr:
-                    nr = r
-        return nr
+        return held > 0
 
     def _arbitrate(
         self,

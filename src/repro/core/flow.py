@@ -27,7 +27,6 @@ from repro.arch.parameters import NocParameters
 from repro.core.evaluate import DesignPoint
 from repro.core.netlist import Netlist, generate_netlist, to_verilog
 from repro.core.pareto import knee_point
-from repro.core.simgen import SimulationModel, generate_simulation_model
 from repro.core.spec import CommunicationSpec
 from repro.core.sweep import DesignSpaceExplorer, SweepResult
 from repro.core.verification import VerificationReport, verify_design
@@ -48,10 +47,6 @@ class FlowResult:
     @property
     def pareto_front(self) -> List[DesignPoint]:
         return self.sweep.front
-
-    def simulation_model(self, spec: CommunicationSpec,
-                         params: Optional[NocParameters] = None) -> SimulationModel:
-        return generate_simulation_model(self.chosen, spec, params)
 
 
 class NocDesignFlow:

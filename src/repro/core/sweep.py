@@ -36,12 +36,6 @@ class SweepResult:
     def feasible_points(self) -> List[DesignPoint]:
         return [p for p in self.points if p.feasible]
 
-    def best_by(self, objective: str) -> DesignPoint:
-        feasible = self.feasible_points
-        if not feasible:
-            raise ValueError("no feasible design point")
-        return min(feasible, key=lambda p: (getattr(p, objective), p.name))
-
 
 class DesignSpaceExplorer:
     """Sweeps the synthesis knobs over one communication spec."""

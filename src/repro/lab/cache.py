@@ -16,9 +16,10 @@ leaves a half-written entry.  Each entry is a checksummed envelope
 (``{"__ck__": 1, "sha256": ..., "payload": ...}``): a torn, truncated,
 or bit-flipped file is *detected* on read — counted, evicted, and
 treated as a miss so the next compute rewrites it — rather than served
-as a subtly wrong result.  Pre-envelope entries (no marker) still read
-for compatibility; :meth:`ResultCache.verify` is the startup recovery
-scan that audits every entry at once.
+as a subtly wrong result.  An entry without the envelope marker counts
+as corrupt too: one flipped byte in the marker must not turn the whole
+envelope into a served result.  :meth:`ResultCache.verify` is the
+startup recovery scan that audits every entry at once.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def _unwrap(self, doc) -> Optional[dict]:
-        """Envelope to payload; ``None`` when the checksum disagrees."""
+        """Envelope to payload; ``None`` when the entry is no envelope
+        or its checksum disagrees."""
         if not (isinstance(doc, dict) and doc.get("__ck__") is not None):
-            return doc  # pre-envelope entry: accepted as-is
+            return None
         payload = doc.get("payload")
         if (
             not isinstance(payload, dict)
@@ -73,9 +75,10 @@ class ResultCache:
     def get(self, key: str) -> Optional[dict]:
         """The cached payload, or ``None`` on miss/corruption.
 
-        Corruption — undecodable JSON or a checksum that no longer
-        matches the payload — evicts the entry (so a later run
-        recomputes and rewrites it) and counts in :attr:`corrupt`.
+        Corruption — undecodable JSON, a missing envelope, or a
+        checksum that no longer matches the payload — evicts the entry
+        (so a later run recomputes and rewrites it) and counts in
+        :attr:`corrupt`.
         """
         path = self._path(key)
         try:
@@ -86,7 +89,7 @@ class ResultCache:
         try:
             payload = self._unwrap(json.loads(raw))
             if payload is None:
-                raise ValueError("cache entry checksum mismatch")
+                raise ValueError("cache entry fails its envelope check")
         except ValueError:
             self.corrupt += 1
             self.misses += 1
@@ -121,18 +124,16 @@ class ResultCache:
     def verify(self, repair: bool = True) -> dict:
         """Startup recovery scan: audit every entry, purge the broken.
 
-        Checks each entry decodes and (for enveloped entries) that its
-        checksum matches; with ``repair`` the failures are evicted so
-        they recompute instead of lurking.  Stale temp files from
-        writers killed mid-``put`` are removed too.  Returns a summary::
+        Checks each entry decodes to an envelope whose checksum
+        matches; with ``repair`` the failures are evicted so they
+        recompute instead of lurking.  Stale temp files from writers
+        killed mid-``put`` are removed too.  Returns a summary::
 
-            {"entries": n, "corrupt": [...keys...], "legacy": n,
-             "tempfiles_removed": n}
+            {"entries": n, "corrupt": [...keys...], "tempfiles_removed": n}
         """
         from repro.resilience.integrity import remove_stale_tempfiles
 
         corrupt = []
-        legacy = 0
         entries = 0
         for key in list(self.keys()):
             entries += 1
@@ -141,9 +142,6 @@ class ResultCache:
                 doc = json.loads(path.read_text())
             except (OSError, ValueError):
                 corrupt.append(key)
-                continue
-            if not (isinstance(doc, dict) and doc.get("__ck__") is not None):
-                legacy += 1
                 continue
             if self._unwrap(doc) is None:
                 corrupt.append(key)
@@ -154,7 +152,6 @@ class ResultCache:
         return {
             "entries": entries,
             "corrupt": corrupt,
-            "legacy": legacy,
             "tempfiles_removed": remove_stale_tempfiles(self.root),
         }
 

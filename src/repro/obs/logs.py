@@ -45,12 +45,6 @@ _CONTEXT: ContextVar[Optional[Dict[str, Any]]] = ContextVar(
 )
 
 
-def log_context() -> Dict[str, Any]:
-    """The explicit correlation fields bound for this context."""
-    ctx = _CONTEXT.get()
-    return dict(ctx) if ctx else {}
-
-
 @contextmanager
 def bind_log_context(**fields: Any):
     """Stamp ``fields`` (job_id, session, ...) on every log line inside.

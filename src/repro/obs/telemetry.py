@@ -123,10 +123,6 @@ class Span:
     def ended(self) -> bool:
         return self.duration_s is not None
 
-    @property
-    def end_unix(self) -> float:
-        return self.start_unix + (self.duration_s or 0.0)
-
     def event(self, name: str, **attrs: Any) -> dict:
         """Attach a point-in-time event at the current offset."""
         evt = {

@@ -154,9 +154,6 @@ class Floorplan:
         x0, y0, x1, y1 = self.bounding_box()
         return (x1 - x0) * (y1 - y0)
 
-    def total_block_area_mm2(self) -> float:
-        return sum(b.area_mm2 for b in self._blocks.values())
-
     def hpwl(self, nets: Sequence[Sequence[str]]) -> float:
         """Half-perimeter wirelength of a set of nets (block-name lists)."""
         total = 0.0

@@ -187,10 +187,3 @@ class ConnectionManager:
         # LUT's vc_path for GUARANTEED-class packets only).
         for admitted in self.admitted.values():
             simulator.initiators[admitted.connection.source].gt_vc = GT_VC
-
-    # ------------------------------------------------------------------
-    def link_gt_utilization(self) -> Dict[Tuple[str, str], float]:
-        """Fraction of slots reserved for GT per link."""
-        return {
-            link: table.utilization for link, table in self.link_tables.items()
-        }

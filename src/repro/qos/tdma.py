@@ -59,9 +59,6 @@ class SlotTable:
     def utilization(self) -> float:
         return 1.0 - self.free_slots / self.num_slots
 
-    def as_list(self) -> List[Optional[int]]:
-        return list(self._owner)
-
 
 def required_slots(bandwidth_fraction: float, num_slots: int) -> int:
     """Slots needed to guarantee a fraction of link bandwidth.

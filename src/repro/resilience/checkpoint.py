@@ -6,10 +6,10 @@ depends on: the pickled :class:`~repro.sim.simulator.NocSimulator`
 statistics), the traffic generator with its buffered lookahead draws,
 and the global packet-id watermark.  The layout is::
 
-    MAGIC | sha256(body) hex | "\\n" | pickle(body)
+    MAGIC | version (big-endian u32) | sha256(body) hex | "\\n" | pickle(body)
 
-so corruption is detected *before* unpickling, and a version stamp
-inside the body rejects capsules from an incompatible library.
+so a capsule from an incompatible library is refused, and corruption
+detected, *before* anything is unpickled.
 
 Byte-identity is the contract, leaning on two established invariants:
 
@@ -34,6 +34,7 @@ a ``ContextVar`` — the same side-channel pattern as
 from __future__ import annotations
 
 import pickle
+import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -50,10 +51,14 @@ from repro.resilience.integrity import (
 #: 2: ON/OFF links log free-slot changes instead of per-cycle samples,
 #: and switches keep int-indexed locks, arbiters and counters.
 #: 3: packets carry no per-hop port plan, and switches no wiring flag.
-CHECKPOINT_VERSION = 3
+#: 4: switches keep no clock; the version moved from the body to the
+#: header.
+CHECKPOINT_VERSION = 4
 
 _MAGIC = b"repro-ckpt\x00"
+_VERSION = struct.Struct(">I")
 _DIGEST_LEN = 64  # sha256 hexdigest
+_HEADER_LEN = len(_MAGIC) + _VERSION.size + _DIGEST_LEN + 1
 
 
 class CheckpointError(RuntimeError):
@@ -93,7 +98,6 @@ def snapshot_simulator(sim, traffic=None) -> bytes:
     frames = _Frames()
     pickle.dump(
         {
-            "version": CHECKPOINT_VERSION,
             "cycle": sim.cycle,
             "packet_watermark": packet_id_watermark(),
             "sim": sim,
@@ -104,24 +108,35 @@ def snapshot_simulator(sim, traffic=None) -> bytes:
     )
     body = b"".join(frames)
     del frames[:]  # free the frames before the capsule is copied out
+    return _encode(body)
+
+
+def _encode(body: bytes, version: int = CHECKPOINT_VERSION) -> bytes:
+    """Frame a pickle body as a capsule stamped with ``version``."""
     digest = payload_digest(body).encode("ascii")
-    return b"".join((_MAGIC, digest, b"\n", body))
+    return b"".join((_MAGIC, _VERSION.pack(version), digest, b"\n", body))
 
 
 def validate_capsule(capsule: bytes) -> bytes:
-    """Checksum-verify a capsule and return its pickle body.
+    """Version-check and checksum-verify a capsule; return its body.
 
-    Cheap (no unpickling); raises :class:`CheckpointCorruptError` on any
-    structural or checksum damage.
+    Cheap (no unpickling); raises :class:`CheckpointVersionError` on a
+    capsule from another library version and
+    :class:`CheckpointCorruptError` on any structural or checksum
+    damage.
     """
     if not capsule.startswith(_MAGIC):
         raise CheckpointCorruptError("not a checkpoint capsule (bad magic)")
-    rest = capsule[len(_MAGIC):]
-    if len(rest) < _DIGEST_LEN + 1 or rest[_DIGEST_LEN:_DIGEST_LEN + 1] != b"\n":
+    if len(capsule) < _HEADER_LEN or capsule[_HEADER_LEN - 1] != 0x0A:
         raise CheckpointCorruptError("truncated checkpoint capsule")
-    digest = rest[:_DIGEST_LEN].decode("ascii", "replace")
-    body = rest[_DIGEST_LEN + 1:]
-    if payload_digest(body) != digest:
+    (version,) = _VERSION.unpack_from(capsule, len(_MAGIC))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointVersionError(
+            f"checkpoint version {version} != supported {CHECKPOINT_VERSION}"
+        )
+    digest = capsule[_HEADER_LEN - 1 - _DIGEST_LEN:_HEADER_LEN - 1]
+    body = capsule[_HEADER_LEN:]
+    if payload_digest(body) != digest.decode("ascii", "replace"):
         raise CheckpointCorruptError(
             "checkpoint capsule failed its checksum (corrupt or truncated)"
         )
@@ -145,11 +160,6 @@ def restore_simulator(capsule: bytes):
         ) from exc
     if not isinstance(doc, dict) or "sim" not in doc:
         raise CheckpointCorruptError("checkpoint body has the wrong shape")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"checkpoint version {doc.get('version')!r} != "
-            f"supported {CHECKPOINT_VERSION}"
-        )
     set_packet_id_watermark(doc["packet_watermark"])
     return doc["sim"], doc["traffic"]
 
@@ -227,9 +237,10 @@ class CheckpointStore:
     def recovery_scan(self) -> dict:
         """Startup pass: drop temp-file orphans and corrupt capsules.
 
-        Validates every capsule's checksum (without unpickling) and
-        removes the ones that fail, so a later resume can trust whatever
-        the scan left behind.  Returns a summary dict.
+        Validates every capsule's version and checksum (without
+        unpickling) and removes the ones that fail, so a later resume
+        can trust whatever the scan left behind.  Returns a summary
+        dict.
         """
         tmp_removed = remove_stale_tempfiles(self.root)
         corrupt = []

@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.obs.telemetry import TRACE_HEADER, current_span
 from repro.resilience.supervise import RetryPolicy
-from repro.serve.protocol import JobSubmission, StreamOptions, TERMINAL_STATES
+from repro.serve.protocol import StreamOptions, TERMINAL_STATES
 
 
 class ServeError(Exception):
@@ -187,13 +187,6 @@ class ServeClient:
         if stream:
             body["stream"] = stream
         return self._checked("POST", "/jobs", body, trace_id=trace_id)
-
-    def submit_job(
-        self, submission: JobSubmission, trace_id: Optional[str] = None
-    ) -> dict:
-        return self._checked(
-            "POST", "/jobs", submission.to_dict(), trace_id=trace_id
-        )
 
     def metrics(self) -> str:
         """Raw Prometheus text from ``GET /metrics``."""

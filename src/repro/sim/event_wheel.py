@@ -5,27 +5,22 @@ removes the polling: components **post wakeups** when their state
 changes, each executed cycle touches only the components with pending
 work, and *provably quiescent* stretches are jumped over whole.
 
-Three structures drive the run loop:
+Two structures drive the run loop:
 
 * a :class:`WakeupWheel` of **link** deliveries — every ``Link.send``
   posts the flit's delivery cycle, so an idle pipelined link is never
   ticked between send and delivery;
-* a :class:`WakeupWheel` of **switch** ready cycles — a delivered flit
-  sits out the router pipeline (``switch_latency_cycles``) before it
-  can be forwarded, so the switch sleeps until the earliest buffered
-  flit's ready stamp instead of rescanning its ports every cycle;
 * per-class **active sets** (switches, initiator NIs, links, target
   NIs) holding the *level-triggered* wakeups: a component enters its
   set when work arrives and leaves when its own tick finds the work
-  gone (or, for a switch, provably ineligible until a known cycle).
+  gone.
 
 Wakeups are posted by the components themselves, through the optional
 ``wakeup`` hooks this scheduler installs:
 
-* ``InputPort.accept`` wakes its switch (refreshing ``switch.now``,
-  which the reference kernel refreshes by ticking every switch) by
-  posting the new flit's ready cycle on the switch wheel;
-* ``TargetNI.accept`` wakes the target;
+* ``InputPort.accept`` wakes its switch, ``TargetNI.accept`` its target
+  (both receive the delivery cycle from the link, so neither keeps a
+  clock of its own);
 * ``InitiatorNI.enqueue`` wakes the initiator — covering traffic
   injections, responses, end-to-end acks, and retransmission copies;
 * ``Link.send`` posts the delivery cycle on the link wheel (credit and
@@ -40,13 +35,14 @@ Byte-identity with the reference kernel rests on two invariants that
   draws (burst corruption, ACK/NACK error injection) and shared-
   receiver interactions happen in the reference order;
 * **no lost wakeup** — a component with pending work is always in its
-  active set or on a wheel (:meth:`EventScheduler.find_lost_wakeups`
+  active set or on the wheel (:meth:`EventScheduler.find_lost_wakeups`
   is the detector).
 
-A switch tick with no *ready* head flit mutates nothing (stall and
-contention counters only move when an eligible flit exists), so an
-occupied switch may sleep until the minimum ready stamp over its head
-flits; arrivals on the way post their own ready cycles.  An ON/OFF
+A switch stays active while it holds flits.  With a multi-stage
+pipeline (``switch_latency_cycles > 1``) that includes the cycles its
+head flits wait out the pipeline; those ticks find no *ready* head and
+mutate nothing (stall and contention counters only move when an
+eligible flit exists), so they cost time, not results.  An ON/OFF
 link needs no tick between deliveries: its receiver logs each change of
 the free-slot count the backpressure wire carries (see
 :class:`repro.arch.link.OnOffLink`).  Purges and fault repairs bypass
@@ -54,7 +50,7 @@ the hooks and trigger a full :meth:`rescan`.
 
 Everything the scheduler holds is derivable from component state, so
 checkpoint capsules do not carry it: :meth:`EventScheduler.rescan`
-rebuilds the wheels and the active sets exactly, and a restored
+rebuilds the wheel and the active sets exactly, and a restored
 simulator continues byte-identically (``tests/resilience/
 test_event_checkpoint.py``).
 """
@@ -76,9 +72,8 @@ class WakeupWheel:
     The run loop executes every cycle from the current one forward
     (jumps are bounded by :meth:`next_cycle`), so each bucket is popped
     exactly once, at its own cycle.  Stale tokens — a link whose
-    in-flight flits were purged or dropped by a fault after posting, a
-    switch whose waiting flit was forwarded by an earlier wakeup — are
-    harmless: ticking a component without eligible work is a no-op.
+    in-flight flits were purged or dropped by a fault after posting —
+    are harmless: ticking a link with nothing due is a no-op.
     """
 
     __slots__ = ("_buckets",)
@@ -114,14 +109,6 @@ class WakeupWheel:
             out.update(bucket)
         return out
 
-    def earliest_by_token(self) -> Dict[int, int]:
-        """token -> earliest posted cycle (for the lost-wakeup audit)."""
-        out: Dict[int, int] = {}
-        for cycle in sorted(self._buckets):
-            for token in self._buckets[cycle]:
-                out.setdefault(token, cycle)
-        return out
-
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets.values())
 
@@ -141,10 +128,7 @@ class EventScheduler:
 
     def __init__(self, sim):
         self._sim = weakref.ref(sim)
-        #: The cycle being executed (the switch wakers' clock).
-        self.now = sim.cycle
         self.wheel = WakeupWheel()    # link delivery cycles
-        self.swheel = WakeupWheel()   # switch ready cycles
         self.active_switches: Set[int] = set()
         self.active_initiators: Set[int] = set()
         self.active_targets: Set[int] = set()
@@ -153,7 +137,6 @@ class EventScheduler:
         #: lazily; a superset is safe, a miss would lose a deadline).
         self.rt_watch: Set[int] = set()
 
-        self._last_link_tick = [-1] * len(sim._link_seq)
         #: ACK/NACK links have per-cycle protocol work while busy and
         #: are level-active; every other link is wheel-managed (its
         #: deliveries are its only events).
@@ -174,44 +157,26 @@ class EventScheduler:
     def _install_wakers(self) -> None:
         sim = self.sim
         for i, sw in enumerate(sim._switch_seq):
-            sw.wakeup = self._make_switch_waker(i, sw)
+            sw.wakeup = self._make_activator(self.active_switches, i)
         for i, ni in enumerate(sim._initiator_seq):
             ni.wakeup = self._make_initiator_waker(i)
         for i, tgt in enumerate(sim._target_seq):
-            tgt.wakeup = self._make_target_waker(i)
+            tgt.wakeup = self._make_activator(self.active_targets, i)
         for i, link in enumerate(sim._link_seq):
             if self._acknack[i]:
                 link.wakeup = self._make_link_waker(i)
             else:
                 link.wakeup = self._make_delivery_waker(i)
 
-    # The wakers close over the active sets directly (``rescan`` mutates
-    # them in place rather than rebinding, to keep these references
-    # valid) and guard membership inline: wakeups fire on every send
-    # and delivery, and the common case — the component is already
-    # active — must cost one set lookup, not a method call.
-    def _make_switch_waker(self, i: int, sw):
-        latency = sw.params.switch_latency_cycles
-        active = self.active_switches
-
+    # The wakers close over the active sets and the wheel's buckets
+    # directly (``rescan`` mutates them in place rather than rebinding,
+    # to keep these references valid): wakeups fire on every send and
+    # delivery, so each must cost a set or dict operation, not a
+    # method call.
+    @staticmethod
+    def _make_activator(active: Set[int], i: int):
         def wake() -> None:
-            # The reference kernel refreshes ``now`` by ticking every
-            # switch every cycle; the waker refreshes it on delivery so
-            # InputPort.accept computes the same pipeline-ready cycle.
-            cyc = self.now
-            if sw.now < cyc:
-                sw.now = cyc
-            if i not in active:
-                # Deliveries land in the link phase, after this cycle's
-                # switch phase; the new flit is eligible at its ready
-                # stamp, never sooner than the next switch phase.  For
-                # the ubiquitous one-stage pipeline that stamp *is* the
-                # next switch phase, so level-activate directly and
-                # skip the post/pop round-trip through the wheel.
-                if latency <= 1:
-                    active.add(i)
-                else:
-                    self.swheel.post(cyc + latency, i)
+            active.add(i)
         return wake
 
     def _make_initiator_waker(self, i: int):
@@ -221,13 +186,6 @@ class EventScheduler:
         def wake() -> None:
             active.add(i)
             rt_watch.add(i)
-        return wake
-
-    def _make_target_waker(self, i: int):
-        active = self.active_targets
-
-        def wake() -> None:
-            active.add(i)
         return wake
 
     def _make_delivery_waker(self, i: int):
@@ -253,7 +211,7 @@ class EventScheduler:
     # Reconstruction (run start, post-fault, post-recovery, post-restore)
     # ------------------------------------------------------------------
     def rescan(self) -> None:
-        """Rebuild the wheels and active sets from component state.
+        """Rebuild the wheel and active sets from component state.
 
         Every scheduling fact is derivable: buffered flits, queued
         packets, in-flight deliveries and unacknowledged transfers.
@@ -264,11 +222,8 @@ class EventScheduler:
         buffers and hot-swap routes behind the hooks' back).
         """
         sim = self.sim
-        # The wheels and active sets are mutated in place, never
+        # The wheel and active sets are mutated in place, never
         # rebound: the wakeup closures hold direct references to them.
-        # Occupied switches start active and demote themselves to the
-        # switch wheel on their first tick if nothing is ready yet.
-        self.swheel.clear()
         self.active_switches.clear()
         self.active_switches.update(
             i for i, sw in enumerate(sim._switch_seq) if sw.occupancy
@@ -301,40 +256,22 @@ class EventScheduler:
     # ------------------------------------------------------------------
     def execute_cycle(self, c: int) -> None:
         sim = self._sim()
-        self.now = c
         if sim._fault_schedule is not None and sim._apply_due_faults(c):
             # Fault events rewire components wholesale (repairs reset
             # flow-control state, failures drop buffered work); rebuild
             # rather than patch.
             self.rescan()
 
-        # Phase 1: switches arbitrate and forward.
-        due = self.swheel._buckets.pop(c, None)
-        if due:
-            self.active_switches.update(due)
+        # Phase 1: switches arbitrate and forward.  tick() reports
+        # whether the switch still holds flits; a dead switch reports
+        # False (accepts keep waking it, and its repair forces a
+        # rescan), so the empty and failed cases demote alike.
         if self.active_switches:
             seq = sim._switch_seq
-            post = self.swheel.post
-            c1 = c + 1
             done = []
             for i in sorted(self.active_switches):
-                # tick() returns the earliest ready stamp over the head
-                # flits it leaves buffered.  Arrivals only append (each
-                # posting its own wakeup), and pops only happen in the
-                # tick — so the minimum is stable while the switch
-                # sleeps.  A dead switch's tick returns None (a no-op;
-                # accepts keep posting wakeups, and its repair forces a
-                # rescan), so the empty and failed cases demote alike.
-                nr = seq[i].tick(c)
-                if nr is None:
+                if not seq[i].tick(c):
                     done.append(i)
-                elif nr > c1:
-                    # Occupied but nothing eligible before ``nr``: a
-                    # tick without a ready head mutates no state (stall
-                    # and contention counters only move on eligible
-                    # flits), so sleeping until then is exact.
-                    done.append(i)
-                    post(nr, i)
             self.active_switches.difference_update(done)
 
         # Phase 2: initiator NIs inject.
@@ -350,10 +287,13 @@ class EventScheduler:
             self.active_initiators.difference_update(done)
 
         # Phase 3: links deliver (the active ACK/NACK links merged with
-        # the wheel's due bucket, in sorted link order).  No delivery
-        # activates a link, and an ACK/NACK link's protocol state only
-        # changes inside its own tick during this phase, so its
-        # deactivation verdict is final right after that tick.
+        # the wheel's due bucket, in sorted link order).  No link
+        # appears twice: a wheel link sends at most once per cycle at a
+        # fixed delay, so it posts each delivery cycle once, and
+        # ACK/NACK links are never on the wheel.  No delivery activates
+        # a link, and an ACK/NACK link's protocol state only changes
+        # inside its own tick during this phase, so its deactivation
+        # verdict is final right after that tick.
         order = self.wheel.pop_due(c)
         if self.active_links:
             order = [*order, *self.active_links]
@@ -361,13 +301,9 @@ class EventScheduler:
             if len(order) > 1:
                 order = sorted(order)
             seq = sim._link_seq
-            last = self._last_link_tick
             acknack = self._acknack
             done = None
             for i in order:
-                if last[i] == c:
-                    continue  # posted twice (active + wheel, or dupes)
-                last[i] = c
                 link = seq[i]
                 link.tick(c)
                 if acknack[i] and not link.busy:
@@ -459,7 +395,7 @@ class EventScheduler:
         """Jump target ``t`` with ``cycle < t <= limit``, or None.
 
         Only called when :meth:`quiescent` holds; the timed terms — the
-        wheels' next buckets, retransmission deadlines, scheduled
+        wheel's next bucket, retransmission deadlines, scheduled
         faults, the controller's wakeup, the probe's window boundary,
         and the traffic lookahead — bound the jump from above.  A jump
         never lands past the earliest of them, so every skipped cycle
@@ -471,9 +407,6 @@ class EventScheduler:
             return None
         horizon = limit
         nxt = self.wheel.next_cycle()
-        if nxt is not None and nxt < horizon:
-            horizon = nxt
-        nxt = self.swheel.next_cycle()
         if nxt is not None and nxt < horizon:
             horizon = nxt
         if self.rt_watch:
@@ -524,25 +457,12 @@ class EventScheduler:
         """
         sim = self.sim
         lost: List[str] = []
-        swheel_earliest = self.swheel.earliest_by_token()
+        active = self.active_switches
         for i, sw in enumerate(sim._switch_seq):
-            if not sw.occupancy or sw.failed or i in self.active_switches:
-                continue
-            nr = None
-            for port in sw.inputs.values():
-                for buf in port.buffers:
-                    if buf and (nr is None or buf[0][1] < nr):
-                        nr = buf[0][1]
-            token_at = swheel_earliest.get(i)
-            if token_at is None:
+            if sw.occupancy and not sw.failed and i not in active:
                 lost.append(
                     f"switch {sw.name}: {sw.occupancy} buffered flit(s) "
-                    "but no wakeup"
-                )
-            elif nr is not None and token_at > nr:
-                lost.append(
-                    f"switch {sw.name}: head flit ready at {nr} but "
-                    f"earliest wakeup at {token_at}"
+                    "but not active"
                 )
         for i, ni in enumerate(sim._initiator_seq):
             if ni.backlog and i not in self.active_initiators:

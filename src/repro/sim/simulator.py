@@ -25,13 +25,15 @@ Two run kernels share the per-cycle semantics of ``step()``:
   the oracle the differential tests compare against;
 * ``kernel="event"`` (the default) — components *post wakeups* instead
   of being polled: an :class:`repro.sim.event_wheel.EventScheduler`
-  keeps active sets plus a bucketed delivery wheel, each executed cycle
-  ticks only the components with pending work (in the reference
-  kernel's sorted phase order), and when the network is fully quiescent
-  the clock jumps straight to the earliest cycle at which any traffic
-  generator, in-flight link pipeline, NI retransmission timer, pending
-  response, fault-schedule entry, recovery controller or metrics window
-  can act.  Traffic lookahead buffers its draws for verbatim replay.
+  keeps active sets plus a bucketed delivery wheel, a delivery
+  activates its switch or target NI until that component's own tick
+  finds it empty, each executed cycle ticks only the components with
+  pending work (in the reference kernel's sorted phase order), and
+  when the network is fully quiescent the clock jumps straight to the
+  earliest cycle at which any traffic generator, in-flight link
+  pipeline, NI retransmission timer, pending response, fault-schedule
+  entry, recovery controller or metrics window can act.  Traffic
+  lookahead buffers its draws for verbatim replay.
 
 Both are byte-identical in stats, traces and recovery accounting
 (``tests/sim/test_kernel_equivalence.py`` enforces this over a

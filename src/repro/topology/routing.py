@@ -45,16 +45,6 @@ def _core_pairs(topo: Topology) -> Iterable[Tuple[str, str]]:
                 yield src, dst
 
 
-def _single_attachment(topo: Topology, core: str) -> str:
-    switches = topo.attached_switches(core)
-    if len(switches) != 1:
-        raise ValueError(
-            f"core {core!r} attaches to {len(switches)} switches; "
-            "this routing algorithm requires exactly one"
-        )
-    return switches[0]
-
-
 def route_all(
     topo: Topology,
     switch_path_fn: Callable[[str, str], List[str]],

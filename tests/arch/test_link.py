@@ -27,13 +27,13 @@ class FakeReceiver:
     def free_slots(self, vc):
         return self.depth - len(self.buffers[vc])
 
-    def accept(self, flit):
+    def accept(self, flit, cycle):
         if self.free_slots(flit.vc) <= 0:
             return False
         self.buffers[flit.vc].append(flit)
         return True
 
-    def pop(self, vc=0):
+    def pop(self, vc=0, cycle=None):
         return self.buffers[vc].pop(0)
 
     @property
@@ -104,8 +104,8 @@ class TestOnOffLink:
         link = OnOffLink("l", 2, 1, 2, threshold=1)
         link.connect(recv)
         # Fill the receiver directly; the sender still sees stale "empty".
-        recv.accept(make_flit())
-        recv.accept(make_flit())
+        recv.accept(make_flit(), 0)
+        recv.accept(make_flit(), 0)
         assert link.can_send(0, 0)  # stale observation says space
         link.tick(0)
         link.tick(1)  # two samples recorded: observed free = 0
@@ -154,16 +154,15 @@ class TestOnOffLink:
             def __init__(self, depth):
                 super().__init__(depth)
                 self.link = None
-                self.now = 0
 
-            def accept(self, flit):
-                ok = super().accept(flit)
-                self.link.observe(0, self.now, self.free_slots(0))
+            def accept(self, flit, cycle):
+                ok = super().accept(flit, cycle)
+                self.link.observe(0, cycle, self.free_slots(0))
                 return ok
 
-            def pop(self, vc=0):
+            def pop(self, vc=0, cycle=None):
                 flit = super().pop(vc)
-                self.link.observe(0, self.now, self.free_slots(0))
+                self.link.observe(0, cycle, self.free_slots(0))
                 return flit
 
         traces = []
@@ -176,9 +175,8 @@ class TestOnOffLink:
                 recv.link = link
             trace = []
             for cycle in range(200):
-                recv.now = cycle
                 if recv.total and rng.random() < 0.4:
-                    recv.pop()  # drains before the link phase
+                    recv.pop(0, cycle)  # drains before the link phase
                 ok = link.can_send(0, cycle)
                 if ok and rng.random() < 0.8:
                     link.send(make_flit(), cycle)
@@ -187,6 +185,51 @@ class TestOnOffLink:
             traces.append(trace)
         assert traces[0] == traces[1]
         assert any(not ok for ok, __ in traces[0])  # backpressure engaged
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("delay", range(1, 6))
+    def test_built_links_never_overflow(self, delay, depth):
+        """Every ON/OFF link the factory builds keeps a stalled or a
+        randomly draining receiver from overflowing; a delay and depth
+        pair that no threshold makes safe is refused instead."""
+        import random
+
+        def overflows(link, drain):
+            rng = random.Random(delay * 10 + depth)
+            recv = FakeReceiver(depth)
+            link.connect(recv)
+            try:
+                for cycle in range(300):
+                    if recv.total and rng.random() < drain:
+                        recv.pop()
+                    if link.can_send(0, cycle):
+                        link.send(make_flit(), cycle)
+                    link.tick(cycle)
+            except RuntimeError as exc:
+                assert "overflow" in str(exc)
+                return True
+            return False
+
+        params = NocParameters(buffer_depth=depth,
+                               onoff_threshold=min(2, depth))
+        try:
+            make_link("s0->s1", delay, params)
+        except ValueError as exc:
+            assert "s0->s1" in str(exc)
+            # Refused only where every threshold overflows.
+            assert all(
+                overflows(OnOffLink("l", delay, 1, depth, threshold=t), 0.0)
+                for t in range(1, depth + 1)
+            )
+            return
+        for drain in (0.0, 0.3, 0.7):
+            assert not overflows(make_link("s0->s1", delay, params), drain)
+
+    def test_threshold_covers_link_delay(self):
+        params = NocParameters(buffer_depth=4, onoff_threshold=2)
+        assert make_link("l", 1, params).threshold == 2
+        assert make_link("l", 3, params).threshold == 3
+        assert make_link("l", 6, params).threshold == 4
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,10 @@ from repro.arch.switch import SwitchModel
 
 
 PARAMS = NocParameters()
+#: Delivery cycle for flits placed before the first tick: they land in
+#: the link phase before cycle 0, so a one-stage switch forwards them
+#: from cycle 0 on.
+BEFORE_START = -1
 
 
 def wire_minimal():
@@ -132,10 +136,10 @@ class TestEndToEnd:
         pkt_b = Packet("b", "c", 3, ("b", "s0", "c"))
         for f in pkt_a.flits():
             f.hop = 1
-            p0.accept(f)
+            p0.accept(f, BEFORE_START)
         for f in pkt_b.flits():
             f.hop = 1
-            p1.accept(f)
+            p1.accept(f, BEFORE_START)
         sent_packets = []
         for c in range(3):
             switch.tick(c)
@@ -165,7 +169,7 @@ class TestEndToEnd:
         for pkt in (pkt_a, pkt_b):
             (f,) = pkt.flits()
             f.hop = 1
-            assert p0.accept(f)
+            assert p0.accept(f, BEFORE_START)
         switch.tick(0)
         # Only one of the two single-flit packets moved this cycle.
         assert switch.flits_forwarded == 1
@@ -181,7 +185,7 @@ class TestEndToEnd:
         pkt = Packet("a", "ghost", 1, ("a", "s0", "ghost"))
         (f,) = pkt.flits()
         f.hop = 1
-        p0.accept(f)
+        p0.accept(f, BEFORE_START)
         with pytest.raises(RuntimeError, match="unknown"):
             switch.tick(0)
 
@@ -204,7 +208,7 @@ class TestEndToEnd:
         for port, packet in ((pa, be), (pb, gt)):
             (f,) = packet.flits()
             f.hop = 1
-            assert port.accept(f)
+            assert port.accept(f, BEFORE_START)
         sent = []
         switch.trace = lambda cycle, flit: sent.append(flit.packet)
         switch.tick(0)
@@ -229,10 +233,10 @@ class TestEndToEnd:
         # Both from 'a' (same input port), on different VCs.
         for f in pkt_a.flits():
             f.hop, f.vc = 1, 0
-            assert p0.accept(f)
+            assert p0.accept(f, BEFORE_START)
         for f in pkt_b.flits():
             f.hop, f.vc = 1, 1
-            assert p0.accept(f)
+            assert p0.accept(f, BEFORE_START)
         for c in range(8):
             switch.tick(c)
             out.tick(c)
@@ -284,7 +288,7 @@ class TestTargetNI:
         pkt = Packet("a", "c", 3, ("a", "s0", "c"))
         for f in pkt.flits():
             f.hop = 2
-            target.accept(f)
+            target.accept(f, BEFORE_START)
         target.tick(0)
         target.tick(1)
         assert target.flits_received == 2
@@ -298,9 +302,9 @@ class TestTargetNI:
         flits = pkt.flits()
         for f in flits:
             f.hop = 2
-        assert target.accept(flits[0])
-        assert target.accept(flits[1])
-        assert not target.accept(flits[2])
+        assert target.accept(flits[0], BEFORE_START)
+        assert target.accept(flits[1], BEFORE_START)
+        assert not target.accept(flits[2], BEFORE_START)
         assert target.free_slots(0) == 0
 
     def test_responder_generates_response(self):
@@ -322,7 +326,7 @@ class TestTargetNI:
                      message_class=MessageClass.REQUEST)
         (flit,) = req.flits()
         flit.hop = 2
-        target.accept(flit)
+        target.accept(flit, 4)
         target.tick(5)
         assert response_ni.backlog == 1
 
@@ -334,6 +338,6 @@ class TestTargetNI:
                      message_class=MessageClass.REQUEST)
         (flit,) = req.flits()
         flit.hop = 2
-        target.accept(flit)
+        target.accept(flit, BEFORE_START)
         with pytest.raises(RuntimeError, match="no response"):
             target.tick(0)

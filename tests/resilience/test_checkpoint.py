@@ -155,6 +155,20 @@ class TestSnapshotRestore:
         reset_packet_ids()
 
 
+_TRIPPED = []
+
+
+def _trip():
+    _TRIPPED.append(True)
+
+
+class _Tripwire:
+    """Unpickles by calling :func:`_trip`."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
 class TestCapsuleIntegrity:
     def _capsule(self):
         sim, traffic = _build_fault_sim()
@@ -173,7 +187,6 @@ class TestCapsuleIntegrity:
         body = validate_capsule(snapshot_simulator(sim, traffic))
         assert body == pickle.dumps(
             {
-                "version": CHECKPOINT_VERSION,
                 "cycle": sim.cycle,
                 "packet_watermark": packet_id_watermark(),
                 "sim": sim,
@@ -202,15 +215,8 @@ class TestCapsuleIntegrity:
     def test_future_version_rejected(self):
         from repro.resilience import checkpoint as ck
 
-        doc = pickle.loads(validate_capsule(self._capsule()))
-        doc["version"] = CHECKPOINT_VERSION + 1
-        body = pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
-        forged = (
-            ck._MAGIC
-            + ck.payload_digest(body).encode("ascii")
-            + b"\n"
-            + body
-        )
+        body = validate_capsule(self._capsule())
+        forged = ck._encode(body, version=CHECKPOINT_VERSION + 1)
         with pytest.raises(CheckpointVersionError):
             restore_simulator(forged)
 
@@ -219,17 +225,26 @@ class TestCapsuleIntegrity:
         # holds the old component state layout: refuse it.
         from repro.resilience import checkpoint as ck
 
-        doc = pickle.loads(validate_capsule(self._capsule()))
-        doc["version"] = CHECKPOINT_VERSION - 1
-        body = pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
-        forged = (
-            ck._MAGIC
-            + ck.payload_digest(body).encode("ascii")
-            + b"\n"
-            + body
-        )
+        body = validate_capsule(self._capsule())
+        forged = ck._encode(body, version=CHECKPOINT_VERSION - 1)
         with pytest.raises(CheckpointVersionError):
             restore_simulator(forged)
+
+    def test_version_refused_before_unpickling(self):
+        # A stale capsule is refused on its header alone: its body,
+        # which runs code when unpickled, is never decoded.
+        from repro.resilience import checkpoint as ck
+
+        body = pickle.dumps(_Tripwire(), protocol=pickle.HIGHEST_PROTOCOL)
+        _TRIPPED.clear()
+        with pytest.raises(CheckpointVersionError):
+            restore_simulator(ck._encode(body, version=CHECKPOINT_VERSION - 1))
+        assert not _TRIPPED
+        # The same body under the current version is decoded (and then
+        # refused for its shape), so the tripwire does fire.
+        with pytest.raises(CheckpointCorruptError):
+            restore_simulator(ck._encode(body))
+        assert _TRIPPED
 
 
 class TestCheckpointStore:

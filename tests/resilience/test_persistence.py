@@ -67,32 +67,36 @@ class TestChecksummedCache:
         assert cache.get(KEY) is None
         assert cache.corrupt == 1
 
-    def test_legacy_unenveloped_entry_still_reads(self, tmp_path):
+    def test_flipped_marker_is_corrupt(self, tmp_path):
+        # One flipped byte in the envelope marker must not make the
+        # whole envelope read back as the result.
         cache = ResultCache(tmp_path)
+        cache.put(KEY, {"x": 3})
         path = cache._path(KEY)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"x": 3}')
-        assert cache.get(KEY) == {"x": 3}
-        assert cache.corrupt == 0
+        path.write_text(path.read_text().replace('"__ck__"', '"__cj__"'))
+        assert cache.verify(repair=False)["corrupt"] == [KEY]
+        assert cache.get(KEY) is None
+        assert cache.corrupt == 1
+        assert not path.exists()
 
     def test_verify_scan_repairs(self, tmp_path):
         cache = ResultCache(tmp_path)
-        good, bad, legacy = "b" * 64, "c" * 64, "d" * 64
+        good, bad, unmarked = "b" * 64, "c" * 64, "d" * 64
         cache.put(good, {"ok": True})
         cache.put(bad, {"ok": False})
         bad_path = cache._path(bad)
         bad_path.write_text(bad_path.read_text()[:-8])
-        legacy_path = cache._path(legacy)
-        legacy_path.parent.mkdir(parents=True, exist_ok=True)
-        legacy_path.write_text('{"old": 1}')
+        unmarked_path = cache._path(unmarked)
+        unmarked_path.parent.mkdir(parents=True, exist_ok=True)
+        unmarked_path.write_text('{"old": 1}')
         (tmp_path / "bb" / ".tmp-dead.json").write_bytes(b"x")
         report = cache.verify(repair=True)
         assert report["entries"] == 3
-        assert report["corrupt"] == [bad]
-        assert report["legacy"] == 1
+        assert sorted(report["corrupt"]) == [bad, unmarked]
         assert report["tempfiles_removed"] == 1
         assert cache.get(good) == {"ok": True}
         assert not bad_path.exists()
+        assert not unmarked_path.exists()
 
 
 class TestStoreRecoverySummary:

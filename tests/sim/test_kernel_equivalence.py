@@ -65,7 +65,7 @@ def _make_configs():
             "buffer": 4, "traffic": "synthetic", "pattern": "uniform",
             "rate": 0.05, "packet_size": 4, "cycles": 600, "warmup": 100,
             "seed": rng.randrange(1, 1000), "faults": "none",
-            "metrics": 0, "trace": False,
+            "metrics": 0, "trace": False, "latency": 1,
         }
         base.update(kw)
         base["id"] = (
@@ -73,6 +73,8 @@ def _make_configs():
             f"{base['fc']}-{base['traffic']}-{base['faults']}"
             f"-r{base['rate']}"
         )
+        if base["latency"] != 1:
+            base["id"] += f"-lat{base['latency']}"
         configs.append(base)
 
     # Topology x flow-control sweep at skip-friendly (low) load.
@@ -110,6 +112,15 @@ def _make_configs():
 
     # Irregular topology (no standard preset; shortest-path routed).
     add(topology="irregular", size=0, fc="credit", rate=0.01)
+
+    # Multi-stage switch pipelines: a switch stays active while its
+    # head flits wait out the pipeline, at low and saturating load,
+    # across flow controls and under online recovery.
+    add(latency=2, rate=0.01)
+    add(latency=3, rate=0.10, pattern="transpose", fc="credit")
+    add(latency=2, topology="torus", size=4, vcs=2, rate=0.03)
+    add(latency=3, fc="ack_nack", rate=0.02)
+    add(latency=2, faults="recovery", rate=0.02, cycles=1200, metrics=100)
     return configs
 
 
@@ -136,6 +147,7 @@ def _build_sim(config, kernel):
         output_buffer_depth=(
             config["buffer"] if config["fc"] == "ack_nack" else 0
         ),
+        switch_latency_cycles=config["latency"],
     )
     return NocSimulator(topo, table, params, vc_assignment=vca,
                         warmup_cycles=config["warmup"], kernel=kernel)

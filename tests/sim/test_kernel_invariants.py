@@ -37,13 +37,14 @@ from repro.sim import (
 from repro.topology.presets import standard_instance
 
 
-def _fresh_sim(topology, size, fc, kernel, warmup=0):
+def _fresh_sim(topology, size, fc, kernel, warmup=0, latency=1):
     inst = standard_instance(topology, size)
     params = NocParameters(
         flow_control=FlowControlKind(fc),
         num_vcs=max(inst.min_vcs, 1),
         buffer_depth=4,
         output_buffer_depth=4 if fc == "ack_nack" else 0,
+        switch_latency_cycles=latency,
     )
     sim = NocSimulator(inst.topology, inst.table, params,
                        vc_assignment=inst.vc_assignment,
@@ -57,6 +58,7 @@ _CONFIG = st.tuples(
     st.floats(min_value=0.001, max_value=0.15),
     st.integers(min_value=1, max_value=6),     # packet size
     st.integers(min_value=0, max_value=2**16),  # seed
+    st.integers(min_value=1, max_value=3),     # switch pipeline stages
 )
 
 
@@ -64,9 +66,9 @@ class TestConservation:
     @settings(max_examples=12, deadline=None)
     @given(_CONFIG)
     def test_no_flit_lost_or_duplicated_fault_free(self, config):
-        (topology, size), fc, rate, packet_size, seed = config
+        (topology, size), fc, rate, packet_size, seed, latency = config
         reset_packet_ids()
-        sim, __ = _fresh_sim(topology, size, fc, "event")
+        sim, __ = _fresh_sim(topology, size, fc, "event", latency=latency)
         traffic = SyntheticTraffic("uniform", rate, packet_size, seed=seed)
         sim.run(400, traffic, drain=True)
         assert sim.idle
@@ -115,16 +117,18 @@ class TestLatencyLowerBound:
     @settings(max_examples=12, deadline=None)
     @given(_CONFIG)
     def test_no_packet_beats_zero_load_latency(self, config):
-        (topology, size), fc, rate, packet_size, seed = config
+        (topology, size), fc, rate, packet_size, seed, latency = config
         reset_packet_ids()
-        sim, table = _fresh_sim(topology, size, fc, "event")
+        sim, table = _fresh_sim(topology, size, fc, "event",
+                                latency=latency)
         traffic = SyntheticTraffic("uniform", rate, packet_size, seed=seed)
         sim.run(400, traffic, drain=True)
         for r in sim.stats.records:
             hops = len(table.route(r.source, r.destination).path) - 1
-            # Each edge of the route costs at least one cycle, and the
-            # tail flit trails the head by at least size-1 cycles.
-            floor = hops + (r.size_flits - 1)
+            # Each edge of the route costs at least one cycle, each of
+            # its hops - 1 switches holds a flit latency - 1 more, and
+            # the tail flit trails the head by at least size-1 cycles.
+            floor = hops + (hops - 1) * (latency - 1) + (r.size_flits - 1)
             assert r.latency >= floor, (
                 f"{r.source}->{r.destination} took {r.latency} cycles, "
                 f"below the zero-load floor {floor}"
@@ -231,9 +235,9 @@ class TestEventWakeupAudit:
         """Every jump lands at or before the earliest posted wheel
         entry, scheduled fault, retransmission deadline, and metrics
         window boundary (snapshotted *before* the jump lands)."""
-        (topology, size), fc, rate, packet_size, seed = config
+        (topology, size), fc, rate, packet_size, seed, latency = config
         reset_packet_ids()
-        sim, __ = _fresh_sim(topology, size, fc, "event")
+        sim, __ = _fresh_sim(topology, size, fc, "event", latency=latency)
         if topology == "mesh":
             sim.attach_fault_schedule(FaultSchedule(list(self._FAULTS)))
         sim.enable_retransmission(RetransmissionPolicy(
@@ -294,9 +298,9 @@ class TestEventWakeupAudit:
     def test_no_lost_wakeups_throughout_run(self, config):
         """After every executed cycle, every component with pending
         work is in an active set or on the wheel."""
-        (topology, size), fc, rate, packet_size, seed = config
+        (topology, size), fc, rate, packet_size, seed, latency = config
         reset_packet_ids()
-        sim, __ = _fresh_sim(topology, size, fc, "event")
+        sim, __ = _fresh_sim(topology, size, fc, "event", latency=latency)
         if topology == "mesh":
             sim.attach_fault_schedule(FaultSchedule(list(self._FAULTS)))
             sim.enable_retransmission(RetransmissionPolicy(
