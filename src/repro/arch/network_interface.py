@@ -28,16 +28,26 @@ from repro.arch.packet import EndToEndAck, Flit, MessageClass, Packet
 from repro.arch.parameters import NocParameters
 
 
+#: One LUT entry: the node path and its per-hop VC indices (or None).
+LutEntry = Tuple[Tuple[str, ...], Optional[Tuple[int, ...]]]
+
+
 class RoutingLut:
     """The NI look-up table: destination core -> (route, vc path).
 
     The LUT is the hardware the paper's reconfigurable-NoC claims hinge
     on: recovery from hard faults is a LUT rewrite, so entries can be
     replaced or removed at run time (:meth:`set` / :meth:`remove`).
+
+    ``fill(destination)`` loads a missing entry on first use (or returns
+    None when there is no route); the simulator passes one that reads its
+    current routing table, so a LUT holds only the destinations its core
+    has used.  A hit is one dict lookup.
     """
 
-    def __init__(self):
-        self._entries: Dict[str, Tuple[Tuple[str, ...], Optional[Tuple[int, ...]]]] = {}
+    def __init__(self, fill: Optional[Callable[[str], Optional[LutEntry]]] = None):
+        self._entries: Dict[str, LutEntry] = {}
+        self._fill = fill
 
     def set(self, destination: str, route: Tuple[str, ...],
             vc_path: Optional[Tuple[int, ...]] = None) -> None:
@@ -48,16 +58,29 @@ class RoutingLut:
         self._entries.pop(destination, None)
 
     def destinations(self) -> List[str]:
+        """The destinations loaded so far."""
         return sorted(self._entries)
 
-    def lookup(self, destination: str) -> Tuple[Tuple[str, ...], Optional[Tuple[int, ...]]]:
+    def lookup(self, destination: str) -> LutEntry:
         try:
             return self._entries[destination]
         except KeyError:
-            raise KeyError(f"NI LUT has no route to {destination!r}") from None
+            pass
+        entry = self._load(destination)
+        if entry is None:
+            raise KeyError(f"NI LUT has no route to {destination!r}")
+        return entry
 
     def __contains__(self, destination: str) -> bool:
-        return destination in self._entries
+        return destination in self._entries or self._load(destination) is not None
+
+    def _load(self, destination: str) -> Optional[LutEntry]:
+        if self._fill is None:
+            return None
+        entry = self._fill(destination)
+        if entry is not None:
+            self._entries[destination] = entry
+        return entry
 
     def __len__(self) -> int:
         return len(self._entries)

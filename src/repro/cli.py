@@ -1047,6 +1047,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("simulate", "observe") and not 0 <= args.warmup < args.cycles:
+        # Statistics cover the cycles after the warm-up: none would be left.
+        parser.error(
+            f"{args.command}: --warmup must be >= 0 and below --cycles "
+            f"(got --warmup {args.warmup}, --cycles {args.cycles})"
+        )
     return args.func(args)
 
 

@@ -12,6 +12,7 @@ the same evaluator as the custom designs.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.evaluate import DesignEvaluator, DesignPoint
@@ -131,9 +132,7 @@ def _mesh_network(
 
     # XY routes for the spec's flow pairs only, in first-seen flow order.
     pairs = dict.fromkeys((f.source, f.destination) for f in spec.flows)
-    table = route_all(
-        topo, lambda s, d: _xy_switch_path(topo, s, d, x_first=True), pairs
-    )
+    table = route_all(topo, partial(_xy_switch_path, topo, x_first=True), pairs)
     return f"{spec.name}-mesh{width}x{height}", topo, table
 
 

@@ -53,7 +53,9 @@ from repro.resilience.integrity import (
 #: 3: packets carry no per-hop port plan, and switches no wiring flag.
 #: 4: switches keep no clock; the version moved from the body to the
 #: header.
-CHECKPOINT_VERSION = 4
+#: 5: routing tables and NI LUTs fill on first lookup and carry their
+#: rule and route source.
+CHECKPOINT_VERSION = 5
 
 _MAGIC = b"repro-ckpt\x00"
 _VERSION = struct.Struct(">I")

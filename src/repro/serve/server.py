@@ -81,12 +81,16 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+#: Seconds a client has to send one whole request, head and body.
+REQUEST_DEADLINE_S = 30.0
 
 #: Frames buffered per job for late/slow stream consumers.
 DEFAULT_STREAM_BUFFER = 4096
@@ -540,31 +544,52 @@ class SimulationServer:
     async def _read_request(
         self, reader
     ) -> Tuple[str, str, Dict[str, str], bytes]:
+        """Read one request within :data:`REQUEST_DEADLINE_S`; every way
+        it can fail is a :class:`ProtocolError`."""
         try:
-            request_line = await asyncio.wait_for(
-                reader.readline(), timeout=30.0
+            return await asyncio.wait_for(
+                self._parse_request(reader), timeout=REQUEST_DEADLINE_S
             )
         except asyncio.TimeoutError:
-            raise ProtocolError(400, "timed out reading request") from None
-        parts = request_line.decode("latin-1").split()
+            raise ProtocolError(408, "timed out reading request") from None
+
+    async def _parse_request(
+        self, reader
+    ) -> Tuple[str, str, Dict[str, str], bytes]:
+        parts = (await self._read_line(reader)).decode("latin-1").split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise ProtocolError(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             if len(headers) > 64 or len(line) > 8192:
                 raise ProtocolError(400, "oversized request headers")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        raw_length = headers.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ProtocolError(400, f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise ProtocolError(413, "request body too large")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            raise ProtocolError(
+                400, "request body shorter than its Content-Length"
+            ) from None
         path = target.split("?", 1)[0]
         return method, path, headers, body
+
+    @staticmethod
+    async def _read_line(reader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # the line outgrew the stream's buffer limit
+            raise ProtocolError(400, "oversized request headers") from None
 
     def _write_head(
         self, writer, status: int, content_type: str, extra=()

@@ -44,11 +44,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.arch.link import AckNackLink, Link, make_link
 from repro.arch.network_interface import (
     InitiatorNI,
+    LutEntry,
     RetransmissionPolicy,
     RoutingLut,
     TargetNI,
@@ -106,6 +108,30 @@ class DrainTimeoutError(RuntimeError):
         )
 
 
+class _RouteSource:
+    """The simulator's current routes, which NI LUTs load on first use.
+
+    Held apart from the simulator so a LUT reaches its routes without
+    holding the simulator (a dropped simulator stays free of reference
+    cycles).
+    """
+
+    def __init__(self, table: RoutingTable,
+                 vc_assignment: Optional[Mapping[Tuple[str, str], Sequence[int]]]):
+        self.table = table
+        self.vc_assignment = vc_assignment
+
+    def entry(self, core: str, destination: str) -> Optional[LutEntry]:
+        table = self.table
+        if destination == core or not table.has_route(core, destination):
+            return None
+        vcs = None
+        if self.vc_assignment is not None:
+            raw = self.vc_assignment.get((core, destination))
+            vcs = tuple(raw) if raw is not None else None
+        return table.route(core, destination).path, vcs
+
+
 @dataclass(frozen=True)
 class RecoveryOutcome:
     """What one live reconfiguration did to the running network."""
@@ -150,7 +176,7 @@ class NocSimulator:
     ):
         _check_kernel(kernel)
         self.topology = topology
-        self.routing_table = routing_table
+        self._route_source = _RouteSource(routing_table, vc_assignment)
         self.params = params
         self.link_error_probability = link_error_probability
         self.kernel = kernel
@@ -188,7 +214,7 @@ class NocSimulator:
         self._event_sched = None
         self._event_audit: Optional[Callable[[int], None]] = None
 
-        self._build(vc_assignment)
+        self._build()
         self._switch_order = sorted(self.switches)
         self._initiator_order = sorted(self.initiators)
         self._target_order = sorted(self.targets)
@@ -210,21 +236,17 @@ class NocSimulator:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self, vc_assignment) -> None:
+    @property
+    def routing_table(self) -> RoutingTable:
+        """The routes the NI LUTs load from (see :meth:`hot_swap_routing`)."""
+        return self._route_source.table
+
+    def _build(self) -> None:
         topo = self.topology
         for sw in topo.switches:
             self.switches[sw] = SwitchModel(sw, self.params)
         for core in topo.cores:
-            lut = RoutingLut()
-            for dst in topo.cores:
-                if dst == core or not self.routing_table.has_route(core, dst):
-                    continue
-                route = self.routing_table.route(core, dst)
-                vcs = None
-                if vc_assignment is not None:
-                    raw = vc_assignment.get((core, dst))
-                    vcs = tuple(raw) if raw is not None else None
-                lut.set(dst, route.path, vcs)
+            lut = RoutingLut(partial(self._route_source.entry, core))
             self.initiators[core] = InitiatorNI(core, self.params, lut)
             self.targets[core] = TargetNI(core, self.params)
             self.targets[core].response_ni = self.initiators[core]
@@ -766,13 +788,21 @@ class NocSimulator:
 
         VC assignments are reset: recovery tables come from up*/down*
         routing, which is deadlock-free on a single virtual channel.
+        A route the swap leaves unchanged keeps its VC path, so every
+        LUT first loads all its entries from the old routes.
         """
         cores = self.topology.cores
+        loaded = {
+            core: {dst for dst in cores if dst in self.initiators[core].lut}
+            for core in self._initiator_order
+        }
+        self._route_source.table = new_table
+        self._route_source.vc_assignment = None
         routes_changed = 0
         abandoned = 0
         for core in self._initiator_order:
             ni = self.initiators[core]
-            current = set(ni.lut.destinations())
+            current = loaded[core]
             fresh = {
                 dst
                 for dst in cores
@@ -787,7 +817,6 @@ class NocSimulator:
                     ni.lut.set(dst, path, None)
                     routes_changed += 1
             abandoned += ni.abandon_unreachable(cycle)
-        self.routing_table = new_table
         return routes_changed, abandoned
 
     def purge_packets(self, predicate, cycle: int) -> int:

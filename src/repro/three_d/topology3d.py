@@ -8,9 +8,10 @@ metal, so the network diameter (in wire-millimeters) collapses.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Tuple
 
-from repro.topology.graph import NodeKind, Route, RoutingTable, Topology
+from repro.topology.graph import NodeKind, RoutingTable, Topology
 from repro.three_d.tsv import VerticalLinkDesign
 
 # Physical length of one vertical hop (die thickness after thinning), mm.
@@ -82,36 +83,25 @@ def mesh3d(
 
 def xyz_routing(topo: Topology) -> RoutingTable:
     """Dimension-ordered X, then Y, then Z (deadlock-free on 3D meshes)."""
-    coords = {}
-    for sw in topo.switches:
-        attrs = topo.node_attrs(sw)
-        coords[sw] = (attrs["x"], attrs["y"], attrs["z"])
+    return RoutingTable(topo, partial(_xyz_path, topo))
 
-    table = RoutingTable(topo)
-    cores = topo.cores
-    for src in cores:
-        a = topo.node_attrs(src)
-        sx, sy, sz = a["x"], a["y"], a["z"]
-        for dst in cores:
-            if dst == src:
-                continue
-            b = topo.node_attrs(dst)
-            dx, dy, dz = b["x"], b["y"], b["z"]
-            path = [src]
-            x, y, z = sx, sy, sz
-            path.append(switch_name(x, y, z))
-            while x != dx:
-                x += 1 if dx > x else -1
-                path.append(switch_name(x, y, z))
-            while y != dy:
-                y += 1 if dy > y else -1
-                path.append(switch_name(x, y, z))
-            while z != dz:
-                z += 1 if dz > z else -1
-                path.append(switch_name(x, y, z))
-            path.append(dst)
-            table.set_route(Route(tuple(path)))
-    return table
+
+def _xyz_path(topo: Topology, src: str, dst: str) -> List[str]:
+    a, b = topo.node_attrs(src), topo.node_attrs(dst)
+    x, y, z = a["x"], a["y"], a["z"]
+    dx, dy, dz = b["x"], b["y"], b["z"]
+    path = [src, switch_name(x, y, z)]
+    while x != dx:
+        x += 1 if dx > x else -1
+        path.append(switch_name(x, y, z))
+    while y != dy:
+        y += 1 if dy > y else -1
+        path.append(switch_name(x, y, z))
+    while z != dz:
+        z += 1 if dz > z else -1
+        path.append(switch_name(x, y, z))
+    path.append(dst)
+    return path
 
 
 def routes_2d_only(topo: Topology, table: RoutingTable) -> RoutingTable:

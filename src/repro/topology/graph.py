@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -262,18 +262,46 @@ class RoutingTable:
     This is the design-time artifact stored in the NI Look-Up Tables
     ("NI LUTs specify the path that packets will follow in the network to
     reach their destination (source routing)", Section 3).
+
+    A table is filled one of two ways.  Synthesized and irregular tables
+    get every route through :meth:`set_route`.  A rule-routed table
+    (``rule(src, dst)`` returns the node path) answers the pairs of
+    ``pairs`` (default: every ordered pair of distinct cores) and
+    computes each route on its first lookup, then keeps it.  Iterating,
+    ``len``, :meth:`pairs`, :meth:`link_loads` and :meth:`set_route`
+    first compute every route and keep them in ``pairs`` order, as if
+    all had been set in that order.  A rule must pickle (a module-level function, or a
+    :func:`functools.partial` of one), because checkpoints pickle the
+    table.
     """
 
-    def __init__(self, topology: Topology):
+    def __init__(
+        self,
+        topology: Topology,
+        rule: Optional[Callable[[str, str], Sequence[str]]] = None,
+        pairs: Optional[Iterable[Tuple[str, str]]] = None,
+    ):
         self.topology = topology
         self._routes: Dict[Tuple[str, str], Route] = {}
+        self._rule = rule
+        # The rule's pairs: given explicitly (first-seen order), or every
+        # ordered pair of these cores.
+        self._pairs = None if pairs is None else dict.fromkeys(pairs)
+        self._cores = (
+            dict.fromkeys(topology.cores)
+            if rule is not None and pairs is None else None
+        )
 
     def set_route(self, route: Route) -> None:
+        self._complete()
+        self._check(route.path)
+        self._routes[(route.source, route.destination)] = route
+
+    def _check(self, path: Tuple[str, ...]) -> None:
         # networkx's own node and adjacency dicts: route tables hold one
         # entry per core pair, too many to check through view objects.
         graph = self.topology.graph
         nodes, succ = graph._node, graph._succ
-        path = route.path
         for node in path:
             if node not in nodes:
                 raise KeyError(f"route references unknown node {node!r}")
@@ -287,24 +315,68 @@ class RoutingTable:
         for mid in path[1:-1]:
             if nodes[mid]["kind"] is not NodeKind.SWITCH:
                 raise ValueError(f"route transits non-switch node {mid!r}")
-        self._routes[(route.source, route.destination)] = route
+
+    def _answers(self, src: str, dst: str) -> bool:
+        """Whether the rule owes a route for this pair."""
+        if self._rule is None:
+            return False
+        if self._pairs is not None:
+            return (src, dst) in self._pairs
+        return src != dst and src in self._cores and dst in self._cores
+
+    def _fill(self, src: str, dst: str) -> Route:
+        route = self._routes[(src, dst)] = self._compute(src, dst)
+        return route
+
+    def _compute(self, src: str, dst: str) -> Route:
+        route = Route(tuple(self._rule(src, dst)))
+        self._check(route.path)
+        return route
+
+    def _complete(self) -> None:
+        """Compute every route the rule owes, in ``pairs`` order; the
+        table then holds them all, like one filled by :meth:`set_route`."""
+        if self._rule is None:
+            return
+        if self._pairs is not None:
+            order = list(self._pairs)
+        else:
+            cores = list(self._cores)
+            order = [(s, d) for s in cores for d in cores if s != d]
+        known = self._routes
+        self._routes = {
+            pair: known[pair] if pair in known else self._compute(*pair)
+            for pair in order
+        }
+        self._rule = self._pairs = self._cores = None
 
     def route(self, src: str, dst: str) -> Route:
         try:
             return self._routes[(src, dst)]
         except KeyError:
-            raise KeyError(f"no route {src!r} -> {dst!r}") from None
+            pass
+        if self._answers(src, dst):
+            return self._fill(src, dst)
+        raise KeyError(f"no route {src!r} -> {dst!r}")
 
     def has_route(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._routes
+        if (src, dst) in self._routes:
+            return True
+        if not self._answers(src, dst):
+            return False
+        self._fill(src, dst)
+        return True
 
     def __len__(self) -> int:
+        self._complete()
         return len(self._routes)
 
     def __iter__(self) -> Iterator[Route]:
+        self._complete()
         return iter(self._routes.values())
 
     def pairs(self) -> List[Tuple[str, str]]:
+        self._complete()
         return list(self._routes)
 
     def link_loads(self, flow_rates: Optional[Dict[Tuple[str, str], float]] = None
@@ -315,6 +387,7 @@ class RoutingTable:
         bandwidth in bits/s per (src, dst)), loads are weighted — the
         quantity synthesis compares against link capacity.
         """
+        self._complete()
         loads: Dict[Tuple[str, str], float] = {}
         for (src, dst), route in self._routes.items():
             weight = 1.0 if flow_rates is None else flow_rates.get((src, dst), 0.0)

@@ -10,7 +10,7 @@ processes.  This module is that single registry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.topology.fattree import fat_tree
 from repro.topology.graph import RoutingTable, Topology
@@ -35,7 +35,7 @@ class TopologyInstance:
     size: int
     topology: Topology
     table: RoutingTable
-    vc_assignment: Optional[Dict[Tuple[str, str], List[int]]]
+    vc_assignment: Optional[Mapping[Tuple[str, str], List[int]]]
     min_vcs: int
 
 

@@ -3,7 +3,10 @@
 xpipes uses source routing — "NI Look-Up Tables (LUTs) specify the path
 that packets will follow in the network to reach their destination"
 (Section 3) — so routes are computed here, at design time, and stored in
-a :class:`repro.topology.graph.RoutingTable`.
+a :class:`repro.topology.graph.RoutingTable`.  Each algorithm is a rule:
+the table computes a pair's route on its first lookup and keeps it, so a
+large mesh pays only for the routes a run uses.  Rules are module-level
+functions bound with :func:`functools.partial`, so tables pickle.
 
 Deterministic algorithms provided:
 
@@ -24,7 +27,9 @@ the simulator and the deadlock checker consume.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections.abc import Mapping
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -37,58 +42,74 @@ _DIRECTION_ORDER = ("E", "N", "S", "W")  # deterministic tie-break priority
 # ----------------------------------------------------------------------
 # Generic helpers
 # ----------------------------------------------------------------------
-def _core_pairs(topo: Topology) -> Iterable[Tuple[str, str]]:
-    cores = topo.cores
-    for src in cores:
-        for dst in cores:
-            if src != dst:
-                yield src, dst
-
-
 def route_all(
     topo: Topology,
     switch_path_fn: Callable[[str, str], List[str]],
     pairs: Optional[Iterable[Tuple[str, str]]] = None,
 ) -> RoutingTable:
-    """Build a full routing table from a switch-level path function.
+    """A routing table whose routes follow a switch-level path function.
 
     ``switch_path_fn(src_switch, dst_switch)`` returns the switch node
     path (inclusive).  A core attached to several switches (e.g. a
     dual-port SRAM) routes via whichever attachment gives the shortest
-    switch path (ties broken by switch name).
+    switch path (ties broken by switch name).  The table answers
+    ``pairs`` (default: every ordered pair of distinct cores) and
+    computes each route on its first lookup.
     """
-    table = RoutingTable(topo)
-    ingress: Dict[str, List[str]] = {}  # core -> switches it injects into
-    egress: Dict[str, List[str]] = {}  # core -> switches that eject to it
-    for src, dst in pairs if pairs is not None else _core_pairs(topo):
-        if src not in ingress:
-            ingress[src] = sorted(sw for sw in topo.attached_switches(src)
-                                  if topo.has_link(src, sw))
-        if dst not in egress:
-            egress[dst] = sorted(sw for sw in topo.attached_switches(dst)
-                                 if topo.has_link(sw, dst))
-        candidates = []
-        for s_sw in ingress[src]:
-            for d_sw in egress[dst]:
-                if s_sw == d_sw:
-                    switch_path = [s_sw]
-                else:
-                    switch_path = switch_path_fn(s_sw, d_sw)
-                    if (
-                        not switch_path
-                        or switch_path[0] != s_sw
-                        or switch_path[-1] != d_sw
-                    ):
-                        raise ValueError(
-                            f"path function returned invalid path "
-                            f"{switch_path!r} for {s_sw!r}->{d_sw!r}"
-                        )
-                candidates.append((len(switch_path), s_sw, d_sw, switch_path))
-        if not candidates:
-            raise ValueError(f"cores {src!r}/{dst!r} have no usable attachments")
-        switch_path = min(candidates)[3]
-        table.set_route(Route(tuple([src, *switch_path, dst])))
-    return table
+    return RoutingTable(
+        topo, partial(_attached_route, topo, switch_path_fn, {}), pairs
+    )
+
+
+def _attached_route(
+    topo: Topology,
+    switch_path_fn: Callable[[str, str], List[str]],
+    attachments: Dict[str, Tuple[List[str], List[str]]],
+    src: str,
+    dst: str,
+) -> List[str]:
+    """The node path ``src`` -> ``dst`` over the best attachment pair.
+
+    ``attachments`` caches, per core, the switches it injects into and
+    the switches that eject to it.
+    """
+    ingress = _attachment(topo, attachments, src)[0]
+    egress = _attachment(topo, attachments, dst)[1]
+    candidates = []
+    for s_sw in ingress:
+        for d_sw in egress:
+            if s_sw == d_sw:
+                switch_path = [s_sw]
+            else:
+                switch_path = switch_path_fn(s_sw, d_sw)
+                if (
+                    not switch_path
+                    or switch_path[0] != s_sw
+                    or switch_path[-1] != d_sw
+                ):
+                    raise ValueError(
+                        f"path function returned invalid path "
+                        f"{switch_path!r} for {s_sw!r}->{d_sw!r}"
+                    )
+            candidates.append((len(switch_path), s_sw, d_sw, switch_path))
+    if not candidates:
+        raise ValueError(f"cores {src!r}/{dst!r} have no usable attachments")
+    return [src, *min(candidates)[3], dst]
+
+
+def _attachment(
+    topo: Topology,
+    attachments: Dict[str, Tuple[List[str], List[str]]],
+    core: str,
+) -> Tuple[List[str], List[str]]:
+    entry = attachments.get(core)
+    if entry is None:
+        switches = topo.attached_switches(core)  # sorted
+        entry = attachments[core] = (
+            [sw for sw in switches if topo.has_link(core, sw)],
+            [sw for sw in switches if topo.has_link(sw, core)],
+        )
+    return entry
 
 
 # ----------------------------------------------------------------------
@@ -176,57 +197,52 @@ def _switch_at(topo: Topology, x: int, y: int) -> str:
 
 def xy_routing(topo: Topology) -> RoutingTable:
     """Dimension-ordered X-then-Y routing (deadlock-free on meshes)."""
-    return route_all(topo, lambda s, d: _xy_switch_path(topo, s, d, x_first=True))
+    return route_all(topo, partial(_xy_switch_path, topo, x_first=True))
 
 
 def yx_routing(topo: Topology) -> RoutingTable:
     """Dimension-ordered Y-then-X routing (deadlock-free on meshes)."""
-    return route_all(topo, lambda s, d: _xy_switch_path(topo, s, d, x_first=False))
+    return route_all(topo, partial(_xy_switch_path, topo, x_first=False))
 
 
 # ----------------------------------------------------------------------
 # Turn-model routing (west-first, north-last, negative-first, odd-even)
 # ----------------------------------------------------------------------
+#: Glass & Ni turn models: each prohibits two of the eight turns.
+_BANNED_TURNS: Dict[str, Tuple[Tuple[Direction, Direction], ...]] = {
+    "west-first": (("N", "W"), ("S", "W")),
+    "north-last": (("N", "E"), ("N", "W")),
+    "negative-first": (("N", "W"), ("E", "S")),
+}
+_OPPOSITE = {"E": "W", "W": "E", "N": "S", "S": "N"}
+
+
 def _prohibited_turns_for(model: str) -> Callable[[Tuple[int, int], Direction, Direction], bool]:
     """Return allowed(node_coords, dir_in, dir_out) for a named model."""
-    static: Dict[str, Set[Tuple[Direction, Direction]]] = {
-        # Glass & Ni turn models: each prohibits two of the eight turns.
-        "west-first": {("N", "W"), ("S", "W")},
-        "north-last": {("N", "E"), ("N", "W")},
-        "negative-first": {("N", "W"), ("E", "S")},
-    }
-    opposite = {"E": "W", "W": "E", "N": "S", "S": "N"}
+    if model not in _BANNED_TURNS and model != "odd-even":
+        raise ValueError(
+            f"unknown turn model {model!r}; "
+            "choose west-first, north-last, negative-first or odd-even"
+        )
+    return partial(_turn_allowed, model)
 
-    if model in static:
-        banned = static[model]
 
-        def allowed(coords: Tuple[int, int], d_in: Direction, d_out: Direction) -> bool:
-            if d_out == opposite[d_in]:
-                return False  # no U-turns
-            return (d_in, d_out) not in banned
-
-        return allowed
-
+def _turn_allowed(
+    model: str, coords: Tuple[int, int], d_in: Direction, d_out: Direction
+) -> bool:
+    if d_out == _OPPOSITE[d_in]:
+        return False  # no U-turns
     if model == "odd-even":
         # Chiu's odd-even rules, keyed on column (x) parity:
         #   even column: EN and ES turns prohibited;
         #   odd column:  NW and SW turns prohibited.
-        def allowed(coords: Tuple[int, int], d_in: Direction, d_out: Direction) -> bool:
-            if d_out == opposite[d_in]:
-                return False
-            x = coords[0]
-            if x % 2 == 0 and d_in == "E" and d_out in ("N", "S"):
-                return False
-            if x % 2 == 1 and d_in in ("N", "S") and d_out == "W":
-                return False
-            return True
-
-        return allowed
-
-    raise ValueError(
-        f"unknown turn model {model!r}; "
-        "choose west-first, north-last, negative-first or odd-even"
-    )
+        x = coords[0]
+        if x % 2 == 0 and d_in == "E" and d_out in ("N", "S"):
+            return False
+        if x % 2 == 1 and d_in in ("N", "S") and d_out == "W":
+            return False
+        return True
+    return (d_in, d_out) not in _BANNED_TURNS[model]
 
 
 def _turn_constrained_path(
@@ -269,9 +285,7 @@ def _turn_constrained_path(
 def turn_model_routing(topo: Topology, model: str = "west-first") -> RoutingTable:
     """Route a mesh under a named turn model (all deadlock-free)."""
     allowed = _prohibited_turns_for(model)
-    return route_all(
-        topo, lambda s, d: _turn_constrained_path(topo, s, d, allowed)
-    )
+    return route_all(topo, partial(_turn_constrained_path, topo, allowed=allowed))
 
 
 def odd_even_routing(topo: Topology) -> RoutingTable:
@@ -292,8 +306,12 @@ def shortest_path_routing(
     naturally.  Deadlock freedom is *not* guaranteed; run the
     channel-dependency check before using the table.
     """
-    graph = topo.graph
+    return RoutingTable(topo, partial(_shortest_path, topo, weight))
 
+
+def _shortest_path(
+    topo: Topology, weight: Optional[str], src: str, dst: str
+) -> List[str]:
     def w(u, v, d):
         base = d["attrs"].length_mm if weight == "length" else 1.0
         if weight == "length":
@@ -303,27 +321,24 @@ def shortest_path_routing(
             return None  # networkx: None hides the edge
         return base
 
-    table = RoutingTable(topo)
-    for src, dst in _core_pairs(topo):
-        # Temporarily allow the destination core as an endpoint by
-        # routing to each switch attached to it, then appending the core.
-        best: Optional[List[str]] = None
-        best_cost = float("inf")
-        for d_sw in sorted(topo.attached_switches(dst)):
-            try:
-                cost, path = nx.single_source_dijkstra(graph, src, d_sw, weight=w)
-            except nx.NetworkXNoPath:
-                continue
-            tail = topo.link_attrs(d_sw, dst).length_mm if weight == "length" else 1.0
-            if not topo.has_link(d_sw, dst):
-                continue
-            if cost + tail < best_cost:
-                best_cost = cost + tail
-                best = path + [dst]
-        if best is None:
-            raise ValueError(f"no path {src!r}->{dst!r}")
-        table.set_route(Route(tuple(best)))
-    return table
+    # Route to each switch attached to the destination, then append the
+    # core: the core itself is hidden as an intermediate node.
+    best: Optional[List[str]] = None
+    best_cost = float("inf")
+    for d_sw in sorted(topo.attached_switches(dst)):
+        try:
+            cost, path = nx.single_source_dijkstra(topo.graph, src, d_sw, weight=w)
+        except nx.NetworkXNoPath:
+            continue
+        tail = topo.link_attrs(d_sw, dst).length_mm if weight == "length" else 1.0
+        if not topo.has_link(d_sw, dst):
+            continue
+        if cost + tail < best_cost:
+            best_cost = cost + tail
+            best = path + [dst]
+    if best is None:
+        raise ValueError(f"no path {src!r}->{dst!r}")
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +353,14 @@ def up_down_routing(topo: Topology, root: Optional[str] = None) -> RoutingTable:
     then descend zero or more down links, which provably breaks all
     channel-dependency cycles.
     """
+    return route_all(
+        topo, partial(_up_down_switch_path, topo, _up_down_levels(topo, root))
+    )
+
+
+def _up_down_levels(topo: Topology, root: Optional[str]) -> Dict[str, int]:
+    """BFS level of every switch from ``root`` (default: the
+    highest-degree switch)."""
     switches = topo.switches
     if not switches:
         raise ValueError("topology has no switches")
@@ -356,6 +379,14 @@ def up_down_routing(topo: Topology, root: Optional[str] = None) -> RoutingTable:
                 order.append(nxt)
     if len(level) != len(switches):
         raise ValueError("switch fabric is not connected")
+    return level
+
+
+def _up_down_switch_path(
+    topo: Topology, level: Dict[str, int], src: str, dst: str
+) -> List[str]:
+    """Shortest legal up*/down* path over (switch, phase) states, with
+    phase 0 while still ascending."""
 
     def is_up(a: str, b: str) -> bool:
         la, lb = level[a], level[b]
@@ -363,41 +394,37 @@ def up_down_routing(topo: Topology, root: Optional[str] = None) -> RoutingTable:
             return lb < la
         return b < a  # tie-break by name: toward smaller name is "up"
 
-    # State graph: (switch, phase) with phase 0 = still ascending.
-    def switch_path(src: str, dst: str) -> List[str]:
-        start = (src, 0)
-        parents: Dict[Tuple[str, int], Tuple[str, int]] = {}
-        seen = {start}
-        queue = deque([start])
-        goal = None
-        while queue:
-            node, phase = queue.popleft()
-            if node == dst:
-                goal = (node, phase)
-                break
-            for nxt in sorted(
-                n for n in topo.successors(node) if topo.kind(n) is NodeKind.SWITCH
-            ):
-                up = is_up(node, nxt)
-                if phase == 1 and up:
-                    continue  # once descending, never ascend again
-                state = (nxt, 0 if up else 1)
-                if state in seen:
-                    continue
-                seen.add(state)
-                parents[state] = (node, phase)
-                queue.append(state)
-        if goal is None:
-            raise ValueError(f"no up*/down* path {src!r}->{dst!r}")
-        path = [goal[0]]
-        state = goal
-        while state != start:
-            state = parents[state]
-            path.append(state[0])
-        path.reverse()
-        return path
-
-    return route_all(topo, switch_path)
+    start = (src, 0)
+    parents: Dict[Tuple[str, int], Tuple[str, int]] = {}
+    seen = {start}
+    queue = deque([start])
+    goal = None
+    while queue:
+        node, phase = queue.popleft()
+        if node == dst:
+            goal = (node, phase)
+            break
+        for nxt in sorted(
+            n for n in topo.successors(node) if topo.kind(n) is NodeKind.SWITCH
+        ):
+            up = is_up(node, nxt)
+            if phase == 1 and up:
+                continue  # once descending, never ascend again
+            state = (nxt, 0 if up else 1)
+            if state in seen:
+                continue
+            seen.add(state)
+            parents[state] = (node, phase)
+            queue.append(state)
+    if goal is None:
+        raise ValueError(f"no up*/down* path {src!r}->{dst!r}")
+    path = [goal[0]]
+    state = goal
+    while state != start:
+        state = parents[state]
+        path.append(state[0])
+    path.reverse()
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -410,6 +437,10 @@ def fat_tree_routing(topo: Topology) -> RoutingTable:
     already matches the destination, stop at the LCA level, then descend
     along the unique down path.
     """
+    return RoutingTable(topo, partial(_fat_tree_path, topo))
+
+
+def _fat_tree_path(topo: Topology, src: str, dst: str) -> List[str]:
     from repro.topology.fattree import switch_name
 
     def address(core: str) -> Tuple[int, ...]:
@@ -418,28 +449,25 @@ def fat_tree_routing(topo: Topology) -> RoutingTable:
             raise ValueError(f"core {core!r} lacks a fat-tree address")
         return attrs["address"]
 
-    table = RoutingTable(topo)
-    for src, dst in _core_pairs(topo):
-        p, q = address(src), address(dst)
-        n = len(p)
-        prefix = p[: n - 1]
-        q_prefix = q[: n - 1]
-        if prefix == q_prefix:
-            lca_level = 0
-        else:
-            lca_level = 1 + max(i for i in range(n - 1) if p[i] != q[i])
-        # Ascend: at level l take the up-neighbour with digit l = q[l].
-        w = list(prefix)
-        path = [switch_name(0, tuple(w))]
-        for l in range(lca_level):
-            w[l] = q[l]
-            path.append(switch_name(l + 1, tuple(w)))
-        # Descend: digits already match q's prefix on the way down.
-        for l in range(lca_level - 1, -1, -1):
-            w[l] = q_prefix[l]
-            path.append(switch_name(l, tuple(w)))
-        table.set_route(Route(tuple([src, *path, dst])))
-    return table
+    p, q = address(src), address(dst)
+    n = len(p)
+    prefix = p[: n - 1]
+    q_prefix = q[: n - 1]
+    if prefix == q_prefix:
+        lca_level = 0
+    else:
+        lca_level = 1 + max(i for i in range(n - 1) if p[i] != q[i])
+    # Ascend: at level l take the up-neighbour with digit l = q[l].
+    w = list(prefix)
+    path = [switch_name(0, tuple(w))]
+    for l in range(lca_level):
+        w[l] = q[l]
+        path.append(switch_name(l + 1, tuple(w)))
+    # Descend: digits already match q's prefix on the way down.
+    for l in range(lca_level - 1, -1, -1):
+        w[l] = q_prefix[l]
+        path.append(switch_name(l, tuple(w)))
+    return [src, *path, dst]
 
 
 # ----------------------------------------------------------------------
@@ -452,34 +480,36 @@ def spidergon_routing(topo: Topology) -> RoutingTable:
     Needs two virtual channels (dateline) for deadlock freedom; use
     :func:`dateline_vc_assignment` for the per-hop VC indices.
     """
-    from repro.topology.ring import switch_name
-
     indices = {}
     for sw in topo.switches:
         attrs = topo.node_attrs(sw)
         if "index" not in attrs:
             raise ValueError(f"switch {sw!r} lacks a ring index")
         indices[sw] = attrs["index"]
+    return route_all(topo, partial(_spidergon_switch_path, topo, indices))
+
+
+def _spidergon_switch_path(
+    topo: Topology, indices: Dict[str, int], src: str, dst: str
+) -> List[str]:
+    from repro.topology.ring import switch_name
+
     n = len(indices)
     half = n // 2
-
-    def switch_path(src: str, dst: str) -> List[str]:
-        i, j = indices[src], indices[dst]
-        path = [src]
+    i, j = indices[src], indices[dst]
+    path = [src]
+    cw = (j - i) % n
+    ccw = (i - j) % n
+    if min(cw, ccw) > n // 4 and topo.has_link(src, switch_name((i + half) % n)):
+        i = (i + half) % n
+        path.append(switch_name(i))
         cw = (j - i) % n
         ccw = (i - j) % n
-        if min(cw, ccw) > n // 4 and topo.has_link(src, switch_name((i + half) % n)):
-            i = (i + half) % n
-            path.append(switch_name(i))
-            cw = (j - i) % n
-            ccw = (i - j) % n
-        step = 1 if cw <= ccw else -1
-        while i != j:
-            i = (i + step) % n
-            path.append(switch_name(i))
-        return path
-
-    return route_all(topo, switch_path)
+    step = 1 if cw <= ccw else -1
+    while i != j:
+        i = (i + step) % n
+        path.append(switch_name(i))
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -490,23 +520,25 @@ def torus_xy_routing(topo: Topology, width: int, height: int) -> RoutingTable:
 
     Requires a dateline VC assignment (2 VCs) for deadlock freedom.
     """
+    return route_all(topo, partial(_torus_switch_path, topo, width, height))
 
-    def switch_path(src: str, dst: str) -> List[str]:
-        sx, sy = _coords(topo, src)
-        dx, dy = _coords(topo, dst)
-        path = [src]
-        x, y = sx, sy
-        step_x = _ring_step(sx, dx, width)
-        while x != dx:
-            x = (x + step_x) % width
-            path.append(_switch_at(topo, x, y))
-        step_y = _ring_step(sy, dy, height)
-        while y != dy:
-            y = (y + step_y) % height
-            path.append(_switch_at(topo, x, y))
-        return path
 
-    return route_all(topo, switch_path)
+def _torus_switch_path(
+    topo: Topology, width: int, height: int, src: str, dst: str
+) -> List[str]:
+    sx, sy = _coords(topo, src)
+    dx, dy = _coords(topo, dst)
+    path = [src]
+    x, y = sx, sy
+    step_x = _ring_step(sx, dx, width)
+    while x != dx:
+        x = (x + step_x) % width
+        path.append(_switch_at(topo, x, y))
+    step_y = _ring_step(sy, dy, height)
+    while y != dy:
+        y = (y + step_y) % height
+        path.append(_switch_at(topo, x, y))
+    return path
 
 
 def _ring_step(src: int, dst: int, size: int) -> int:
@@ -522,7 +554,7 @@ def dateline_vc_assignment(
     topo: Topology,
     table: RoutingTable,
     index_of: Optional[Callable[[str], Optional[Tuple[int, ...]]]] = None,
-) -> Dict[Tuple[str, str], List[int]]:
+) -> "DatelineVcs":
     """Per-hop VC indices: start in VC0, switch to VC1 at each dateline.
 
     The dateline of a ring dimension sits between the highest index and
@@ -536,17 +568,11 @@ def dateline_vc_assignment(
     The VC resets to 0 whenever the route changes travel dimension
     (dimension-ordered torus routing finishes one ring before entering
     the next, so each ring's dateline is independent).
+
+    The result maps (src core, dst core) to the VC list of the table's
+    route, computed on first lookup like the route itself.
     """
-
-    def default_index(sw: str) -> Optional[Tuple[int, ...]]:
-        attrs = topo.node_attrs(sw)
-        if "index" in attrs:
-            return (attrs["index"],)
-        if "x" in attrs and "y" in attrs:
-            return (attrs["x"], attrs["y"])
-        return None
-
-    get_index = index_of or default_index
+    get_index = index_of or partial(_default_index, topo)
     # Per-dimension maximum index, to recognize true wrap hops (0 <-> max)
     # and distinguish them from long chords such as Spidergon across links.
     max_index: List[int] = []
@@ -558,9 +584,54 @@ def dateline_vc_assignment(
             max_index.extend([0] * (len(idx) - len(max_index)))
         for i, v in enumerate(idx):
             max_index[i] = max(max_index[i], v)
+    return DatelineVcs(topo, table, get_index, max_index)
 
-    assignment: Dict[Tuple[str, str], List[int]] = {}
-    for route in table:
+
+def _default_index(topo: Topology, sw: str) -> Optional[Tuple[int, ...]]:
+    attrs = topo.node_attrs(sw)
+    if "index" in attrs:
+        return (attrs["index"],)
+    if "x" in attrs and "y" in attrs:
+        return (attrs["x"], attrs["y"])
+    return None
+
+
+class DatelineVcs(Mapping):
+    """(src core, dst core) -> the per-hop VC indices of the table's
+    route (see :func:`dateline_vc_assignment`), in the table's order."""
+
+    def __init__(
+        self,
+        topo: Topology,
+        table: RoutingTable,
+        get_index: Callable[[str], Optional[Tuple[int, ...]]],
+        max_index: List[int],
+    ):
+        self.topology = topo
+        self.table = table
+        self._get_index = get_index
+        self._max_index = max_index
+        self._vcs: Dict[Tuple[str, str], List[int]] = {}
+
+    def __getitem__(self, pair: Tuple[str, str]) -> List[int]:
+        try:
+            return self._vcs[pair]
+        except KeyError:
+            pass
+        src, dst = pair
+        if not self.table.has_route(src, dst):
+            raise KeyError(pair)
+        vcs = self._vcs[pair] = self._route_vcs(self.table.route(src, dst))
+        return vcs
+
+    def __iter__(self) -> Iterator[Tuple[str, str]]:
+        return iter(self.table.pairs())
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def _route_vcs(self, route: Route) -> List[int]:
+        topo, get_index = self.topology, self._get_index
         vcs: List[int] = []
         vc = 0
         current_dim: Optional[int] = None
@@ -575,11 +646,12 @@ def dateline_vc_assignment(
                     if dim is not None and dim != current_dim:
                         vc = 0  # new ring: its dateline is independent
                         current_dim = dim
-                    if dim is not None and _is_wrap_hop(a[dim], b[dim], max_index[dim]):
+                    if dim is not None and _is_wrap_hop(
+                        a[dim], b[dim], self._max_index[dim]
+                    ):
                         vc = 1
             vcs.append(vc)
-        assignment[(route.source, route.destination)] = vcs
-    return assignment
+        return vcs
 
 
 def _travel_dimension(a: Sequence[int], b: Sequence[int]) -> Optional[int]:

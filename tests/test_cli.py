@@ -20,6 +20,36 @@ class TestParser:
             build_parser().parse_args(["simulate", "--topology", "hypercube"])
 
 
+class TestRunWindow:
+    @pytest.mark.parametrize("command", ["simulate", "observe"])
+    @pytest.mark.parametrize("cycles,warmup", [
+        ("300", None),  # simulate's default warm-up is 300 cycles
+        ("300", "300"),
+        ("300", "301"),
+        ("300", "-1"),
+        ("-5", "0"),
+    ])
+    def test_warmup_must_leave_cycles_to_measure(
+        self, command, cycles, warmup, capsys, tmp_path
+    ):
+        argv = [command, "--size", "2", "--cycles", cycles]
+        if command == "observe":
+            argv += ["--out-dir", str(tmp_path)]
+            warmup = warmup or "300"  # observe's default warm-up is 0
+        if warmup is not None:
+            argv += ["--warmup", warmup]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--warmup" in err and "--cycles" in err
+
+    def test_default_warmup_with_longer_run(self, capsys):
+        assert main(["simulate", "--size", "2", "--rate", "0.2",
+                     "--cycles", "400"]) == 0
+        assert "packets delivered" in capsys.readouterr().out
+
+
 class TestCharacterize:
     def test_prints_radix_table(self, capsys):
         assert main(["characterize", "--radices", "4", "10", "26"]) == 0
