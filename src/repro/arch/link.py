@@ -30,8 +30,7 @@ space, while the ACK/NACK link probes with ``try_accept`` semantics
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Protocol, Tuple
+from typing import Callable, Deque, Optional, Protocol, Tuple
 
 from repro.arch.packet import Flit
 from repro.arch.parameters import FlowControlKind, NocParameters
@@ -168,14 +167,10 @@ class Link:
     def can_send(self, vc: int, cycle: int) -> bool:
         raise NotImplementedError
 
-    def can_send_flit(self, flit: Flit, cycle: int) -> bool:
-        """Flit-aware gate (overridden by multi-link dispatchers)."""
-        return self.can_send(flit.vc, cycle)
-
     def send(self, flit: Flit, cycle: int) -> None:
         """Put ``flit`` on the wire; the caller must hold a grant.
 
-        Callers check ``can_send``/``can_send_flit`` before sending (the
+        Callers check ``can_send`` before sending (the
         switch gates candidates on it, the NIs gate transmission), so
         the base class does not re-verify the grant; an ungranted send
         surfaces one hop later as a receiver-overflow RuntimeError.
@@ -338,11 +333,6 @@ class OnOffLink(Link):
     def connect(self, receiver: Receiver) -> None:
         super().connect(receiver)
         self._polled = not getattr(receiver, "reports_free_slots", False)
-        # A buffer shared by every VC (a target NI) may be fed by several
-        # links, so its feeding links report their own deliveries: to
-        # this link alone until the receiver names the others.
-        shared = getattr(receiver, "shared_free_slots", False)
-        self._observers = ((self, 0),) if shared and not self._polled else ()
         self._reset_wire(0)
 
     def set_observers(self, observers: Tuple[Tuple["OnOffLink", int], ...]) -> None:

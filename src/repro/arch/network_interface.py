@@ -20,8 +20,8 @@ slaves." (Section 3)
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.arch.link import CreditLink, Link, OnOffLink
 from repro.arch.packet import EndToEndAck, Flit, MessageClass, Packet
@@ -142,13 +142,19 @@ class InitiatorNI:
     Aethereal NI structure): GT flits inject only in their owned TDMA
     slots and preempt BE serialization in those cycles, so best-effort
     backlog can never push guaranteed traffic off its reservation.
+
+    ``injection_links`` maps each switch the core attaches to onto the
+    link toward it; a flit leaves on the link to its route's first
+    switch, so a multi-homed core (BONE's dual-port SRAMs) injects on
+    whichever port its route starts from.
     """
 
-    def __init__(self, core: str, params: NocParameters, lut: RoutingLut):
+    def __init__(self, core: str, params: NocParameters, lut: RoutingLut,
+                 injection_links: Mapping[str, Link]):
         self.core = core
         self.params = params
         self.lut = lut
-        self.injection_link: Optional[Link] = None
+        self.injection_links: Dict[str, Link] = dict(injection_links)
         self._be_queue: Deque[Packet] = deque()
         # One queue per GT connection (the Aethereal NI structure): a
         # connection waiting for its slot must never block another
@@ -176,9 +182,6 @@ class InitiatorNI:
         # entry point for all backlog gains (sends, responses, acks,
         # retransmission copies).  None outside the event kernel.
         self.wakeup: Optional[Callable[[], None]] = None
-
-    def connect(self, link: Link) -> None:
-        self.injection_link = link
 
     def __getstate__(self):
         """Pickle state minus host-wired callbacks (checkpointing).
@@ -261,8 +264,6 @@ class InitiatorNI:
 
     def tick(self, cycle: int) -> None:
         """Inject at most one flit into the NoC (GT first in its slots)."""
-        if self.injection_link is None:
-            raise RuntimeError(f"initiator NI {self.core!r} is not connected")
         # _current_gt never holds an emptied stream (its entry is
         # deleted with the last flit), so its truth value is the test.
         if (self._gt_queues or self._current_gt) and self._try_inject_gt(
@@ -305,11 +306,12 @@ class InitiatorNI:
             if flit is None:
                 continue
             flit.vc = flit.packet.vc_on_link(0)
-            if not self.injection_link.can_send_flit(flit, cycle):
+            link = self._link_for(flit)
+            if not link.can_send(flit.vc, cycle):
                 self.injection_stall_cycles += 1
                 return False
             self._current_gt[connection_id].pop(0)
-            self._transmit(flit, cycle)
+            self._transmit(link, flit, cycle)
             if not self._current_gt[connection_id]:
                 del self._current_gt[connection_id]
             return True
@@ -324,16 +326,28 @@ class InitiatorNI:
         flit = self._current_be[0]
         vc_path = flit.packet.vc_path
         flit.vc = vc_path[0] if vc_path is not None else 0
-        if not self.injection_link.can_send_flit(flit, cycle):
+        link = self._link_for(flit)
+        if not link.can_send(flit.vc, cycle):
             self.injection_stall_cycles += 1
             return
         self._current_be.pop(0)
-        self._transmit(flit, cycle)
+        self._transmit(link, flit, cycle)
         if not self._current_be:
             self._current_be = None
 
-    def _transmit(self, flit: Flit, cycle: int) -> None:
-        self.injection_link.send(flit, cycle)
+    def _link_for(self, flit: Flit) -> Link:
+        """The injection link toward the first switch of the flit's route."""
+        first_switch = flit.packet.route[1]
+        try:
+            return self.injection_links[first_switch]
+        except KeyError:
+            raise RuntimeError(
+                f"initiator NI {self.core!r}: route enters via "
+                f"{first_switch!r} but no injection link reaches it"
+            ) from None
+
+    def _transmit(self, link: Link, flit: Flit, cycle: int) -> None:
+        link.send(flit, cycle)
         flit.hop += 1  # the flit now travels toward route[1]
         self.flits_injected += 1
         if self.trace is not None:
@@ -477,6 +491,12 @@ class TargetNI:
     link delivers faster than the drain rate (it cannot: links also
     carry one flit per cycle).  Every VC shares the buffer, and every
     ON/OFF ejection link is told each change of its free-slot count.
+
+    ``ejection_links`` maps each upstream switch onto the link arriving
+    from it.  The simulator ticks a target's ejection links in
+    upstream-name order, so a delivery on one ON/OFF link is logged for
+    the links after it at this cycle's sample point and for those
+    before it (which sampled already) at the next one.
     """
 
     #: An upstream ON/OFF link need not poll this receiver.
@@ -485,14 +505,11 @@ class TargetNI:
     shared_free_slots = True
 
     def __init__(self, core: str, params: NocParameters,
-                 ejection_depth: int = 8):
+                 ejection_links: Mapping[str, Link], ejection_depth: int = 8):
         self.core = core
         self.params = params
         self.ejection_depth = ejection_depth
         self._buffer: Deque[Flit] = deque()
-        self._ejection_links: Dict[str, Link] = {}  # upstream switch -> link
-        self._onoff_links: List[OnOffLink] = []  # in link-phase order
-        self._credit_links: Dict[str, CreditLink] = {}  # credit returns
         self._responder: Optional[Callable[[Packet, int], Optional[Packet]]] = None
         self.trace = None  # optional callback(cycle, flit) on drain
         self._service_cycles = 0
@@ -507,6 +524,22 @@ class TargetNI:
         # Event-kernel wakeup hook: fired on accept() so the target is
         # drained starting the cycle its first flit lands.
         self.wakeup: Optional[Callable[[], None]] = None
+
+        self._credit_links: Dict[str, CreditLink] = {}  # credit returns
+        for upstream, link in ejection_links.items():
+            link.connect(self)
+            if isinstance(link, CreditLink):
+                self._credit_links[upstream] = link
+        #: ON/OFF ejection links in link-phase order.
+        self._onoff_links: List[OnOffLink] = [
+            link for __, link in sorted(ejection_links.items())
+            if isinstance(link, OnOffLink)
+        ]
+        for pos, link in enumerate(self._onoff_links):
+            link.set_observers(tuple(
+                (other, 0 if i >= pos else 1)
+                for i, other in enumerate(self._onoff_links)
+            ))
 
     def __getstate__(self):
         """Pickle state minus host-wired callbacks (checkpointing).
@@ -548,28 +581,6 @@ class TargetNI:
             raise ValueError("service latency must be non-negative")
         self._responder = responder
         self._service_cycles = service_cycles
-
-    def register_ejection_link(self, upstream: str, link: Link) -> None:
-        """Record the link arriving from ``upstream`` (credit returns,
-        ON/OFF free-slot reports).
-
-        The simulator ticks a target's ejection links in upstream-name
-        order, so a delivery on one ON/OFF link is logged for the links
-        after it at this cycle's sample point and for those before it
-        (which sampled already) at the next one.
-        """
-        self._ejection_links[upstream] = link
-        if isinstance(link, CreditLink):
-            self._credit_links[upstream] = link
-        self._onoff_links = [
-            l for __, l in sorted(self._ejection_links.items())
-            if isinstance(l, OnOffLink)
-        ]
-        for pos, l in enumerate(self._onoff_links):
-            l.set_observers(tuple(
-                (other, 0 if i >= pos else 1)
-                for i, other in enumerate(self._onoff_links)
-            ))
 
     # -- Receiver contract -------------------------------------------------
     def free_slots(self, vc: int) -> int:

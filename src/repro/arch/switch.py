@@ -22,13 +22,14 @@ downstream-name order (the arbitration order), input VC *slots* as
 ``input index * num_vcs + vc`` in sorted upstream-name order.  A
 ready flit's output index is looked up by its next node's name, and
 requests, wormhole locks, arbiters and per-output counters are flat
-lists over those indices, rebuilt as each port is wired.
+lists over those indices, built once: a switch is constructed with all
+its links, so its ports never change after ``__init__``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.arch.arbiter import RoundRobinArbiter, TdmaArbiter
 from repro.arch.link import CreditLink, Link, OnOffLink
@@ -54,20 +55,21 @@ class InputPort:
     #: An upstream ON/OFF link need not poll this receiver.
     reports_free_slots = True
 
-    def __init__(self, switch: "SwitchModel", upstream: str, num_vcs: int, depth: int):
+    def __init__(self, switch: "SwitchModel", upstream: str, link: Link):
+        params = switch.params
         self.switch = switch
         self.upstream = upstream
-        self.depth = depth
+        self.depth = params.buffer_depth
         # Pipeline depth is fixed at construction; cached so accept()
         # (one call per flit-hop) skips the params attribute chase.
-        self._latency = switch.params.switch_latency_cycles
+        self._latency = params.switch_latency_cycles
         # Each entry: (flit, earliest cycle it may be forwarded).
         self.buffers: List[Deque[Tuple[Flit, int]]] = [
-            deque() for __ in range(num_vcs)
+            deque() for __ in range(params.num_vcs)
         ]
-        self.upstream_link: Optional[Link] = None
-        self._upstream_credit = False  # kept in sync with upstream_link
-        self._onoff: Optional[OnOffLink] = None  # ditto, ON/OFF upstream
+        self.upstream_link = link
+        self._upstream_credit = isinstance(link, CreditLink)
+        self._onoff = link if isinstance(link, OnOffLink) else None
         self.peak_occupancy = 0  # deepest any single VC FIFO ever got
 
     def free_slots(self, vc: int) -> int:
@@ -123,13 +125,30 @@ class InputPort:
 
 
 class SwitchModel:
-    """One switch instance inside the simulator."""
+    """One switch instance inside the simulator.
 
-    def __init__(self, name: str, params: NocParameters):
+    ``inputs`` maps each upstream node to the link arriving from it and
+    ``outputs`` each downstream node to the link leaving toward it.  The
+    switch makes an :class:`InputPort` per input link and connects the
+    link to it.
+
+    The flat ``_scan`` list drives tick()'s sweep over every (input, VC)
+    FIFO.  Caching the deques is safe because they are created once per
+    port and only ever mutated in place (purge/fail clear-and-extend,
+    never rebind), so the references stay live across faults, purges
+    and checkpoint restores.
+    """
+
+    def __init__(self, name: str, params: NocParameters,
+                 inputs: Mapping[str, Link], outputs: Mapping[str, Link]):
         self.name = name
         self.params = params
         self.inputs: Dict[str, InputPort] = {}
-        self.outputs: Dict[str, Link] = {}
+        for upstream, link in inputs.items():
+            port = InputPort(self, upstream, link)
+            link.connect(port)
+            self.inputs[upstream] = port
+        self.outputs: Dict[str, Link] = dict(outputs)
         self._tdma: Dict[str, TdmaArbiter] = {}
         self.trace = None  # optional callback(cycle, flit) on forward
         # Event-kernel wakeup hook: fired by InputPort.accept so a
@@ -144,7 +163,40 @@ class SwitchModel:
         self.contention_losers = 0  # candidates denied by arbitration
         self.lock_hold_cycles = 0   # accumulated wormhole-lock hold time
         self.locks_taken = 0        # completed (head..tail) wormhole locks
-        self.finalize_wiring()
+
+        nvcs = params.num_vcs
+        self._sorted_outputs = sorted(self.outputs)
+        #: downstream node -> output index (the order arbitration visits)
+        self.out_index = {
+            name: i for i, name in enumerate(self._sorted_outputs)
+        }
+        self._out_links = [self.outputs[n] for n in self._sorted_outputs]
+        self._scan = [
+            (i * nvcs + vc, vc, port.buffers[vc], port)
+            for i, (__, port) in enumerate(sorted(self.inputs.items()))
+            for vc in range(nvcs)
+        ]
+        nout = len(self._sorted_outputs)
+        self._nvcs = nvcs
+        self._nslots = len(self.inputs) * nvcs
+        self._rr = params.arbitration is not ArbitrationKind.FIXED_PRIORITY
+        # Wormhole ownership per (output index * nvcs + output VC): the
+        # owning input slot (-1 when free), the owning packet (to
+        # release locks of purged packets without disturbing healthy
+        # wormholes) and the cycle the lock was taken.
+        self._locks = [-1] * (nout * nvcs)
+        self._lock_owner: List[Optional[object]] = [None] * (nout * nvcs)
+        self._lock_since = [0] * (nout * nvcs)
+        self._arbiters = [
+            RoundRobinArbiter(self._nslots) if self._nslots else None
+            for __ in range(nout)
+        ]
+        self._tdma_at: List[Optional[TdmaArbiter]] = [None] * nout
+        # Per-output candidate lists, filled and emptied within a tick.
+        self._requests: List[Optional[list]] = [None] * nout
+        self._stalls = [0] * nout       # downstream link refused
+        self._stall_mark = [-1] * nout  # last cycle counted in _stalls
+        self._contention = [0] * nout   # more than one candidate
 
     def __getstate__(self):
         """Pickle state minus the host-wired trace callback.
@@ -157,85 +209,12 @@ class SwitchModel:
         state["wakeup"] = None
         return state
 
-    # ------------------------------------------------------------------
-    # Wiring (done by the simulator builder)
-    # ------------------------------------------------------------------
-    def add_input(self, upstream: str, link: Link) -> InputPort:
-        if upstream in self.inputs:
-            raise ValueError(f"duplicate input from {upstream!r}")
-        port = InputPort(
-            self, upstream, self.params.num_vcs, self.params.buffer_depth
-        )
-        port.upstream_link = link
-        port._upstream_credit = isinstance(link, CreditLink)
-        port._onoff = link if isinstance(link, OnOffLink) else None
-        self.inputs[upstream] = port
-        self.finalize_wiring()
-        return port
-
-    def add_output(self, downstream: str, link: Link) -> None:
-        if downstream in self.outputs:
-            raise ValueError(f"duplicate output to {downstream!r}")
-        self.outputs[downstream] = link
-        self.finalize_wiring()
-
     def set_tdma_table(self, downstream: str, arbiter: TdmaArbiter) -> None:
         """Install an Aethereal slot table on one output port."""
         if downstream not in self.outputs:
             raise KeyError(f"no output to {downstream!r}")
         self._tdma[downstream] = arbiter
         self._tdma_at[self.out_index[downstream]] = arbiter
-
-    def finalize_wiring(self) -> None:
-        """Number the ports and size the int-indexed state.
-
-        Called on construction and again as each port is wired, so the
-        state always matches the ports; wiring is done before the first
-        tick, so nothing it resets has been counted yet.
-
-        The flat ``_scan`` list drives tick()'s sweep over every (input,
-        VC) FIFO.  Caching the deques is safe because they are created
-        once per port and only ever mutated in place (purge/fail
-        clear-and-extend, never rebind), so the references stay live
-        across faults, purges and checkpoint restores.
-        """
-        nvcs = self.params.num_vcs
-        self._sorted_inputs = sorted(self.inputs)
-        self._sorted_outputs = sorted(self.outputs)
-        #: downstream node -> output index (the order arbitration visits)
-        self.out_index = {
-            name: i for i, name in enumerate(self._sorted_outputs)
-        }
-        self._out_links = [self.outputs[n] for n in self._sorted_outputs]
-        self._scan = [
-            (i * nvcs + vc, vc, port.buffers[vc], port)
-            for i, upstream in enumerate(self._sorted_inputs)
-            for port in (self.inputs[upstream],)
-            for vc in range(len(port.buffers))
-        ]
-        nout = len(self._sorted_outputs)
-        self._nvcs = nvcs
-        self._nslots = len(self._sorted_inputs) * nvcs
-        self._rr = self.params.arbitration is not ArbitrationKind.FIXED_PRIORITY
-        # Wormhole ownership per (output index * nvcs + output VC): the
-        # owning input slot (-1 when free), the owning packet (to
-        # release locks of purged packets without disturbing healthy
-        # wormholes) and the cycle the lock was taken.
-        self._locks = [-1] * (nout * nvcs)
-        self._lock_owner: List[Optional[object]] = [None] * (nout * nvcs)
-        self._lock_since = [0] * (nout * nvcs)
-        self._arbiters = [
-            RoundRobinArbiter(self._nslots) if self._nslots else None
-            for __ in range(nout)
-        ]
-        self._tdma_at: List[Optional[TdmaArbiter]] = [
-            self._tdma.get(name) for name in self._sorted_outputs
-        ]
-        # Per-output candidate lists, filled and emptied within a tick.
-        self._requests: List[Optional[list]] = [None] * nout
-        self._stalls = [0] * nout       # downstream link refused
-        self._stall_mark = [-1] * nout  # last cycle counted in _stalls
-        self._contention = [0] * nout   # more than one candidate
 
     # ------------------------------------------------------------------
     # Per-cycle operation

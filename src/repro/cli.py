@@ -94,9 +94,21 @@ def _build_simulation(args: argparse.Namespace):
     return topo, sim, traffic
 
 
+def _empty_window(args: argparse.Namespace, sim) -> bool:
+    """Report a measurement window that recorded no packet (exit 1)."""
+    if sim.stats.packets_delivered:
+        return False
+    print(f"{args.command}: no packet was injected and delivered in the "
+          f"measurement window (cycles {args.warmup}-{args.cycles}); "
+          "raise --cycles or --rate", file=sys.stderr)
+    return True
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     topo, sim, traffic = _build_simulation(args)
     sim.run(args.cycles, traffic, drain=True)
+    if _empty_window(args, sim):
+        return 1
     cores = len(topo.cores)
     window = max(1, args.cycles - args.warmup)
     latency = sim.stats.latency()
@@ -239,6 +251,8 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     metrics_sink.close()
     if trace_fanout is not None:
         trace_fanout.close()
+    if _empty_window(args, sim):
+        return 1
 
     report = bottleneck_report(sim, probe, top=args.top)
     (out_dir / "congestion.csv").write_text(report.csv)

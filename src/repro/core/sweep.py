@@ -12,8 +12,8 @@ plus the Pareto front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.baselines import _mesh_network, _score_mesh, star_baseline
 from repro.core.evaluate import DesignPoint
@@ -22,6 +22,13 @@ from repro.core.spec import CommunicationSpec
 from repro.core.synthesis import TopologySynthesizer
 from repro.physical.floorplan import Floorplan
 from repro.physical.technology import TechNode, TechnologyLibrary
+
+
+def default_switch_counts(num_cores: int) -> Tuple[int, ...]:
+    """The explorer's default sweep of switch counts for ``n`` cores."""
+    n = num_cores
+    return tuple(sorted({max(1, n // 4), max(2, n // 3), max(2, n // 2),
+                         max(2, (2 * n) // 3), n}))
 
 
 @dataclass
@@ -67,8 +74,7 @@ class DesignSpaceExplorer:
         """
         n = len(self.spec.core_names)
         if switch_counts is None:
-            switch_counts = sorted({max(1, n // 4), max(2, n // 3),
-                                    max(2, n // 2), max(2, (2 * n) // 3), n})
+            switch_counts = default_switch_counts(n)
         points: List[DesignPoint] = []
         for width in flit_widths:
             for freq in frequencies_hz:

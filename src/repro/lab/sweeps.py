@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.pareto import DEFAULT_OBJECTIVES, Objectives, pareto_front
 from repro.core.spec import CommunicationSpec
 from repro.core.specio import spec_to_dict
-from repro.core.sweep import SweepResult
+from repro.core.sweep import SweepResult, default_switch_counts
 from repro.lab.executor import BatchResult, run_jobs
 from repro.lab.jobs import Job
 from repro.lab.records import design_point_from_dict, optional_floorplan_to_dict
@@ -29,13 +29,6 @@ from repro.physical.floorplan import Floorplan
 from repro.physical.technology import TechNode
 from repro.sim.experiments import LoadPoint
 from repro.topology.presets import STANDARD_KINDS
-
-
-def default_switch_counts(num_cores: int) -> Tuple[int, ...]:
-    """The explorer's default sweep of switch counts for ``n`` cores."""
-    n = num_cores
-    return tuple(sorted({max(1, n // 4), max(2, n // 3), max(2, n // 2),
-                         max(2, (2 * n) // 3), n}))
 
 
 # ----------------------------------------------------------------------

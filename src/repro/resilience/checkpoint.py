@@ -55,7 +55,9 @@ from repro.resilience.integrity import (
 #: header.
 #: 5: routing tables and NI LUTs fill on first lookup and carry their
 #: rule and route source.
-CHECKPOINT_VERSION = 5
+#: 6: components are built wired: an initiator NI keeps one injection
+#: link per attached switch, a target NI no ejection-link map.
+CHECKPOINT_VERSION = 6
 
 _MAGIC = b"repro-ckpt\x00"
 _VERSION = struct.Struct(">I")

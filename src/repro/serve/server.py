@@ -43,8 +43,9 @@ import asyncio
 import logging
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.lab.cache import NullCache, ResultCache
 from repro.lab.jobs import JobCancelled
@@ -94,6 +95,10 @@ REQUEST_DEADLINE_S = 30.0
 
 #: Frames buffered per job for late/slow stream consumers.
 DEFAULT_STREAM_BUFFER = 4096
+
+#: Finished job records kept for status queries; older ones are retired
+#: (a GET for them answers 404), so a long-running server stays bounded.
+MAX_FINISHED_JOBS = 1024
 
 
 @dataclass
@@ -217,6 +222,7 @@ class SimulationServer:
         self.bridge = WorkerBridge(workers=workers, mode=worker_mode)
         self.checkpoint_plan = checkpoint_plan
         self.jobs: Dict[str, JobRecord] = {}
+        self._finished_ids: Deque[str] = deque()  # oldest finished first
         self.max_queue_depth = max_queue_depth
         self.stream_buffer = stream_buffer
         #: Supervision: infrastructure failures (worker death, deadline
@@ -430,6 +436,7 @@ class SimulationServer:
             )
         self._set_state(record, state)
         self.sessions.release(record.session_id, record.job_id)
+        self._retire_finished(record)
         log.info(
             "job %s %s",
             record.job_id,
@@ -443,6 +450,12 @@ class SimulationServer:
                 **record.timing(),
             },
         )
+
+    def _retire_finished(self, record: JobRecord) -> None:
+        """Note ``record`` finished; drop the oldest past the bound."""
+        self._finished_ids.append(record.job_id)
+        while len(self._finished_ids) > MAX_FINISHED_JOBS:
+            self.jobs.pop(self._finished_ids.popleft(), None)
 
     def _cancel_record(self, record: JobRecord) -> bool:
         """Cooperative cancel; queued jobs drop (and free their slot) now."""
@@ -757,6 +770,7 @@ class SimulationServer:
             root.end()
             self._c_done.inc()
             self.jobs[record.job_id] = record
+            self._retire_finished(record)
             if self.store is not None:
                 self.store.append(submission.job, hit, cached=True)
             log.info(

@@ -59,7 +59,7 @@ from repro.arch.packet import MessageClass, Packet
 from repro.arch.parameters import DEFAULT_PARAMETERS, NocParameters
 from repro.arch.switch import SwitchModel
 from repro.reliability.faults import FaultScenario, reconfigure_routing
-from repro.topology.graph import NodeKind, RoutingTable, Topology
+from repro.topology.graph import RoutingTable, Topology
 from repro.sim.stats import StatsCollector
 
 #: Valid ``NocSimulator(kernel=...)`` selectors.
@@ -242,45 +242,32 @@ class NocSimulator:
         return self._route_source.table
 
     def _build(self) -> None:
-        topo = self.topology
-        for sw in topo.switches:
-            self.switches[sw] = SwitchModel(sw, self.params)
-        for core in topo.cores:
-            lut = RoutingLut(partial(self._route_source.entry, core))
-            self.initiators[core] = InitiatorNI(core, self.params, lut)
-            self.targets[core] = TargetNI(core, self.params)
-            self.targets[core].response_ni = self.initiators[core]
+        """Make every link, then each component already wired to its own.
 
+        A node's links are handed over in topology link order; each
+        component numbers its ports once (switches, target ON/OFF
+        observers) from them.
+        """
+        topo = self.topology
+        params = self.params
+        ins: Dict[str, Dict[str, Link]] = {node: {} for node in topo.graph}
+        outs: Dict[str, Dict[str, Link]] = {node: {} for node in topo.graph}
         for src, dst in topo.links:
-            delay = topo.link_attrs(src, dst).delay_cycles
             link = make_link(
-                f"{src}->{dst}", delay, self.params,
-                flit_error_probability=self.link_error_probability,
+                f"{src}->{dst}", topo.link_attrs(src, dst).delay_cycles,
+                params, flit_error_probability=self.link_error_probability,
             )
             self.links[(src, dst)] = link
-            if topo.kind(dst) is NodeKind.SWITCH:
-                port = self.switches[dst].add_input(src, link)
-                link.connect(port)
-            else:
-                link.connect(self.targets[dst])
-                self.targets[dst].register_ejection_link(src, link)
-            if topo.kind(src) is NodeKind.SWITCH:
-                self.switches[src].add_output(dst, link)
-            else:
-                # Core-side injection: first (or only) attachment wins; a
-                # multi-homed core injects on the link its route starts with.
-                self.initiators[src].connect(link)
-
-        # Multi-attached cores: routes may start on different links; give
-        # the initiator a dispatcher that picks the right one per flit.
+            ins[dst][src] = link
+            outs[src][dst] = link
+        for sw in topo.switches:
+            self.switches[sw] = SwitchModel(sw, params, ins[sw], outs[sw])
         for core in topo.cores:
-            out_links = [
-                self.links[(core, sw)]
-                for sw in topo.attached_switches(core)
-                if (core, sw) in self.links
-            ]
-            if len(out_links) > 1:
-                self.initiators[core].connect(_MultiHomedLink(core, out_links))
+            lut = RoutingLut(partial(self._route_source.entry, core))
+            ni = InitiatorNI(core, params, lut, outs[core])
+            self.initiators[core] = ni
+            self.targets[core] = TargetNI(core, params, ins[core])
+            self.targets[core].response_ni = ni
 
     # ------------------------------------------------------------------
     # Driving
@@ -917,34 +904,3 @@ class NocSimulator:
             for link in self.links.values()
             if isinstance(link, AckNackLink)
         )
-
-
-class _MultiHomedLink:
-    """Injection dispatcher for cores attached to several switches.
-
-    Presents the single-link interface the initiator NI expects and
-    forwards each flit onto the physical link its route starts with.
-    """
-
-    def __init__(self, core: str, links: List[Link]):
-        self.core = core
-        self._by_target: Dict[str, Link] = {}
-        for link in links:
-            target = link.name.split("->", 1)[1]
-            self._by_target[target] = link
-
-    def _pick(self, flit) -> Link:
-        first_switch = flit.packet.route[1]
-        try:
-            return self._by_target[first_switch]
-        except KeyError:
-            raise RuntimeError(
-                f"core {self.core!r}: route enters via {first_switch!r} but no "
-                "injection link reaches it"
-            ) from None
-
-    def can_send_flit(self, flit, cycle: int) -> bool:
-        return self._pick(flit).can_send(flit.vc, cycle)
-
-    def send(self, flit, cycle: int) -> None:
-        self._pick(flit).send(flit, cycle)

@@ -21,18 +21,11 @@ def wire_minimal():
     """c0 -> s0 -> c1 with explicit links; returns all pieces."""
     lut = RoutingLut()
     lut.set("c1", ("c0", "s0", "c1"))
-    ni = InitiatorNI("c0", PARAMS, lut)
-    target = TargetNI("c1", PARAMS)
-    switch = SwitchModel("s0", PARAMS)
-
     inj = CreditLink("c0->s0", 1, PARAMS.num_vcs, PARAMS.buffer_depth)
     ej = CreditLink("s0->c1", 1, PARAMS.num_vcs, PARAMS.buffer_depth)
-    port = switch.add_input("c0", inj)
-    inj.connect(port)
-    switch.add_output("c1", ej)
-    ej.connect(target)
-    target.register_ejection_link("s0", ej)
-    ni.connect(inj)
+    ni = InitiatorNI("c0", PARAMS, lut, {"s0": inj})
+    target = TargetNI("c1", PARAMS, {"s0": ej})
+    switch = SwitchModel("s0", PARAMS, {"c0": inj}, {"c1": ej})
     return ni, switch, target, inj, ej
 
 
@@ -85,20 +78,13 @@ class TestEndToEnd:
         lut.set("c2", ("c0", "s0", "c2"))
         lut2 = RoutingLut()
         lut2.set("c2", ("c1", "s0", "c2"))
-        ni0 = InitiatorNI("c0", PARAMS, lut)
-        ni1 = InitiatorNI("c1", PARAMS, lut2)
-        target = TargetNI("c2", PARAMS)
-        switch = SwitchModel("s0", PARAMS)
         l0 = CreditLink("c0->s0", 1, 1, 4)
         l1 = CreditLink("c1->s0", 1, 1, 4)
         ej = CreditLink("s0->c2", 1, 1, 4)
-        l0.connect(switch.add_input("c0", l0))
-        l1.connect(switch.add_input("c1", l1))
-        switch.add_output("c2", ej)
-        ej.connect(target)
-        target.register_ejection_link("s0", ej)
-        ni0.connect(l0)
-        ni1.connect(l1)
+        ni0 = InitiatorNI("c0", PARAMS, lut, {"s0": l0})
+        ni1 = InitiatorNI("c1", PARAMS, lut2, {"s0": l1})
+        target = TargetNI("c2", PARAMS, {"s0": ej})
+        switch = SwitchModel("s0", PARAMS, {"c0": l0, "c1": l1}, {"c2": ej})
         ni0.send("c2", 4, cycle=0)
         ni1.send("c2", 4, cycle=0)
         order = []
@@ -121,16 +107,12 @@ class TestEndToEnd:
 
     def test_output_lock_blocks_second_head(self):
         params = PARAMS
-        switch = SwitchModel("s0", params)
         in0 = CreditLink("a->s0", 1, 1, 4)
         in1 = CreditLink("b->s0", 1, 1, 4)
         out = CreditLink("s0->c", 1, 1, 4)
-        p0 = switch.add_input("a", in0)
-        p1 = switch.add_input("b", in1)
-        switch.add_output("c", out)
-        sink = TargetNI("c", params)
-        out.connect(sink)
-        sink.register_ejection_link("s0", out)
+        switch = SwitchModel("s0", params, {"a": in0, "b": in1}, {"c": out})
+        p0, p1 = switch.inputs["a"], switch.inputs["b"]
+        sink = TargetNI("c", params, {"s0": out})
 
         pkt_a = Packet("a", "c", 3, ("a", "s0", "c"))
         pkt_b = Packet("b", "c", 3, ("b", "s0", "c"))
@@ -154,16 +136,14 @@ class TestEndToEnd:
         """Crossbar input bandwidth: one pop per (input, VC) per cycle
         even when the buffered flits target different outputs."""
         params = PARAMS
-        switch = SwitchModel("s0", params)
         in0 = CreditLink("a->s0", 1, 1, 4)
         out1 = CreditLink("s0->c1", 1, 1, 4)
         out2 = CreditLink("s0->c2", 1, 1, 4)
-        p0 = switch.add_input("a", in0)
-        switch.add_output("c1", out1)
-        switch.add_output("c2", out2)
-        sink1, sink2 = TargetNI("c1", params), TargetNI("c2", params)
-        out1.connect(sink1)
-        out2.connect(sink2)
+        switch = SwitchModel("s0", params, {"a": in0},
+                             {"c1": out1, "c2": out2})
+        p0 = switch.inputs["a"]
+        TargetNI("c1", params, {"s0": out1})
+        TargetNI("c2", params, {"s0": out2})
         pkt_a = Packet("a", "c1", 1, ("a", "s0", "c1"))
         pkt_b = Packet("a", "c2", 1, ("a", "s0", "c2"))
         for pkt in (pkt_a, pkt_b):
@@ -178,10 +158,9 @@ class TestEndToEnd:
 
     def test_flit_routed_to_missing_output_raises(self):
         params = PARAMS
-        switch = SwitchModel("s0", params)
-        in0 = CreditLink("a->s0", 1, 1, 4)
-        p0 = switch.add_input("a", in0)
-        switch.add_output("elsewhere", CreditLink("s0->e", 1, 1, 4))
+        switch = SwitchModel("s0", params, {"a": CreditLink("a->s0", 1, 1, 4)},
+                             {"elsewhere": CreditLink("s0->e", 1, 1, 4)})
+        p0 = switch.inputs["a"]
         pkt = Packet("a", "ghost", 1, ("a", "s0", "ghost"))
         (f,) = pkt.flits()
         f.hop = 1
@@ -189,19 +168,21 @@ class TestEndToEnd:
         with pytest.raises(RuntimeError, match="unknown"):
             switch.tick(0)
 
-    def test_port_by_port_wiring_is_usable_before_first_tick(self):
-        """A switch wired one port at a time answers its per-output
-        counters and takes a slot table before it has ever ticked, and
-        the table survives wiring a further input."""
-        switch = SwitchModel("s0", PARAMS)
-        pa = switch.add_input("a", CreditLink("a->s0", 1, 1, 4))
-        switch.add_output("c", CreditLink("s0->c", 1, 1, 4))
-        switch.add_output("d", CreditLink("s0->d", 1, 1, 4))
+    def test_constructed_switch_is_usable_before_first_tick(self):
+        """A switch built with its links answers its per-output counters
+        and takes a slot table before it has ever ticked."""
+        switch = SwitchModel(
+            "s0", PARAMS,
+            {"a": CreditLink("a->s0", 1, 1, 4),
+             "b": CreditLink("b->s0", 1, 1, 4)},
+            {"c": CreditLink("s0->c", 1, 1, 4),
+             "d": CreditLink("s0->d", 1, 1, 4)},
+        )
+        pa, pb = switch.inputs["a"], switch.inputs["b"]
         assert switch.stall_cycles_by_output == {"c": 0, "d": 0}
         assert switch.contention_cycles_by_output == {"c": 0, "d": 0}
         assert switch.stall_cycles == switch.contention_cycles == 0
         switch.set_tdma_table("c", TdmaArbiter([3], n=2))
-        pb = switch.add_input("b", CreditLink("b->s0", 1, 1, 4))
         be = Packet("a", "c", 1, ("a", "s0", "c"))
         gt = Packet("b", "c", 1, ("b", "s0", "c"),
                     message_class=MessageClass.GUARANTEED, connection_id=3)
@@ -220,14 +201,11 @@ class TestEndToEnd:
     def test_multi_flit_packets_share_link_across_vcs(self):
         """With 2 VCs, flits of two packets may interleave on the link."""
         params = NocParameters(num_vcs=2)
-        switch = SwitchModel("s0", params)
         in0 = CreditLink("a->s0", 1, 2, 4)
         out = CreditLink("s0->c", 1, 2, 4)
-        p0 = switch.add_input("a", in0)
-        switch.add_output("c", out)
-        sink = TargetNI("c", params)
-        out.connect(sink)
-        sink.register_ejection_link("s0", out)
+        switch = SwitchModel("s0", params, {"a": in0}, {"c": out})
+        p0 = switch.inputs["a"]
+        sink = TargetNI("c", params, {"s0": out})
         pkt_a = Packet("a", "c", 2, ("a", "s0", "c"), vc_path=(0, 0))
         pkt_b = Packet("a", "c", 2, ("a", "s0", "c"), vc_path=(1, 1))
         # Both from 'a' (same input port), on different VCs.
@@ -260,9 +238,24 @@ class TestInitiatorNI:
     def test_unconnected_ni_raises(self):
         lut = RoutingLut()
         lut.set("c1", ("c0", "s0", "c1"))
-        ni = InitiatorNI("c0", PARAMS, lut)
-        with pytest.raises(RuntimeError, match="not connected"):
+        ni = InitiatorNI("c0", PARAMS, lut, {})
+        ni.send("c1", 1, cycle=0)
+        with pytest.raises(RuntimeError, match="no injection link"):
             ni.tick(0)
+
+    def test_multi_homed_ni_injects_toward_route_start(self):
+        lut = RoutingLut()
+        lut.set("c1", ("c0", "s0", "c1"))
+        lut.set("c2", ("c0", "s1", "c2"))
+        to_s0 = CreditLink("c0->s0", 1, 1, 4)
+        to_s1 = CreditLink("c0->s1", 1, 1, 4)
+        ni = InitiatorNI("c0", PARAMS, lut, {"s0": to_s0, "s1": to_s1})
+        ni.send("c2", 1, cycle=0)
+        ni.send("c1", 1, cycle=0)
+        ni.tick(0)
+        ni.tick(1)
+        assert (to_s0.flits_carried, to_s1.flits_carried) == (1, 1)
+        assert to_s1._in_flight[0][1].packet.destination == "c2"
 
     def test_gt_injection_waits_for_slot(self):
         ni, switch, target, inj, ej = wire_minimal()
@@ -284,7 +277,7 @@ class TestInitiatorNI:
 
 class TestTargetNI:
     def test_drains_one_flit_per_cycle(self):
-        target = TargetNI("c", PARAMS)
+        target = TargetNI("c", PARAMS, {})
         pkt = Packet("a", "c", 3, ("a", "s0", "c"))
         for f in pkt.flits():
             f.hop = 2
@@ -297,7 +290,7 @@ class TestTargetNI:
         assert len(target.packets_received) == 1
 
     def test_backpressures_when_full(self):
-        target = TargetNI("c", PARAMS, ejection_depth=2)
+        target = TargetNI("c", PARAMS, {}, ejection_depth=2)
         pkt = Packet("a", "c", 3, ("a", "s0", "c"))
         flits = pkt.flits()
         for f in flits:
@@ -310,8 +303,8 @@ class TestTargetNI:
     def test_responder_generates_response(self):
         lut = RoutingLut()
         lut.set("a", ("c", "s0", "a"))
-        response_ni = InitiatorNI("c", PARAMS, lut)
-        target = TargetNI("c", PARAMS)
+        response_ni = InitiatorNI("c", PARAMS, lut, {})
+        target = TargetNI("c", PARAMS, {})
         target.response_ni = response_ni
 
         def responder(request, cycle):
@@ -331,7 +324,7 @@ class TestTargetNI:
         assert response_ni.backlog == 1
 
     def test_responder_without_ni_raises(self):
-        target = TargetNI("c", PARAMS)
+        target = TargetNI("c", PARAMS, {})
         target.response_ni = None
         target.set_responder(lambda req, cyc: req)
         req = Packet("a", "c", 1, ("a", "s0", "c"),

@@ -92,6 +92,27 @@ class TestCacheFirst:
         assert hit["cached"]
         assert srv.client().stats()["workers"]["dispatched"] == 1
 
+    def test_finished_records_are_bounded(
+        self, server_factory, tmp_path, monkeypatch
+    ):
+        """Cache hits past the bound retire the oldest finished records."""
+        from repro.serve import server as server_module
+
+        bound = 8
+        monkeypatch.setattr(server_module, "MAX_FINISHED_JOBS", bound)
+        srv = server_factory(cache=ResultCache(tmp_path / "cache"))
+        client = srv.client()
+        cold = client.run("load_point", FAST, seed=7)
+        hits = [client.submit("load_point", FAST, seed=7)
+                for __ in range(bound + 5)]
+        assert all(hit["cached"] for hit in hits)
+        assert len(srv.server.jobs) <= bound
+        for retired in (cold, hits[0]):
+            with pytest.raises(ServeError) as exc:
+                client.status(retired["id"])
+            assert exc.value.status == 404
+        assert client.status(hits[-1]["id"])["state"] == "done"
+
     def test_different_seed_misses(self, server_factory, tmp_path):
         srv = server_factory(cache=ResultCache(tmp_path / "cache"))
         client = srv.client()

@@ -39,6 +39,7 @@ from repro.sim import (
     SyntheticTraffic,
     TraceRecorder,
 )
+from repro.topology import bone_style
 from repro.topology.presets import standard_instance
 from repro.topology.irregular import random_irregular
 from repro.topology.routing import shortest_path_routing
@@ -121,6 +122,10 @@ def _make_configs():
     add(latency=2, topology="torus", size=4, vcs=2, rate=0.03)
     add(latency=3, fc="ack_nack", rate=0.02)
     add(latency=2, faults="recovery", rate=0.02, cycles=1200, metrics=100)
+
+    # Dual-homed cores (BONE's SRAMs): two injection links per NI and
+    # two ON/OFF ejection links reporting into one shared buffer.
+    add(topology="bone", size=0, fc="on_off", rate=0.03)
     return configs
 
 
@@ -134,6 +139,10 @@ CONFIGS = _make_configs()
 def _build_sim(config, kernel):
     if config["topology"] == "irregular":
         topo = random_irregular(8, 10, extra_links=4, seed=7)
+        table = shortest_path_routing(topo)
+        vca, min_vcs = None, 1
+    elif config["topology"] == "bone":
+        topo = bone_style()
         table = shortest_path_routing(topo)
         vca, min_vcs = None, 1
     else:

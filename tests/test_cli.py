@@ -44,6 +44,20 @@ class TestRunWindow:
         err = capsys.readouterr().err
         assert "--warmup" in err and "--cycles" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "observe"])
+    def test_window_without_packets_is_an_error(
+        self, command, capsys, tmp_path
+    ):
+        argv = [command, "--size", "2", "--rate", "0.01", "--cycles", "301",
+                "--warmup", "300"]
+        if command == "observe":
+            argv += ["--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert "measurement window (cycles 300-301)" in line
+        assert "summary.json" not in captured.out
+
     def test_default_warmup_with_longer_run(self, capsys):
         assert main(["simulate", "--size", "2", "--rate", "0.2",
                      "--cycles", "400"]) == 0
