@@ -20,17 +20,20 @@ Three concrete links implement the flow controls of Fig. 1:
 All links carry at most one flit per cycle, regardless of VC count, and
 deliver after ``delay_cycles`` (1 + pipeline stages).
 
-The receiver contract: a downstream object exposes ``free_slots(vc)``
-and ``accept(flit, cycle)``, where ``cycle`` is the delivery cycle;
-credit/ON-OFF links never call ``accept`` unless the model guarantees
-space, while the ACK/NACK link probes with ``try_accept`` semantics
-(accept returns False when full).
+The receiver contract: a downstream object exposes ``accept(flit,
+cycle)``, where ``cycle`` is the delivery cycle, and hands every slot
+it frees back to the link the flit came in on with
+``link.return_credit(vc, cycle)`` (``after_links=True`` when the slot
+is freed after the cycle's link phase).  Credit and ON/OFF links never
+call ``accept`` unless their count guarantees space; the ACK/NACK link
+probes with ``try_accept`` semantics (accept returns False when full)
+and ignores returned slots.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Protocol, Tuple
+from typing import Callable, Deque, List, Optional, Protocol, Tuple
 
 from repro.arch.packet import Flit
 from repro.arch.parameters import FlowControlKind, NocParameters
@@ -38,8 +41,6 @@ from repro.arch.parameters import FlowControlKind, NocParameters
 
 class Receiver(Protocol):
     """Downstream endpoint of a link (switch input port or NI sink)."""
-
-    def free_slots(self, vc: int) -> int: ...
 
     def accept(self, flit: Flit, cycle: int) -> bool: ...
 
@@ -87,8 +88,23 @@ class Link:
         # per-flit instead and does not use this set.
         self._poisoned: set = set()
 
-    def connect(self, receiver: Receiver) -> None:
+    def connect(self, receiver: Receiver, share: Optional[int] = None) -> None:
+        """Deliver to ``receiver``.
+
+        ``share`` is set when the receiver gives this link ``share``
+        slots of one buffer that serves every VC (a target NI splits
+        its ejection buffer among its links); otherwise the receiver
+        holds ``buffer_depth`` slots per VC.
+        """
         self.receiver = receiver
+
+    def return_credit(self, vc: int, cycle: int, after_links: bool = False) -> None:
+        """The receiver freed a slot on ``vc`` in ``cycle``.
+
+        ``after_links`` marks a slot freed after the cycle's link phase
+        (a target drain, a purge).  Links without flow-control state
+        ignore it.
+        """
 
     def __getstate__(self):
         """Pickle state minus the event-kernel wakeup closure.
@@ -107,18 +123,22 @@ class Link:
         self.failed = True
         lost = len(self._in_flight)
         self.flits_dropped += lost
-        self._in_flight.clear()
+        self._lose_in_flight(cycle)
         return lost
 
     def repair(self, cycle: int) -> None:
-        """Bring a failed link back up with reset flow-control state."""
+        """Bring a failed link back up; flits sent into it are gone."""
         self.failed = False
-        self._in_flight.clear()
+        self._lose_in_flight(cycle)
         self._poisoned.clear()
         self._on_repair(cycle)
 
+    def _lose_in_flight(self, cycle: int) -> None:
+        """Every flit on the wire vanishes (a fault, or its repair)."""
+        self._in_flight.clear()
+
     def _on_repair(self, cycle: int) -> None:
-        """Subclass hook: reset protocol state after a repair."""
+        """Subclass hook: protocol state to restart after a repair."""
 
     def start_corruption_burst(
         self, until_cycle: int, probability: float, rng
@@ -224,7 +244,13 @@ class Link:
 
 
 class CreditLink(Link):
-    """Exact credit-based flow control with credit-return latency."""
+    """Exact credit-based flow control with credit-return latency.
+
+    Each flit put on the wire spends a credit of its VC; each slot the
+    receiver frees, and each flit that dies on the wire, returns one
+    ``delay_cycles`` later.  A repair resets nothing: credits stay
+    exact because every lost flit returns its own.
+    """
 
     def __init__(self, name: str, delay_cycles: int, num_vcs: int, buffer_depth: int):
         super().__init__(name, delay_cycles, num_vcs)
@@ -233,6 +259,13 @@ class CreditLink(Link):
         self.buffer_depth = buffer_depth
         self.credits = [buffer_depth] * num_vcs
         self._returning: Deque[Tuple[int, int]] = deque()  # (arrive_at, vc)
+
+    def connect(self, receiver: Receiver, share: Optional[int] = None) -> None:
+        super().connect(receiver)
+        if share is not None:
+            if share < 1:
+                raise ValueError(f"link {self.name}: no ejection buffer slot left")
+            self.credits = [min(self.buffer_depth, share)] * self.num_vcs
 
     def can_send(self, vc: int, cycle: int) -> bool:
         if self.failed:
@@ -250,8 +283,9 @@ class CreditLink(Link):
         super().send(flit, cycle)
         self.credits[flit.vc] -= 1
 
-    def return_credit(self, vc: int, cycle: int) -> None:
-        """Called by the receiver when a flit leaves its input buffer."""
+    def return_credit(self, vc: int, cycle: int, after_links: bool = False) -> None:
+        # A credit is a token on its own wire: when in the cycle the
+        # slot freed does not matter.
         self._returning.append((cycle + self.delay_cycles, vc))
 
     def _collect_credits(self, cycle: int) -> None:
@@ -275,11 +309,12 @@ class CreditLink(Link):
         # buffer slot, so the credit the sender spent flows back (the
         # receiver's CRC check frees the reserved slot immediately).
         self.flits_dropped += 1
-        self._returning.append((cycle + self.delay_cycles, flit.vc))
+        self.return_credit(flit.vc, cycle)
 
-    def _on_repair(self, cycle: int) -> None:
-        self.credits = [self.buffer_depth] * self.num_vcs
-        self._returning.clear()
+    def _lose_in_flight(self, cycle: int) -> None:
+        for __, flit in self._in_flight:
+            self.return_credit(flit.vc, cycle)
+        self._in_flight.clear()
 
 
 class OnOffLink(Link):
@@ -291,20 +326,16 @@ class OnOffLink(Link):
     flits, so the downstream buffer can never overflow.  The OFF
     threshold reserves slots to absorb flits already in the pipeline.
 
-    The wire's history is written when the count changes, not sampled
-    every cycle.  The count is defined at each cycle's *sample point* —
-    in the link phase, right after this link's own deliveries, where a
-    per-cycle sampler would read it.  Each change is reported with the
-    first sample point that sees it (:meth:`observe`), and the
-    link keeps, per VC, the last reported stamp and count plus a ring
-    over the last ``delay_cycles + 2`` sample points, filled forward
-    only when a report skips points.  ``can_send`` at cycle ``c`` reads
-    the count as of ``c - delay_cycles``; before the link's first sample
-    point (construction or repair) the sender sees ``buffer_depth``.
-    A switch input port reports its own accepts and pops; a target NI
-    reports its drains, and each of its ejection links reports its
-    deliveries (see :meth:`set_observers`).  So the link has work only
-    on its delivery cycles.  Any other receiver is polled on each tick.
+    The link works that count out itself: the receiver's capacity, less
+    this link's deliveries, plus the slots the receiver returned
+    (:meth:`return_credit`).  The wire carries the count as of each
+    cycle's link phase, so a delivery or a slot freed before the phase
+    (a switch pop, a switch death) counts from its own cycle, and a slot
+    freed after it (a target drain, a purge) from the next; the sender
+    sees either ``delay_cycles`` later.  Before the link's first cycle,
+    and for ``delay_cycles`` after a repair, the sender sees
+    ``buffer_depth`` (or its share, if smaller).  No receiver state is
+    read, so the link has work only on its delivery cycles.
     """
 
     def __init__(
@@ -320,116 +351,79 @@ class OnOffLink(Link):
             raise ValueError("threshold must be within the buffer depth")
         self.buffer_depth = buffer_depth
         self.threshold = threshold
+        #: Slots of a shared receiver buffer this link may fill (None:
+        #: ``buffer_depth`` per VC).
+        self.share: Optional[int] = None
         # can_send() runs once per hop per flit on both sides of the
         # grant; the OFF comparison point never changes after init.
-        self._off_floor = max(0, threshold - 1)
-        self._span = delay_cycles + 2  # ring size: reads trail by delay
-        self._in_flight_per_vc = [0] * num_vcs
-        # Links whose wires a delivery here changes (set_observers).
-        self._observers: Tuple[Tuple["OnOffLink", int], ...] = ()
-        self._polled = True
-        self._reset_wire(0)
+        self._off_floor = threshold - 1
+        self._start = 0  # first cycle whose count the sender reads
+        self._fresh = buffer_depth  # what it reads before that
+        # Per count (one per VC, or one for a shared buffer): the free
+        # slots as of ``cycle - delay_cycles``, the flits in flight, and
+        # the changes still to take effect, oldest first.
+        self._count_of = list(range(num_vcs))
+        self._free = [buffer_depth] * num_vcs
+        self._in_flight_count = [0] * num_vcs
+        # A list, not a deque: it holds a few entries per flit buffered
+        # or in flight, and an empty deque is over ten times an empty list.
+        self._changes: List[Tuple[int, int, int]] = []  # (stamp, count, +-1)
 
-    def connect(self, receiver: Receiver) -> None:
+    def connect(self, receiver: Receiver, share: Optional[int] = None) -> None:
         super().connect(receiver)
-        self._polled = not getattr(receiver, "reports_free_slots", False)
-        self._reset_wire(0)
-
-    def set_observers(self, observers: Tuple[Tuple["OnOffLink", int], ...]) -> None:
-        """Links to report this link's deliveries to.
-
-        For a receiver that cannot stamp its own accepts (a target NI,
-        whose ejection links all watch one buffer).  A delivery here at
-        cycle ``c`` is reported to each ``(link, late)`` with stamp
-        ``c + late``: 0 for this link and those ticked after it in the
-        link phase (their sample point follows the delivery), 1 for
-        those ticked before it (they sampled already).
-        """
-        self._observers = observers
-
-    def _reset_wire(self, start: int) -> None:
-        """Start the history at sample point ``start``.
-
-        Per VC: ``[last stamp, count at it, ring]``.  A receiver whose
-        one buffer serves every VC gets one history, aliased per VC.
-        """
-        recv = self.receiver
-        self._start = start
-
-        def wire(vc: int) -> list:
-            free = self.buffer_depth if recv is None else recv.free_slots(vc)
-            return [start, free, [free] * self._span]
-
-        if getattr(recv, "shared_free_slots", False):
-            self._wire = [wire(0)] * self.num_vcs
-        else:
-            self._wire = [wire(vc) for vc in range(self.num_vcs)]
-
-    def observe(self, vc: int, stamp: int, free: int) -> None:
-        """The receiver holds ``free`` slots on ``vc`` from sample point
-        ``stamp`` on.  Stamps arrive in non-decreasing order."""
-        wire = self._wire[vc]
-        last = wire[0]
-        ring = wire[2]
-        span = self._span
-        if stamp > last:
-            if stamp > last + 1:  # carry the count over skipped points
-                held = wire[1]
-                for point in range(last + 1, min(stamp, last + 1 + span)):
-                    ring[point % span] = held
-            wire[0] = stamp
-        ring[stamp % span] = free
-        wire[1] = free
+        if share is not None:
+            if share < self.threshold:
+                raise ValueError(
+                    f"link {self.name}: a {share}-slot share of the ejection "
+                    f"buffer cannot hold the OFF threshold {self.threshold}"
+                )
+            self.share = share
+            self._count_of = [0] * self.num_vcs
+            self._free = [share]
+            self._in_flight_count = [0]
+            self._fresh = min(self.buffer_depth, share)
 
     def can_send(self, vc: int, cycle: int) -> bool:
         if self.failed:
             return True  # blackhole: the flit will be dropped on arrival
-        wire = self._wire[vc]
         at = cycle - self.delay_cycles
-        if at >= wire[0]:
-            free = wire[1]
-        elif at >= self._start:
-            free = wire[2][at % self._span]
+        i = self._count_of[vc]
+        if at < self._start:
+            free = self._fresh
         else:
-            free = self.buffer_depth
-        return free - self._in_flight_per_vc[vc] > self._off_floor
+            changes = self._changes
+            while changes and changes[0][0] <= at:
+                __, j, delta = changes.pop(0)
+                self._free[j] += delta
+            free = self._free[i]
+        return free - self._in_flight_count[i] > self._off_floor
 
     def send(self, flit: Flit, cycle: int) -> None:
         super().send(flit, cycle)
-        self._in_flight_per_vc[flit.vc] += 1
+        self._in_flight_count[self._count_of[flit.vc]] += 1
 
-    def tick(self, cycle: int) -> None:
-        super().tick(cycle)
-        if self._polled and self.receiver is not None:
-            free = self.receiver.free_slots
-            for vc in range(self.num_vcs):
-                self.observe(vc, cycle, free(vc))
+    def return_credit(self, vc: int, cycle: int, after_links: bool = False) -> None:
+        self._changes.append((cycle + after_links, self._count_of[vc], 1))
 
     def _deliver(self, flit: Flit, cycle: int) -> None:
-        vc = flit.vc
-        self._in_flight_per_vc[vc] -= 1
-        recv = self.receiver
-        if not recv.accept(flit, cycle):  # pragma: no cover - conservative gating prevents this
+        i = self._count_of[flit.vc]
+        self._in_flight_count[i] -= 1
+        if not self.receiver.accept(flit, cycle):  # pragma: no cover - conservative gating prevents this
             raise RuntimeError(
                 f"link {self.name}: receiver overflow under ON/OFF flow control"
             )
-        if self._observers:
-            free = recv.free_slots(vc)
-            for link, late in self._observers:
-                link.observe(vc, cycle + late, free)
+        self._changes.append((cycle, i, -1))
 
     def _discard(self, flit: Flit, cycle: int) -> None:
-        self._in_flight_per_vc[flit.vc] -= 1
+        self._in_flight_count[self._count_of[flit.vc]] -= 1
         self.flits_dropped += 1
 
-    def fail(self, cycle: int) -> int:
-        lost = super().fail(cycle)
-        self._in_flight_per_vc = [0] * self.num_vcs
-        return lost
+    def _lose_in_flight(self, cycle: int) -> None:
+        super()._lose_in_flight(cycle)
+        self._in_flight_count = [0] * len(self._in_flight_count)
 
     def _on_repair(self, cycle: int) -> None:
-        self._reset_wire(cycle)
-        self._in_flight_per_vc = [0] * self.num_vcs
+        self._start = cycle
 
 
 class AckNackLink(Link):

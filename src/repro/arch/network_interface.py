@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.arch.link import CreditLink, Link, OnOffLink
+from repro.arch.link import Link
 from repro.arch.packet import EndToEndAck, Flit, MessageClass, Packet
 from repro.arch.parameters import NocParameters
 
@@ -487,22 +487,16 @@ class TargetNI:
 
     Implements the link Receiver contract.  A small ejection buffer
     (always drained at one flit per cycle) keeps the consumption
-    guarantee honest while still exerting realistic backpressure if the
-    link delivers faster than the drain rate (it cannot: links also
-    carry one flit per cycle).  Every VC shares the buffer, and every
-    ON/OFF ejection link is told each change of its free-slot count.
+    guarantee honest while still exerting realistic backpressure: a
+    core attached to several switches takes up to one flit per
+    ejection link per cycle.  Every VC shares the buffer.
 
     ``ejection_links`` maps each upstream switch onto the link arriving
-    from it.  The simulator ticks a target's ejection links in
-    upstream-name order, so a delivery on one ON/OFF link is logged for
-    the links after it at this cycle's sample point and for those
-    before it (which sampled already) at the next one.
+    from it.  Each link gets its own share of the buffer,
+    ``ejection_depth // len(ejection_links)`` slots, so the links never
+    overflow it together; a drain returns the slot to the link the flit
+    arrived on.  A link that cannot work within its share is refused.
     """
-
-    #: An upstream ON/OFF link need not poll this receiver.
-    reports_free_slots = True
-    #: One ejection buffer serves every VC.
-    shared_free_slots = True
 
     def __init__(self, core: str, params: NocParameters,
                  ejection_links: Mapping[str, Link], ejection_depth: int = 8):
@@ -525,21 +519,10 @@ class TargetNI:
         # drained starting the cycle its first flit lands.
         self.wakeup: Optional[Callable[[], None]] = None
 
-        self._credit_links: Dict[str, CreditLink] = {}  # credit returns
-        for upstream, link in ejection_links.items():
-            link.connect(self)
-            if isinstance(link, CreditLink):
-                self._credit_links[upstream] = link
-        #: ON/OFF ejection links in link-phase order.
-        self._onoff_links: List[OnOffLink] = [
-            link for __, link in sorted(ejection_links.items())
-            if isinstance(link, OnOffLink)
-        ]
-        for pos, link in enumerate(self._onoff_links):
-            link.set_observers(tuple(
-                (other, 0 if i >= pos else 1)
-                for i, other in enumerate(self._onoff_links)
-            ))
+        #: upstream node -> the ejection link arriving from it
+        self.ejection_links: Dict[str, Link] = dict(ejection_links)
+        for link in self.ejection_links.values():
+            link.connect(self, share=ejection_depth // len(ejection_links))
 
     def __getstate__(self):
         """Pickle state minus host-wired callbacks (checkpointing).
@@ -583,9 +566,6 @@ class TargetNI:
         self._service_cycles = service_cycles
 
     # -- Receiver contract -------------------------------------------------
-    def free_slots(self, vc: int) -> int:
-        return self.ejection_depth - len(self._buffer)
-
     def accept(self, flit: Flit, cycle: int) -> bool:
         if len(self._buffer) >= self.ejection_depth:
             return False
@@ -609,15 +589,9 @@ class TargetNI:
         if not self._buffer:
             return
         flit = self._buffer.popleft()
-        if self._onoff_links:
-            # The drain follows the link phase: links see it next cycle.
-            free = self.ejection_depth - len(self._buffer)
-            for link in self._onoff_links:
-                link.observe(0, cycle + 1, free)
-        if self._credit_links:
-            link = self._credit_links.get(flit.packet.route[flit.hop - 1])
-            if link is not None:
-                link.return_credit(flit.vc, cycle)
+        link = self.ejection_links.get(flit.packet.route[flit.hop - 1])
+        if link is not None:
+            link.return_credit(flit.vc, cycle, after_links=True)
         self.flits_received += 1
         flit.arrival_cycle = cycle
         if self.trace is not None:

@@ -13,9 +13,10 @@ The model is an input-queued wormhole switch with per-(port, VC) FIFOs:
 * wormhole: a (output, VC) pair is locked by the winning packet from
   head to tail, so packets never interleave within a VC (but different
   VCs share the physical link cycle-by-cycle);
-* on buffer pop, a credit returns to the upstream link (credit-based
-  flow control), or the new free-slot count is reported to it (ON/OFF);
-  ACK/NACK links probe the buffer on delivery instead.
+* every slot an input FIFO frees (a pop, a purge, the switch's death)
+  is handed back to the upstream link with ``return_credit``; credit
+  and ON/OFF links count on it, ACK/NACK links probe the buffer on
+  delivery instead.
 
 Switch state is int-indexed.  Output ports are numbered in sorted
 downstream-name order (the arbitration order), input VC *slots* as
@@ -32,7 +33,7 @@ from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.arch.arbiter import RoundRobinArbiter, TdmaArbiter
-from repro.arch.link import CreditLink, Link, OnOffLink
+from repro.arch.link import Link
 from repro.arch.packet import Flit, MessageClass
 from repro.arch.parameters import ArbitrationKind, NocParameters
 
@@ -45,15 +46,12 @@ _GT = MessageClass.GUARANTEED
 class InputPort:
     """Per-upstream-neighbour input: one FIFO per virtual channel.
 
-    Implements the link Receiver contract (``free_slots`` / ``accept``)
-    and reports every free-slot change to an upstream ON/OFF link.
-    Each buffered flit carries its *ready cycle* — arrival plus the
-    router pipeline depth — so multi-stage switches are modelled by
-    delaying eligibility, not by extra buffer structures.
+    Implements the link Receiver contract: ``accept``, and each popped
+    flit's slot returned to the upstream link.  Each buffered flit
+    carries its *ready cycle* — arrival plus the router pipeline depth —
+    so multi-stage switches are modelled by delaying eligibility, not by
+    extra buffer structures.
     """
-
-    #: An upstream ON/OFF link need not poll this receiver.
-    reports_free_slots = True
 
     def __init__(self, switch: "SwitchModel", upstream: str, link: Link):
         params = switch.params
@@ -68,19 +66,12 @@ class InputPort:
             deque() for __ in range(params.num_vcs)
         ]
         self.upstream_link = link
-        self._upstream_credit = isinstance(link, CreditLink)
-        self._onoff = link if isinstance(link, OnOffLink) else None
         self.peak_occupancy = 0  # deepest any single VC FIFO ever got
-
-    def free_slots(self, vc: int) -> int:
-        return self.depth - len(self.buffers[vc])
 
     def accept(self, flit: Flit, cycle: int) -> bool:
         """Buffer a flit delivered in ``cycle``'s link phase.
 
-        The flit may be forwarded from ``cycle + latency`` on.  The
-        delivery lands before ``cycle``'s sample point, so an ON/OFF
-        upstream sees the new count from ``cycle`` on.
+        The flit may be forwarded from ``cycle + latency`` on.
         """
         buf = self.buffers[flit.vc]
         if len(buf) >= self.depth:
@@ -89,8 +80,6 @@ class InputPort:
         occupied = len(buf)
         if occupied > self.peak_occupancy:
             self.peak_occupancy = occupied
-        if self._onoff is not None:
-            self._onoff.observe(flit.vc, cycle, self.depth - occupied)
         wakeup = self.switch.wakeup
         if wakeup is not None:
             wakeup()
@@ -107,17 +96,8 @@ class InputPort:
     def pop(self, vc: int, cycle: int) -> Flit:
         buf = self.buffers[vc]
         flit, __ = buf.popleft()
-        if self._upstream_credit:
-            self.upstream_link.return_credit(vc, cycle)
-        elif self._onoff is not None:
-            self._onoff.observe(vc, cycle, self.depth - len(buf))
+        self.upstream_link.return_credit(vc, cycle)
         return flit
-
-    def _report_all(self, stamp: int) -> None:
-        """Report every VC's free-slot count after a bulk change."""
-        if self._onoff is not None:
-            for vc, buf in enumerate(self.buffers):
-                self._onoff.observe(vc, stamp, self.depth - len(buf))
 
     @property
     def occupancy(self) -> int:
@@ -378,10 +358,11 @@ class SwitchModel:
         self.failed = True
         dropped = 0
         for port in self.inputs.values():
-            for buf in port.buffers:
+            for vc, buf in enumerate(port.buffers):
                 dropped += len(buf)
+                for __ in buf:
+                    port.upstream_link.return_credit(vc, cycle)
                 buf.clear()
-            port._report_all(cycle)
         self.flits_dropped += dropped
         self._release_locks()
         return dropped
@@ -393,28 +374,25 @@ class SwitchModel:
     def purge(self, predicate, cycle: int) -> int:
         """Drop buffered flits whose packet matches ``predicate``.
 
-        Credits for purged flits return upstream (the slot is freed),
-        and wormhole locks owned by purged packets are released so the
-        output VCs they were holding become available again.  The
-        recovery controller purges after the link phase, so an ON/OFF
-        upstream sees the freed slots from the next cycle on.
+        Purged flits' slots return upstream, and wormhole locks owned by
+        purged packets are released so the output VCs they were holding
+        become available again.  The recovery controller purges after
+        the link phase.
         """
         purged = 0
         for port in self.inputs.values():
-            before = purged
             for buf in port.buffers:
                 keep = deque()
                 for flit, ready in buf:
                     if predicate(flit.packet):
-                        if port._upstream_credit:
-                            port.upstream_link.return_credit(flit.vc, cycle)
+                        port.upstream_link.return_credit(
+                            flit.vc, cycle, after_links=True
+                        )
                         purged += 1
                     else:
                         keep.append((flit, ready))
                 buf.clear()
                 buf.extend(keep)
-            if purged != before:
-                port._report_all(cycle + 1)
         self._release_locks(keep=lambda owner: not predicate(owner))
         return purged
 

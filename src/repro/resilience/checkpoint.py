@@ -57,7 +57,10 @@ from repro.resilience.integrity import (
 #: rule and route source.
 #: 6: components are built wired: an initiator NI keeps one injection
 #: link per attached switch, a target NI no ejection-link map.
-CHECKPOINT_VERSION = 6
+#: 7: links count the slots their receivers return: an ON/OFF link keeps
+#: a change queue instead of a free-slot ring, and a target NI maps each
+#: ejection link.
+CHECKPOINT_VERSION = 7
 
 _MAGIC = b"repro-ckpt\x00"
 _VERSION = struct.Struct(">I")

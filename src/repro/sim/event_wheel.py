@@ -43,10 +43,10 @@ pipeline (``switch_latency_cycles > 1``) that includes the cycles its
 head flits wait out the pipeline; those ticks find no *ready* head and
 mutate nothing (stall and contention counters only move when an
 eligible flit exists), so they cost time, not results.  An ON/OFF
-link needs no tick between deliveries: its receiver logs each change of
-the free-slot count the backpressure wire carries (see
-:class:`repro.arch.link.OnOffLink`).  Purges and fault repairs bypass
-the hooks and trigger a full :meth:`rescan`.
+link needs no tick between deliveries: it works out the free-slot count
+its backpressure wire carries from its own deliveries and the slots its
+receiver returns (see :class:`repro.arch.link.OnOffLink`).  Purges and
+fault repairs bypass the hooks and trigger a full :meth:`rescan`.
 
 Everything the scheduler holds is derivable from component state, so
 checkpoint capsules do not carry it: :meth:`EventScheduler.rescan`

@@ -6,10 +6,14 @@ them cycle by cycle with a deterministic two-phase schedule:
 
 1. switches arbitrate and forward (at most one flit per output link);
 2. initiator NIs inject (one flit per NI);
-3. links deliver flits whose traversal completes (ON/OFF links read
-   the receivers' free-slot logs as of this point, see
-   :class:`repro.arch.link.OnOffLink`);
+3. links deliver flits whose traversal completes (an ON/OFF link's
+   backpressure wire carries its receiver's free-slot count as of this
+   point, see :class:`repro.arch.link.OnOffLink`);
 4. target NIs drain, complete packets, and issue responses.
+
+Receivers hand every slot they free back to the link it came from:
+switch pops in phase 1, target drains in phase 4, and purges and
+switch deaths when the recovery controller and the fault schedule act.
 
 Every send at cycle ``c`` lands no earlier than ``c + link delay``, so a
 flit advances at most one hop per cycle — the standard wormhole timing
@@ -245,8 +249,8 @@ class NocSimulator:
         """Make every link, then each component already wired to its own.
 
         A node's links are handed over in topology link order; each
-        component numbers its ports once (switches, target ON/OFF
-        observers) from them.
+        component numbers its ports (switches) or shares its buffer
+        (target NIs) among them once.
         """
         topo = self.topology
         params = self.params

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch.link import AckNackLink, CreditLink, OnOffLink, make_link
+from repro.arch.link import AckNackLink, CreditLink, Link, OnOffLink, make_link
 from repro.arch.packet import Packet
 from repro.arch.parameters import FlowControlKind, NocParameters
 
@@ -18,11 +18,17 @@ def make_flit(vc=0):
 
 
 class FakeReceiver:
-    """Scriptable downstream buffer."""
+    """Scriptable downstream buffer that returns each slot it frees."""
 
     def __init__(self, depth=4, num_vcs=1):
         self.depth = depth
         self.buffers = [[] for __ in range(num_vcs)]
+        self.link = None
+
+    def attach(self, link, share=None):
+        link.connect(self, share)
+        self.link = link
+        return link
 
     def free_slots(self, vc):
         return self.depth - len(self.buffers[vc])
@@ -33,7 +39,8 @@ class FakeReceiver:
         self.buffers[flit.vc].append(flit)
         return True
 
-    def pop(self, vc=0, cycle=None):
+    def pop(self, vc, cycle, after_links=False):
+        self.link.return_credit(vc, cycle, after_links)
         return self.buffers[vc].pop(0)
 
     @property
@@ -44,7 +51,7 @@ class FakeReceiver:
 class TestBaseLink:
     def test_one_flit_per_cycle(self):
         link = CreditLink("l", 1, 1, 4)
-        link.connect(FakeReceiver())
+        FakeReceiver().attach(link)
         link.send(make_flit(), 0)
         with pytest.raises(RuntimeError, match="second send"):
             link.send(make_flit(), 0)
@@ -52,7 +59,7 @@ class TestBaseLink:
     def test_delivery_after_delay(self):
         recv = FakeReceiver()
         link = CreditLink("l", 3, 1, 4)
-        link.connect(recv)
+        recv.attach(link)
         link.send(make_flit(), 0)
         for c in range(3):
             link.tick(c)
@@ -62,7 +69,7 @@ class TestBaseLink:
 
     def test_send_without_grant_rejected(self):
         link = CreditLink("l", 1, 1, 1)
-        link.connect(FakeReceiver(depth=1))
+        FakeReceiver(depth=1).attach(link)
         link.send(make_flit(), 0)
         with pytest.raises(RuntimeError, match="grant"):
             link.send(make_flit(), 1)  # no credits left
@@ -77,10 +84,33 @@ class TestBaseLink:
 
 
 class TestCreditLink:
+    def test_repair_keeps_the_receivers_occupancy(self):
+        """A repaired link grants only the slots its receiver has free:
+        the flit lost in flight returns its credit, the flit still held
+        downstream keeps its own."""
+        recv = FakeReceiver(depth=2)
+        link = recv.attach(CreditLink("l", 1, 1, 2))
+        link.send(make_flit(), 0)
+        link.tick(1)  # delivered and held downstream
+        link.send(make_flit(), 1)
+        link.fail(1)  # loses the flit in flight
+        link.repair(2)
+        assert link.can_send(0, 2)
+        link.send(make_flit(), 2)
+        link.tick(3)
+        assert recv.total == 2
+        assert not link.can_send(0, 3)
+
+    def test_share_caps_credits(self):
+        link = FakeReceiver().attach(CreditLink("l", 1, 1, 4), share=2)
+        assert link.credits == [2]
+        with pytest.raises(ValueError, match="no ejection buffer slot"):
+            FakeReceiver().attach(CreditLink("l", 1, 1, 4), share=0)
+
     def test_credits_deplete_and_return(self):
         recv = FakeReceiver(depth=2)
         link = CreditLink("l", 1, 1, 2)
-        link.connect(recv)
+        recv.attach(link)
         link.send(make_flit(), 0)
         link.tick(1)
         link.send(make_flit(), 1)
@@ -92,29 +122,64 @@ class TestCreditLink:
     def test_per_vc_credits(self):
         recv = FakeReceiver(depth=1, num_vcs=2)
         link = CreditLink("l", 1, 2, 1)
-        link.connect(recv)
+        recv.attach(link)
         link.send(make_flit(vc=0), 0)
         assert not link.can_send(0, 0)
         assert link.can_send(1, 0)  # other VC unaffected
 
 
+class PolledOnOffLink(Link):
+    """Reference ON/OFF sender: samples its receiver every cycle.
+
+    The sample is taken in the link phase, right after the link's own
+    deliveries; the sender reads the one taken ``delay`` cycles ago
+    (``depth`` before the first), less its own flits in flight.
+    """
+
+    def __init__(self, delay, depth, threshold):
+        super().__init__("ref", delay, 1)
+        self.depth = depth
+        self.threshold = threshold
+        self.samples = {}
+        self.in_flight = 0
+
+    def can_send(self, vc, cycle):
+        free = self.samples.get(cycle - self.delay_cycles, self.depth)
+        return free - self.in_flight >= self.threshold
+
+    def send(self, flit, cycle):
+        super().send(flit, cycle)
+        self.in_flight += 1
+
+    def tick(self, cycle):
+        super().tick(cycle)
+        self.samples[cycle] = self.receiver.free_slots(0)
+
+    def _deliver(self, flit, cycle):
+        self.in_flight -= 1
+        if not self.receiver.accept(flit, cycle):
+            raise RuntimeError("receiver overflow")
+
+
 class TestOnOffLink:
     def test_observation_is_delayed(self):
         recv = FakeReceiver(depth=2)
-        link = OnOffLink("l", 2, 1, 2, threshold=1)
-        link.connect(recv)
-        # Fill the receiver directly; the sender still sees stale "empty".
-        recv.accept(make_flit(), 0)
-        recv.accept(make_flit(), 0)
-        assert link.can_send(0, 0)  # stale observation says space
-        link.tick(0)
-        link.tick(1)  # two samples recorded: observed free = 0
-        assert not link.can_send(0, 2)
+        link = recv.attach(OnOffLink("l", 2, 1, 2, threshold=1))
+        link.send(make_flit(), 0)
+        link.send(make_flit(), 1)
+        for c in range(4):
+            link.tick(c)  # deliveries at 2 and 3 fill the receiver
+        assert link.can_send(0, 3)  # sees the count as of cycle 1
+        assert link.can_send(0, 4)
+        assert not link.can_send(0, 5)  # as of cycle 3: full
+        recv.pop(0, 5)
+        assert not link.can_send(0, 6)
+        assert link.can_send(0, 7)  # the freed slot, two cycles on
 
     def test_in_flight_accounting_prevents_overflow(self):
         recv = FakeReceiver(depth=2)
         link = OnOffLink("l", 2, 1, 2, threshold=1)
-        link.connect(recv)
+        recv.attach(link)
         link.send(make_flit(), 0)
         link.send(make_flit(), 1)
         # Observed free = 2 (stale) but 2 flits in flight: must stall.
@@ -123,7 +188,7 @@ class TestOnOffLink:
     def test_throughput_recovers_after_drain(self):
         recv = FakeReceiver(depth=2)
         link = OnOffLink("l", 1, 1, 2, threshold=1)
-        link.connect(recv)
+        recv.attach(link)
         cycle = 0
         sent = 0
         for cycle in range(20):
@@ -132,7 +197,7 @@ class TestOnOffLink:
                 sent += 1
             link.tick(cycle)
             if recv.total:
-                recv.pop()  # drain one per cycle
+                recv.pop(0, cycle, after_links=True)  # drain one per cycle
         assert sent >= 9  # near-full throughput with drain matching rate
 
     # The OFF threshold covers each link's round trip (threshold >=
@@ -143,48 +208,53 @@ class TestOnOffLink:
     def test_reported_changes_match_per_cycle_polling(
         self, delay, depth, threshold, seed
     ):
-        """A receiver that reports each change of its free-slot count
-        (as switch ports do) must let the sender see exactly what a
-        per-cycle sample of that count would show."""
+        """Counting deliveries and returned slots must let the sender
+        see exactly what a per-cycle sample of the receiver shows, for
+        slots freed before the link phase (switch pops) and after it
+        (target drains)."""
         import random
 
-        class ReportingReceiver(FakeReceiver):
-            reports_free_slots = True
+        for after_links in (False, True):
+            traces = []
+            for link in (OnOffLink("l", delay, 1, depth, threshold=threshold),
+                         PolledOnOffLink(delay, depth, threshold)):
+                rng = random.Random(seed)
+                recv = FakeReceiver(depth)
+                recv.attach(link)
+                trace = []
+                for cycle in range(200):
+                    if not after_links and recv.total and rng.random() < 0.4:
+                        recv.pop(0, cycle)
+                    ok = link.can_send(0, cycle)
+                    if ok and rng.random() < 0.8:
+                        link.send(make_flit(), cycle)
+                    link.tick(cycle)
+                    if after_links and recv.total and rng.random() < 0.4:
+                        recv.pop(0, cycle, after_links=True)
+                    trace.append((ok, recv.total))
+                traces.append(trace)
+            assert traces[0] == traces[1]
+            assert any(not ok for ok, __ in traces[0])  # backpressure engaged
 
-            def __init__(self, depth):
-                super().__init__(depth)
-                self.link = None
+    def test_shared_buffer_counts_every_vc(self):
+        """A link given a share of a buffer that serves every VC counts
+        the flits of all its VCs against the one share."""
+        recv = FakeReceiver(depth=2, num_vcs=2)
+        link = recv.attach(OnOffLink("l", 1, 2, 4, threshold=1), share=2)
+        assert link.share == 2
+        link.send(make_flit(vc=0), 0)
+        assert link.can_send(1, 1)
+        link.send(make_flit(vc=1), 1)
+        link.tick(1)  # the vc-0 flit lands
+        assert not link.can_send(0, 2)  # one landed, one in flight
+        recv.pop(0, 2)
+        assert not link.can_send(1, 2)
+        assert link.can_send(1, 3)
 
-            def accept(self, flit, cycle):
-                ok = super().accept(flit, cycle)
-                self.link.observe(0, cycle, self.free_slots(0))
-                return ok
-
-            def pop(self, vc=0, cycle=None):
-                flit = super().pop(vc)
-                self.link.observe(0, cycle, self.free_slots(0))
-                return flit
-
-        traces = []
-        for reporting in (False, True):
-            rng = random.Random(seed)
-            recv = ReportingReceiver(depth) if reporting else FakeReceiver(depth)
-            link = OnOffLink("l", delay, 1, depth, threshold=threshold)
-            link.connect(recv)
-            if reporting:
-                recv.link = link
-            trace = []
-            for cycle in range(200):
-                if recv.total and rng.random() < 0.4:
-                    recv.pop(0, cycle)  # drains before the link phase
-                ok = link.can_send(0, cycle)
-                if ok and rng.random() < 0.8:
-                    link.send(make_flit(), cycle)
-                link.tick(cycle)
-                trace.append((ok, recv.total))
-            traces.append(trace)
-        assert traces[0] == traces[1]
-        assert any(not ok for ok, __ in traces[0])  # backpressure engaged
+    def test_share_below_threshold_is_refused(self):
+        link = OnOffLink("s0->c0", 3, 1, 4, threshold=3)
+        with pytest.raises(ValueError, match="s0->c0"):
+            FakeReceiver().attach(link, share=2)
 
     @pytest.mark.parametrize("depth", range(1, 7))
     @pytest.mark.parametrize("delay", range(1, 6))
@@ -197,11 +267,11 @@ class TestOnOffLink:
         def overflows(link, drain):
             rng = random.Random(delay * 10 + depth)
             recv = FakeReceiver(depth)
-            link.connect(recv)
+            recv.attach(link)
             try:
                 for cycle in range(300):
                     if recv.total and rng.random() < drain:
-                        recv.pop()
+                        recv.pop(0, cycle)
                     if link.can_send(0, cycle):
                         link.send(make_flit(), cycle)
                     link.tick(cycle)
@@ -242,7 +312,7 @@ class TestAckNackLink:
     def test_in_order_delivery(self):
         recv = FakeReceiver(depth=8)
         link = AckNackLink("l", 1, window=4)
-        link.connect(recv)
+        recv.attach(link)
         flits = [make_flit() for __ in range(3)]
         for i, f in enumerate(flits):
             link.send(f, i)
@@ -255,7 +325,7 @@ class TestAckNackLink:
 
     def test_window_limits_outstanding(self):
         link = AckNackLink("l", 2, window=2)
-        link.connect(FakeReceiver(depth=0))  # receiver always full
+        FakeReceiver(depth=0).attach(link)  # receiver always full
         assert link.can_send(0, 0)
         link.send(make_flit(), 0)
         link.send(make_flit(), 1)
@@ -264,7 +334,7 @@ class TestAckNackLink:
     def test_retransmission_on_full_receiver(self):
         recv = FakeReceiver(depth=1)
         link = AckNackLink("l", 1, window=4)
-        link.connect(recv)
+        recv.attach(link)
         link.send(make_flit(), 0)
         link.send(make_flit(), 1)
         # Don't drain: second flit must be NACKed at least once.
@@ -273,7 +343,7 @@ class TestAckNackLink:
         assert recv.total == 1
         assert link.retransmissions >= 1
         # Drain and let the protocol recover.
-        recv.pop()
+        recv.pop(0, 12)
         for c in range(12, 40):
             link.tick(c)
         assert recv.total == 1  # the second flit arrived after retry
@@ -281,7 +351,7 @@ class TestAckNackLink:
     def test_eventual_delivery_under_slow_drain(self):
         recv = FakeReceiver(depth=1)
         link = AckNackLink("l", 1, window=4)
-        link.connect(recv)
+        recv.attach(link)
         sent = 0
         delivered = 0
         for cycle in range(300):
@@ -290,7 +360,7 @@ class TestAckNackLink:
                 sent += 1
             link.tick(cycle)
             if cycle % 3 == 0 and recv.total:  # drain 1 flit / 3 cycles
-                recv.pop()
+                recv.pop(0, cycle)
                 delivered += 1
         assert sent == 20
         assert delivered + recv.total == 20

@@ -298,7 +298,7 @@ class TestTargetNI:
         assert target.accept(flits[0], BEFORE_START)
         assert target.accept(flits[1], BEFORE_START)
         assert not target.accept(flits[2], BEFORE_START)
-        assert target.free_slots(0) == 0
+        assert target.backlog == 2
 
     def test_responder_generates_response(self):
         lut = RoutingLut()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.arch import FlowControlKind, NocParameters
 from repro.arch.packet import reset_packet_ids
 from repro.reliability import reconfigure_routing
 from repro.sim import (
@@ -112,6 +113,25 @@ class TestRetransmission:
         assert sum(ni.packets_lost for ni in inis) == 0
         # Conservation: everything offered was eventually delivered.
         assert sim.stats.packets_delivered == traffic.packets_offered
+
+    @pytest.mark.parametrize("kernel", ["event", "reference"])
+    def test_repaired_credit_link_never_overflows(self, mesh44, kernel):
+        """A credit link repaired one cycle after it failed, while the
+        switch behind it still holds flits, grants only the slots that
+        switch has free."""
+        m, table = mesh44
+        reset_packet_ids()
+        params = NocParameters(flow_control=FlowControlKind.CREDIT,
+                               buffer_depth=2)
+        sim = NocSimulator(m, table, params, kernel=kernel)
+        sim.attach_fault_schedule(FaultSchedule([
+            FaultEvent(150, FaultKind.LINK_DOWN, ("s_1_1", "s_2_1")),
+            FaultEvent(151, FaultKind.LINK_UP, ("s_1_1", "s_2_1")),
+        ]))
+        sim.enable_retransmission()
+        traffic = SyntheticTraffic("uniform", 0.3, 4, seed=1)
+        sim.run(400, traffic)  # overflowed at cycle 155 before the fix
+        assert sim.stats.packets_delivered > 0
 
     def test_duplicates_are_discarded_not_double_counted(self, mesh44):
         """A transient burst NACK-storms; dedup keeps stats honest."""

@@ -17,6 +17,10 @@ Four families, per the kernels' correctness arguments:
   no component holds work without a wheel entry or active-set
   membership (the "lost wakeup" detector, which fails the run when
   wired through ``NocSimulator._event_audit``).
+
+The strategies draw mesh 4, torus 4 and fat tree 3, plus a chain fabric
+whose cores have 2–4 ejection links, with links of delay 1–5; switch
+pipelines have 1–3 stages.  No run may overflow a receiver.
 """
 
 import pytest
@@ -34,52 +38,135 @@ from repro.sim import (
     RetransmissionPolicy,
     SyntheticTraffic,
 )
+from repro.topology.graph import Topology
 from repro.topology.presets import standard_instance
+from repro.topology.routing import shortest_path_routing
+
+
+def _homed_fabric(homes, delay):
+    """Six cores on a chain of five switches, each core attached to
+    ``homes`` of them (so it has ``homes`` ejection links), every link
+    ``delay`` cycles long.  The switches form a tree, so shortest-path
+    routes cannot deadlock."""
+    topo = Topology(f"homed{homes}_d{delay}")
+    switches = [f"sw{i}" for i in range(5)]
+    for sw in switches:
+        topo.add_switch(sw)
+    for a, b in zip(switches, switches[1:]):
+        topo.add_link(a, b, pipeline_stages=delay - 1)
+    for i in range(6):
+        topo.add_core(f"c{i}")
+        for k in range(homes):
+            topo.add_link(f"c{i}", switches[(i + k) % 5],
+                          pipeline_stages=delay - 1)
+    return topo, shortest_path_routing(topo), None, 1
 
 
 def _fresh_sim(topology, size, fc, kernel, warmup=0, latency=1):
-    inst = standard_instance(topology, size)
+    """``size`` is ``(homes, delay)`` for the ``"homed"`` fabric."""
+    if topology == "homed":
+        topo, table, vca, min_vcs = _homed_fabric(*size)
+    else:
+        inst = standard_instance(topology, size)
+        topo, table = inst.topology, inst.table
+        vca, min_vcs = inst.vc_assignment, inst.min_vcs
     params = NocParameters(
         flow_control=FlowControlKind(fc),
-        num_vcs=max(inst.min_vcs, 1),
+        num_vcs=max(min_vcs, 1),
         buffer_depth=4,
         output_buffer_depth=4 if fc == "ack_nack" else 0,
         switch_latency_cycles=latency,
     )
-    sim = NocSimulator(inst.topology, inst.table, params,
-                       vc_assignment=inst.vc_assignment,
+    sim = NocSimulator(topo, table, params, vc_assignment=vca,
                        warmup_cycles=warmup, kernel=kernel)
-    return sim, inst.table
+    return sim, table
 
+
+def _builds(config):
+    """A config whose ejection shares cannot hold an ON/OFF link's OFF
+    threshold is refused at build (see test_refused_shares)."""
+    (topology, size), fc = config[:2]
+    try:
+        _fresh_sim(topology, size, fc, "reference")
+    except ValueError:
+        return False
+    return True
+
+
+_HOMED = st.tuples(
+    st.just("homed"),
+    st.tuples(st.integers(min_value=2, max_value=4),   # ejection links
+              st.integers(min_value=1, max_value=5)),  # link delay
+)
 
 _CONFIG = st.tuples(
-    st.sampled_from([("mesh", 4), ("torus", 4), ("fattree", 3)]),
+    st.one_of(
+        st.sampled_from([("mesh", 4), ("torus", 4), ("fattree", 3)]),
+        _HOMED,
+    ),
     st.sampled_from(["credit", "on_off"]),
     st.floats(min_value=0.001, max_value=0.15),
     st.integers(min_value=1, max_value=6),     # packet size
     st.integers(min_value=0, max_value=2**16),  # seed
     st.integers(min_value=1, max_value=3),     # switch pipeline stages
-)
+).filter(_builds)
+
+
+@pytest.mark.parametrize("homes", [2, 3, 4])
+@pytest.mark.parametrize("delay", range(1, 6))
+def test_refused_shares(homes, delay):
+    """Credit links always fit their ejection share; an ON/OFF link is
+    refused exactly when its 8 // homes slots are fewer than its OFF
+    threshold (the link delay, within 2..4)."""
+    _fresh_sim("homed", (homes, delay), "credit", "reference")
+    refused = 8 // homes < min(max(2, delay), 4)
+    if refused:
+        with pytest.raises(ValueError, match="share"):
+            _fresh_sim("homed", (homes, delay), "on_off", "reference")
+    else:
+        _fresh_sim("homed", (homes, delay), "on_off", "reference")
+
+
+#: Multi-homed targets under load: several ejection links deliver into
+#: one target in the same cycles.
+_HOMED_LOAD = st.tuples(
+    _HOMED,
+    st.sampled_from(["credit", "on_off"]),
+    st.floats(min_value=0.2, max_value=0.6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=1, max_value=3),
+).filter(_builds)
+
+
+def _check_conservation(config):
+    """Run drained, with no receiver overflow; nothing lost or doubled."""
+    (topology, size), fc, rate, packet_size, seed, latency = config
+    reset_packet_ids()
+    sim, __ = _fresh_sim(topology, size, fc, "event", latency=latency)
+    traffic = SyntheticTraffic("uniform", rate, packet_size, seed=seed)
+    sim.run(400, traffic, drain=True)
+    assert sim.idle
+    # Packet-level: everything offered arrived, exactly once.
+    assert sim.stats.packets_delivered == traffic.packets_offered
+    assert all(t.duplicates_discarded == 0
+               for t in sim.targets.values())
+    # Flit-level: source and sink counters agree.
+    injected = sum(ni.flits_injected for ni in sim.initiators.values())
+    received = sum(t.flits_received for t in sim.targets.values())
+    assert injected == received == sim.stats.flits_delivered
 
 
 class TestConservation:
     @settings(max_examples=12, deadline=None)
     @given(_CONFIG)
     def test_no_flit_lost_or_duplicated_fault_free(self, config):
-        (topology, size), fc, rate, packet_size, seed, latency = config
-        reset_packet_ids()
-        sim, __ = _fresh_sim(topology, size, fc, "event", latency=latency)
-        traffic = SyntheticTraffic("uniform", rate, packet_size, seed=seed)
-        sim.run(400, traffic, drain=True)
-        assert sim.idle
-        # Packet-level: everything offered arrived, exactly once.
-        assert sim.stats.packets_delivered == traffic.packets_offered
-        assert all(t.duplicates_discarded == 0
-                   for t in sim.targets.values())
-        # Flit-level: source and sink counters agree.
-        injected = sum(ni.flits_injected for ni in sim.initiators.values())
-        received = sum(t.flits_received for t in sim.targets.values())
-        assert injected == received == sim.stats.flits_delivered
+        _check_conservation(config)
+
+    @settings(max_examples=12, deadline=None)
+    @given(_HOMED_LOAD)
+    def test_multi_homed_targets_never_overflow(self, config):
+        _check_conservation(config)
 
     def test_fault_run_fully_accounted(self):
         """With a mid-run outage and bounded retries, offered packets

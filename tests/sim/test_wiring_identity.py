@@ -5,8 +5,8 @@ the test records how ``NocSimulator`` wired its components:
 
 * per switch: the ``_scan`` order of input (slot, VC, upstream), the
   sorted output names, ``out_index`` and the output link per index;
-* per target NI: each ON/OFF ejection link's observer ``(link name,
-  late)`` tuples, and the credit-return link per upstream node;
+* per target NI: each ON/OFF ejection link's ``[link name, share]`` of
+  the ejection buffer, and the credit-return link per upstream node;
 * per initiator NI: the link a flit takes for each first switch of its
   route (probed by injecting one flit, so the record does not depend
   on how the NI stores its links).
@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.arch import FlowControlKind, NocParameters
-from repro.arch.link import OnOffLink
+from repro.arch.link import CreditLink, OnOffLink
 from repro.arch.packet import Packet, reset_packet_ids
 from repro.sim import NocSimulator
 from repro.three_d.topology3d import mesh3d, xyz_routing
@@ -107,16 +107,12 @@ def wiring_record(sim):
             "out_links": [link.name for link in sw._out_links],
         }
     for name in sorted(sim.targets):
-        target = sim.targets[name]
+        links = sorted(sim.targets[name].ejection_links.items())
         record["targets"][name] = {
-            "onoff": [
-                [link.name, [[other.name, late]
-                             for other, late in link._observers]]
-                for link in target._onoff_links
-            ],
-            "credit": sorted(
-                (up, link.name) for up, link in target._credit_links.items()
-            ),
+            "onoff": [[link.name, link.share] for __, link in links
+                      if isinstance(link, OnOffLink)],
+            "credit": [(up, link.name) for up, link in links
+                       if isinstance(link, CreditLink)],
         }
     for core in sorted(sim.initiators):
         record["initiators"][core] = _injection_links(sim, core)
@@ -147,21 +143,15 @@ def test_wiring_matches_golden(fabric, fc):
 
 def test_dual_homed_cores_are_wired_on_every_port():
     """BONE's dual-port SRAMs inject on the link their route starts
-    with and report ON/OFF deliveries across both ejection links."""
+    with, and each of their two ejection links gets half of the
+    8-slot ejection buffer."""
     sim = _build("bone", "on_off")
     record = wiring_record(sim)
     sram = record["initiators"]["sram_0"]
     assert sram == {sw: [f"sram_0->{sw}"] for sw in ("xbar_0", "xbar_1")}
-    onoff = dict(
-        (name, observers)
-        for name, observers in record["targets"]["sram_0"]["onoff"]
-    )
-    # Links tick in upstream-name order: a delivery on the later link
-    # reaches the earlier one (which sampled already) a cycle late.
-    assert onoff == {
-        "xbar_0->sram_0": [["xbar_0->sram_0", 0], ["xbar_1->sram_0", 0]],
-        "xbar_1->sram_0": [["xbar_0->sram_0", 1], ["xbar_1->sram_0", 0]],
-    }
+    assert record["targets"]["sram_0"]["onoff"] == [
+        ["xbar_0->sram_0", 4], ["xbar_1->sram_0", 4],
+    ]
     assert all(isinstance(link, OnOffLink) for link in sim.links.values())
 
 
