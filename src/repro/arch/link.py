@@ -33,7 +33,7 @@ and ignores returned slots.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Protocol, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple
 
 from repro.arch.packet import Flit
 from repro.arch.parameters import FlowControlKind, NocParameters
@@ -57,12 +57,16 @@ class Link:
         self.delay_cycles = delay_cycles
         self.num_vcs = num_vcs
         self.receiver: Optional[Receiver] = None
-        # Event-kernel wakeup hook (see repro.sim.event_wheel): called
-        # from send() with the flit's delivery cycle so the scheduler
-        # can post a timed wheel entry (pipelined links) or activate the
-        # link (protocol links with per-cycle work).  None outside the
-        # event kernel; never pickled (the scheduler reinstalls it).
-        self.wakeup: Optional[Callable[[int], None]] = None
+        # Event-kernel hooks (see repro.sim.event_wheel); None outside
+        # the event kernel and never pickled (the scheduler reinstalls
+        # them).  A credit or ON/OFF link posts each flit's delivery
+        # cycle from send(), under its ``token``, on the scheduler's
+        # ``wheel`` of ``cycle -> [token]`` buckets (missing buckets
+        # are created on first use); an ACK/NACK link, which has
+        # per-cycle protocol work while busy, calls ``wakeup()``.
+        self.wheel: Optional[Dict[int, List[int]]] = None
+        self.token = -1
+        self.wakeup: Optional[Callable[[], None]] = None
         self._in_flight: Deque[Tuple[int, Flit]] = deque()  # (deliver_at, flit)
         self._last_send_cycle = -1
         self.flits_carried = 0  # lifetime statistics (utilization, power)
@@ -107,13 +111,14 @@ class Link:
         """
 
     def __getstate__(self):
-        """Pickle state minus the event-kernel wakeup closure.
+        """Pickle state minus the event-kernel hooks.
 
-        The closure binds the live scheduler; a restored simulator
+        The hooks bind the live scheduler; a restored simulator
         rebuilds its scheduler (and reinstalls hooks) from component
-        state, so the capsule never carries it.
+        state, so the capsule never carries them.
         """
         state = self.__dict__.copy()
+        state["wheel"] = None
         state["wakeup"] = None
         return state
 
@@ -200,39 +205,43 @@ class Link:
         if self._last_send_cycle == cycle:
             raise RuntimeError(f"link {self.name}: second send in cycle {cycle}")
         self._last_send_cycle = cycle
-        self._in_flight.append((cycle + self.delay_cycles, flit))
+        at = cycle + self.delay_cycles
+        self._in_flight.append((at, flit))
         self.flits_carried += 1
-        if self.wakeup is not None:
-            self.wakeup(cycle + self.delay_cycles)
+        if self.wheel is not None:
+            self.wheel[at].append(self.token)
 
     # -- per-cycle update -------------------------------------------------
+    def _drops(self, flit: Flit, cycle: int) -> bool:
+        """Discard a due ``flit`` if a fault kills it; returns whether it did."""
+        packet_id = flit.packet.packet_id
+        if self.failed:
+            self._discard(flit, cycle)
+        elif packet_id in self._poisoned:
+            self._discard(flit, cycle)
+            if flit.is_tail:
+                self._poisoned.discard(packet_id)
+        elif flit.is_head and self._burst_corrupts(cycle):
+            self._discard(flit, cycle)
+            if not flit.is_tail:
+                self._poisoned.add(packet_id)
+        else:
+            return False
+        return True
+
     def tick(self, cycle: int) -> None:
         """Deliver flits whose traversal completes this cycle."""
         in_flight = self._in_flight
         if not in_flight:
             return
-        if not self.failed and not self._poisoned and cycle >= self._burst_until:
-            # Clean link (the overwhelmingly common case): every due
-            # flit delivers, no per-flit fault bookkeeping.  The guard
-            # is loop-invariant — nothing inside a clean delivery can
-            # fail the link, poison a packet, or open a burst window.
-            while in_flight and in_flight[0][0] <= cycle:
-                self._deliver(in_flight.popleft()[1], cycle)
-            return
+        # A clean link (the overwhelmingly common case) delivers every
+        # due flit with no per-flit fault bookkeeping.  The test is
+        # loop-invariant: nothing inside a clean delivery can fail the
+        # link, poison a packet, or open a burst window.
+        clean = not self.failed and not self._poisoned and cycle >= self._burst_until
         while in_flight and in_flight[0][0] <= cycle:
-            __, flit = in_flight.popleft()
-            packet_id = flit.packet.packet_id
-            if self.failed:
-                self._discard(flit, cycle)
-            elif packet_id in self._poisoned:
-                self._discard(flit, cycle)
-                if flit.is_tail:
-                    self._poisoned.discard(packet_id)
-            elif flit.is_head and self._burst_corrupts(cycle):
-                self._discard(flit, cycle)
-                if not flit.is_tail:
-                    self._poisoned.add(packet_id)
-            else:
+            flit = in_flight.popleft()[1]
+            if clean or not self._drops(flit, cycle):
                 self._deliver(flit, cycle)
 
     def _deliver(self, flit: Flit, cycle: int) -> None:
@@ -332,10 +341,12 @@ class OnOffLink(Link):
     cycle's link phase, so a delivery or a slot freed before the phase
     (a switch pop, a switch death) counts from its own cycle, and a slot
     freed after it (a target drain, a purge) from the next; the sender
-    sees either ``delay_cycles`` later.  Before the link's first cycle,
-    and for ``delay_cycles`` after a repair, the sender sees
-    ``buffer_depth`` (or its share, if smaller).  No receiver state is
-    read, so the link has work only on its delivery cycles.
+    sees either ``delay_cycles`` later.  Before the link's first cycle
+    the sender sees ``buffer_depth`` (or its share, if smaller).  The
+    count stays exact across a failure and its repair: flits lost on
+    the wire never reached the receiver, and the slots it still holds
+    come back as it frees them.  No receiver state is read, so the link
+    has work only on its delivery cycles.
     """
 
     def __init__(
@@ -357,8 +368,7 @@ class OnOffLink(Link):
         # can_send() runs once per hop per flit on both sides of the
         # grant; the OFF comparison point never changes after init.
         self._off_floor = threshold - 1
-        self._start = 0  # first cycle whose count the sender reads
-        self._fresh = buffer_depth  # what it reads before that
+        self._fresh = buffer_depth  # what the sender reads before cycle 0
         # Per count (one per VC, or one for a shared buffer): the free
         # slots as of ``cycle - delay_cycles``, the flits in flight, and
         # the changes still to take effect, oldest first.
@@ -388,7 +398,7 @@ class OnOffLink(Link):
             return True  # blackhole: the flit will be dropped on arrival
         at = cycle - self.delay_cycles
         i = self._count_of[vc]
-        if at < self._start:
+        if at < 0:
             free = self._fresh
         else:
             changes = self._changes
@@ -398,21 +408,45 @@ class OnOffLink(Link):
             free = self._free[i]
         return free - self._in_flight_count[i] > self._off_floor
 
+    # send() and tick() run once per flit-hop, so each does its work in
+    # one frame: Link.send and the wheel post inline, and each delivery
+    # inline.
     def send(self, flit: Flit, cycle: int) -> None:
-        super().send(flit, cycle)
+        if self._last_send_cycle == cycle:
+            raise RuntimeError(f"link {self.name}: second send in cycle {cycle}")
+        self._last_send_cycle = cycle
+        at = cycle + self.delay_cycles
+        self._in_flight.append((at, flit))
+        self.flits_carried += 1
         self._in_flight_count[self._count_of[flit.vc]] += 1
+        wheel = self.wheel
+        if wheel is not None:
+            wheel[at].append(self.token)
 
     def return_credit(self, vc: int, cycle: int, after_links: bool = False) -> None:
         self._changes.append((cycle + after_links, self._count_of[vc], 1))
 
-    def _deliver(self, flit: Flit, cycle: int) -> None:
-        i = self._count_of[flit.vc]
-        self._in_flight_count[i] -= 1
-        if not self.receiver.accept(flit, cycle):  # pragma: no cover - conservative gating prevents this
-            raise RuntimeError(
-                f"link {self.name}: receiver overflow under ON/OFF flow control"
-            )
-        self._changes.append((cycle, i, -1))
+    def tick(self, cycle: int) -> None:
+        """Deliver due flits; each one leaves the sender's free count."""
+        in_flight = self._in_flight
+        if not in_flight or in_flight[0][0] > cycle:
+            return
+        clean = not self.failed and not self._poisoned and cycle >= self._burst_until
+        accept = self.receiver.accept
+        count_of = self._count_of
+        in_flight_count = self._in_flight_count
+        changes = self._changes
+        while in_flight and in_flight[0][0] <= cycle:
+            flit = in_flight.popleft()[1]
+            if not clean and self._drops(flit, cycle):
+                continue
+            i = count_of[flit.vc]
+            in_flight_count[i] -= 1
+            if not accept(flit, cycle):  # pragma: no cover - conservative gating prevents this
+                raise RuntimeError(
+                    f"link {self.name}: receiver overflow under ON/OFF flow control"
+                )
+            changes.append((cycle, i, -1))
 
     def _discard(self, flit: Flit, cycle: int) -> None:
         self._in_flight_count[self._count_of[flit.vc]] -= 1
@@ -421,9 +455,6 @@ class OnOffLink(Link):
     def _lose_in_flight(self, cycle: int) -> None:
         super()._lose_in_flight(cycle)
         self._in_flight_count = [0] * len(self._in_flight_count)
-
-    def _on_repair(self, cycle: int) -> None:
-        self._start = cycle
 
 
 class AckNackLink(Link):
@@ -490,7 +521,7 @@ class AckNackLink(Link):
         self._buffer.append(flit)
         self.flits_carried += 1
         if self.wakeup is not None:
-            self.wakeup(cycle)
+            self.wakeup()
 
     def fail(self, cycle: int) -> int:
         lost = len(self._in_flight) + len(self._buffer)

@@ -60,7 +60,9 @@ from repro.resilience.integrity import (
 #: 7: links count the slots their receivers return: an ON/OFF link keeps
 #: a change queue instead of a free-slot ring, and a target NI maps each
 #: ejection link.
-CHECKPOINT_VERSION = 7
+#: 8: a link holds the event wheel it posts on (``wheel``, ``token``);
+#: an ON/OFF link no longer restarts its count after a repair.
+CHECKPOINT_VERSION = 8
 
 _MAGIC = b"repro-ckpt\x00"
 _VERSION = struct.Struct(">I")

@@ -34,6 +34,7 @@ frame has a ``type``: ``state`` (lifecycle transition), ``metrics`` /
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -101,18 +102,33 @@ class JobSubmission:
         return body
 
 
+def _finite(text: str) -> float:
+    """JSON number hook: ``NaN``, ``Infinity`` and overflowing literals
+    have no canonical form, so the job could not be keyed."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def parse_submission(body: bytes) -> JobSubmission:
     """Validate a ``POST /jobs`` body into a :class:`JobSubmission`.
 
     Raises :class:`ProtocolError` (400) on anything malformed, so the
-    server can reject without touching the worker pool.
+    server can reject without touching the worker pool.  An accepted
+    submission can be keyed and charged: its params are finite JSON
+    data, and its ``cycles`` parameter, if any, is a number.
     """
     if len(body) > MAX_BODY_BYTES:
         raise ProtocolError(413, "request body too large")
     try:
-        doc = json.loads(body.decode("utf-8"))
+        doc = json.loads(
+            body.decode("utf-8"), parse_float=_finite, parse_constant=_finite
+        )
     except (UnicodeDecodeError, ValueError):
         raise ProtocolError(400, "request body is not valid JSON") from None
+    except RecursionError:
+        raise ProtocolError(400, "request body is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ProtocolError(400, "job submission must be a JSON object")
 
@@ -142,7 +158,14 @@ def parse_submission(body: bytes) -> JobSubmission:
         raise ProtocolError(400, "tags must be a list of strings")
 
     stream = _parse_stream(doc.get("stream"))
-    job = Job(kind=kind, params=params, seed=seed, tags=tuple(tags))
+    try:
+        job = Job(kind=kind, params=params, seed=seed, tags=tuple(tags))
+    except RecursionError:
+        raise ProtocolError(400, "params are nested too deeply") from None
+    try:
+        job_cycles(job)
+    except (TypeError, ValueError, OverflowError):
+        raise ProtocolError(400, "params.cycles must be a number") from None
     return JobSubmission(job=job, stream=stream)
 
 

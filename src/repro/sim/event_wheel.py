@@ -16,16 +16,16 @@ Two structures drive the run loop:
   gone.
 
 Wakeups are posted by the components themselves, through the optional
-``wakeup`` hooks this scheduler installs:
+hooks this scheduler installs:
 
 * ``InputPort.accept`` wakes its switch, ``TargetNI.accept`` its target
   (both receive the delivery cycle from the link, so neither keeps a
   clock of its own);
 * ``InitiatorNI.enqueue`` wakes the initiator — covering traffic
   injections, responses, end-to-end acks, and retransmission copies;
-* ``Link.send`` posts the delivery cycle on the link wheel (credit and
-  ON/OFF links) or activates the link (ACK/NACK links, which have
-  per-cycle protocol work while busy).
+* ``Link.send`` posts the delivery cycle on the link wheel itself
+  (credit and ON/OFF links, through ``Link.wheel``) or activates the
+  link (ACK/NACK links, which have per-cycle protocol work while busy).
 
 Byte-identity with the reference kernel rests on two invariants that
 ``tests/sim/test_kernel_invariants.py`` audits:
@@ -45,19 +45,27 @@ mutate nothing (stall and contention counters only move when an
 eligible flit exists), so they cost time, not results.  An ON/OFF
 link needs no tick between deliveries: it works out the free-slot count
 its backpressure wire carries from its own deliveries and the slots its
-receiver returns (see :class:`repro.arch.link.OnOffLink`).  Purges and
-fault repairs bypass the hooks and trigger a full :meth:`rescan`.
+receiver returns (see :class:`repro.arch.link.OnOffLink`).
 
-Everything the scheduler holds is derivable from component state, so
-checkpoint capsules do not carry it: :meth:`EventScheduler.rescan`
-rebuilds the wheel and the active sets exactly, and a restored
-simulator continues byte-identically (``tests/resilience/
+The scheduler lives as long as its simulator: one ``run()`` call picks
+up the wheel and active sets where the last one left them.  Everything
+it holds is derivable from component state, and whatever changes that
+state behind the hooks triggers a full :meth:`EventScheduler.rescan`:
+fault events and recovery inside a cycle rescan at once, and the public
+mutators that act outside the hooks (``step()``, ``purge_packets``,
+``hot_swap_routing`` and ``recover_from``) mark the scheduler
+:attr:`~EventScheduler.stale`, so the next ``run()`` rescans on entry.
+Checkpoint capsules do not carry the scheduler: a restored simulator
+builds a fresh one, which rebuilds the wheel and the active sets
+exactly, and continues byte-identically (``tests/resilience/
 test_event_checkpoint.py``).
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import defaultdict
+from functools import partial
 from typing import Dict, List, Optional, Set
 
 from repro.arch.link import AckNackLink
@@ -79,14 +87,12 @@ class WakeupWheel:
     __slots__ = ("_buckets",)
 
     def __init__(self):
-        self._buckets: Dict[int, List[int]] = {}
+        # A missing bucket springs into being on its first post, so the
+        # links that post on every send do it in one subscript.
+        self._buckets: Dict[int, List[int]] = defaultdict(list)
 
     def post(self, cycle: int, token: int) -> None:
-        bucket = self._buckets.get(cycle)
-        if bucket is None:
-            self._buckets[cycle] = [token]
-        else:
-            bucket.append(token)
+        self._buckets[cycle].append(token)
 
     def pop_due(self, cycle: int):
         """Drain and return the bucket at ``cycle`` (empty when none)."""
@@ -117,13 +123,15 @@ class EventScheduler:
     """Wakeup registry and run-loop core for ``kernel="event"``.
 
     One instance per simulator; built lazily on the first event-kernel
-    ``run()`` and excluded from checkpoints (see module docstring).
+    ``run()``, kept across later ones, and excluded from checkpoints
+    (see module docstring).
 
-    The simulator owns its scheduler, and the wakeup closures the
-    components hold reach the scheduler; so the scheduler refers back
-    to the simulator only weakly, and neither it nor a closure forms a
-    reference cycle through the simulator.  A simulator dropped after
-    its run is freed at once, by reference counting.
+    The simulator owns its scheduler, and the wakeup hooks the
+    components hold reach the scheduler's sets and wheel; so the
+    scheduler refers back to the simulator only weakly, and neither it
+    nor a hook forms a reference cycle through the simulator.  A
+    simulator dropped after its run is freed at once, by reference
+    counting.
     """
 
     def __init__(self, sim):
@@ -143,6 +151,9 @@ class EventScheduler:
         self._acknack = [
             isinstance(link, AckNackLink) for link in sim._link_seq
         ]
+        #: Set when component state changed behind the hooks between
+        #: runs; the next ``run()`` rescans before its first cycle.
+        self.stale = False
 
         self._install_wakers()
         self.rescan()
@@ -154,30 +165,27 @@ class EventScheduler:
     # ------------------------------------------------------------------
     # Wakeup hooks
     # ------------------------------------------------------------------
+    # The hooks hold the active sets and the wheel's buckets directly
+    # (``rescan`` mutates them in place rather than rebinding, to keep
+    # these references valid): wakeups fire on every send and delivery,
+    # so each must cost a set or dict operation, not a Python frame.
+    # Switches, targets and ACK/NACK links get a bound ``set.add``; a
+    # wheel-managed link posts on the buckets inside its own ``send``.
     def _install_wakers(self) -> None:
         sim = self.sim
         for i, sw in enumerate(sim._switch_seq):
-            sw.wakeup = self._make_activator(self.active_switches, i)
+            sw.wakeup = partial(self.active_switches.add, i)
         for i, ni in enumerate(sim._initiator_seq):
             ni.wakeup = self._make_initiator_waker(i)
         for i, tgt in enumerate(sim._target_seq):
-            tgt.wakeup = self._make_activator(self.active_targets, i)
+            tgt.wakeup = partial(self.active_targets.add, i)
+        buckets = self.wheel._buckets
         for i, link in enumerate(sim._link_seq):
             if self._acknack[i]:
-                link.wakeup = self._make_link_waker(i)
+                link.wakeup = partial(self.active_links.add, i)
             else:
-                link.wakeup = self._make_delivery_waker(i)
-
-    # The wakers close over the active sets and the wheel's buckets
-    # directly (``rescan`` mutates them in place rather than rebinding,
-    # to keep these references valid): wakeups fire on every send and
-    # delivery, so each must cost a set or dict operation, not a
-    # method call.
-    @staticmethod
-    def _make_activator(active: Set[int], i: int):
-        def wake() -> None:
-            active.add(i)
-        return wake
+                link.wheel = buckets
+                link.token = i
 
     def _make_initiator_waker(self, i: int):
         active = self.active_initiators
@@ -188,42 +196,26 @@ class EventScheduler:
             rt_watch.add(i)
         return wake
 
-    def _make_delivery_waker(self, i: int):
-        # WakeupWheel.post, inlined: one call per flit-hop.
-        buckets = self.wheel._buckets
-
-        def wake(deliver_at: int) -> None:
-            bucket = buckets.get(deliver_at)
-            if bucket is None:
-                buckets[deliver_at] = [i]
-            else:
-                bucket.append(i)
-        return wake
-
-    def _make_link_waker(self, i: int):
-        active = self.active_links
-
-        def wake(_deliver_at: int) -> None:
-            active.add(i)
-        return wake
-
     # ------------------------------------------------------------------
-    # Reconstruction (run start, post-fault, post-recovery, post-restore)
+    # Reconstruction (first run, post-fault, post-recovery, stale entry)
     # ------------------------------------------------------------------
     def rescan(self) -> None:
         """Rebuild the wheel and active sets from component state.
 
         Every scheduling fact is derivable: buffered flits, queued
         packets, in-flight deliveries and unacknowledged transfers.
-        Called at each ``run()`` entry (state may have been mutated
-        between runs — direct ``inject``, fault attachment, checkpoint
-        restore), after fault events (repairs reset link protocol state
-        wholesale), and after recovery-controller actions (purges empty
-        buffers and hot-swap routes behind the hooks' back).
+        Called when the scheduler is built (the first event-kernel
+        ``run()``, and the first after a checkpoint restore), after
+        fault events (failures drop buffered work wholesale), after
+        recovery-controller actions (purges empty buffers and hot-swap
+        routes behind the hooks' back), and on a ``run()`` entry that
+        finds the scheduler :attr:`stale`.  Changes that go through the
+        hooks (direct ``inject``, responses) need no rescan.
         """
+        self.stale = False
         sim = self.sim
         # The wheel and active sets are mutated in place, never
-        # rebound: the wakeup closures hold direct references to them.
+        # rebound: the wakeup hooks hold direct references to them.
         self.active_switches.clear()
         self.active_switches.update(
             i for i, sw in enumerate(sim._switch_seq) if sw.occupancy
@@ -257,9 +249,9 @@ class EventScheduler:
     def execute_cycle(self, c: int) -> None:
         sim = self._sim()
         if sim._fault_schedule is not None and sim._apply_due_faults(c):
-            # Fault events rewire components wholesale (repairs reset
-            # flow-control state, failures drop buffered work); rebuild
-            # rather than patch.
+            # Fault events change components wholesale (failures drop
+            # buffered and in-flight work, an ACK/NACK link's repair
+            # restarts its protocol); rebuild rather than patch.
             self.rescan()
 
         # Phase 1: switches arbitrate and forward.  tick() reports

@@ -210,11 +210,11 @@ class NocSimulator:
         self._skip_hook: Optional[Callable[[int, int], None]] = None
 
         # Event-kernel scheduler (built lazily by the first event-kernel
-        # run; see repro.sim.event_wheel).  Its entire state is derived
-        # from component state, so it is excluded from checkpoints and
-        # rebuilt on restore.  ``_event_audit`` is an optional per-
-        # executed-cycle ``f(cycle)`` callback the invariant tests use
-        # to assert no wakeup was lost.
+        # run and kept across runs; see repro.sim.event_wheel).  Its
+        # entire state is derived from component state, so it is
+        # excluded from checkpoints and rebuilt on restore.
+        # ``_event_audit`` is an optional per-executed-cycle ``f(cycle)``
+        # callback the invariant tests use to assert no wakeup was lost.
         self._event_sched = None
         self._event_audit: Optional[Callable[[int], None]] = None
 
@@ -480,7 +480,18 @@ class NocSimulator:
         return restore_simulator(capsule)
 
     def step(self) -> None:
-        """Advance one clock cycle."""
+        """Advance one clock cycle.
+
+        Called directly on an event-kernel simulator, this polls every
+        component behind the scheduler's back, so the next event-kernel
+        ``run()`` rebuilds the scheduler first.  Until then the wheel is
+        dead weight: it is emptied on every step, so the hooks' posts
+        cannot pile up over a long stepping loop.
+        """
+        sched = self._event_sched
+        if sched is not None:
+            sched.stale = True
+            sched.wheel.clear()
         c = self.cycle
         if self._fault_schedule is not None:
             self._apply_due_faults(c)
@@ -555,17 +566,20 @@ class NocSimulator:
         Each executed cycle replays the reference :meth:`step` phases on
         the scheduler's active subsets only (in the same sorted order);
         fully quiescent stretches jump to the next timed wakeup.  The
-        scheduler is rebuilt from component state at every entry, so
-        mutations between runs (direct injection, checkpoint restore,
-        attachment changes) are always picked up.
+        scheduler is built on the first entry and kept: mutations
+        between runs either go through the wakeup hooks (direct
+        injection, attachments) or mark it stale (:meth:`step`,
+        :meth:`purge_packets`, :meth:`hot_swap_routing`), and a stale
+        scheduler is rebuilt from component state here.  A restored
+        checkpoint starts with no scheduler.
         """
-        from repro.sim.event_wheel import EventScheduler
-
-        if self._event_sched is None:
-            self._event_sched = EventScheduler(self)
-        else:
-            self._event_sched.rescan()
         sched = self._event_sched
+        if sched is None:
+            from repro.sim.event_wheel import EventScheduler
+
+            sched = self._event_sched = EventScheduler(self)
+        elif sched.stale:
+            sched.rescan()
         end = self.cycle + cycles
         while self.cycle < end:
             if sched.quiescent():
@@ -588,6 +602,11 @@ class NocSimulator:
             if not self.idle:
                 raise self._drain_timeout_error(max_drain_cycles)
         return self.stats
+
+    def _mark_schedule_stale(self) -> None:
+        """State changed behind the wakeup hooks: rescan on the next run."""
+        if self._event_sched is not None:
+            self._event_sched.stale = True
 
     def _skip_to(self, target: int) -> None:
         """Jump the clock over ``[cycle, target)`` — all provably inert."""
@@ -713,8 +732,8 @@ class NocSimulator:
         """Apply every fault event due at ``cycle``; returns how many.
 
         The count lets the event kernel rebuild its scheduler state only
-        when something actually changed (fault events rewire components
-        wholesale — repairs reset flow-control state entirely).
+        when something actually changed (fault events change components
+        wholesale — failures drop buffered and in-flight work).
         """
         from repro.sim.faults import FaultKind
         from repro.sim.tracing import TraceEventKind
@@ -781,7 +800,11 @@ class NocSimulator:
         routing, which is deadlock-free on a single virtual channel.
         A route the swap leaves unchanged keeps its VC path, so every
         LUT first loads all its entries from the old routes.
+
+        Abandoned transfers change state behind the event kernel's
+        wakeup hooks, so its scheduler is marked stale.
         """
+        self._mark_schedule_stale()
         cores = self.topology.cores
         loaded = {
             core: {dst for dst in cores if dst in self.initiators[core].lut}
@@ -816,8 +839,10 @@ class NocSimulator:
         Walks links, switch buffers (with credit repair and wormhole
         lock release) and NI injection queues in deterministic order.
         Flits already sitting in a target's ejection buffer stay: they
-        made it across and drain harmlessly.
+        made it across and drain harmlessly.  The purge bypasses the
+        event kernel's wakeup hooks, so its scheduler is marked stale.
         """
+        self._mark_schedule_stale()
         purged = 0
         for key in self._link_order:
             purged += self.links[key].purge(predicate, cycle)

@@ -18,6 +18,13 @@ alone:
   table and the delivered packets, never from link counters; accepted
   throughput ``F / T`` is therefore at most ``1 / gamma_max`` with
   ``gamma_max = max_l F_l / F`` the channel load per delivered flit.
+* **Little's law** — from an empty network to a full drain, the number
+  of packets in the system, summed over cycles, equals the packets'
+  summed sojourn times.  The count after each cycle is what the traffic
+  generator offered less what the stats recorded, never a component
+  counter; a packet offered in cycle ``i`` and recorded in cycle ``a``
+  is in the system for the ``a - i`` cycles its record's latency
+  counts.
 """
 
 from functools import lru_cache
@@ -172,4 +179,39 @@ class TestChannelLoadBound:
                 f"{1.0 / gamma_max:.3f}"
             )
             runs[kernel] = (cycles, delivered, sorted(per_link.items()))
+        assert runs["event"] == runs["reference"]
+
+
+class TestLittlesLaw:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        kind=_NETWORKS,
+        fc=_FLOW_CONTROL,
+        rate=st.floats(min_value=0.05, max_value=0.6),
+        size_flits=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_packets_in_system_sum_to_sojourn_times(
+        self, kind, fc, rate, size_flits, seed
+    ):
+        runs = {}
+        for kernel in KERNELS:
+            reset_packet_ids()
+            sim = _simulator(kind, fc, kernel)
+            traffic = _traffic(kind, rate, size_flits, seed)
+            occupancy = []  # packets in the system after each cycle
+            while sim.cycle < 300 or not sim.idle:
+                sim.run(1, traffic if sim.cycle < 300 else None)
+                occupancy.append(
+                    traffic.packets_offered - sim.stats.packets_delivered
+                )
+                assert sim.cycle < 20_000, "the network did not drain"
+            records = sim.stats.records
+            assert occupancy[-1] == 0
+            sojourn = sum(r.arrival_cycle - r.injection_cycle for r in records)
+            assert sum(occupancy) == sojourn, (
+                f"{kernel}/{kind}/{fc}: {sum(occupancy)} packet-cycles in "
+                f"the system, {sojourn} cycles of sojourn"
+            )
+            runs[kernel] = (sim.cycle, occupancy)
         assert runs["event"] == runs["reference"]

@@ -133,6 +133,26 @@ class TestRetransmission:
         sim.run(400, traffic)  # overflowed at cycle 155 before the fix
         assert sim.stats.packets_delivered > 0
 
+    @pytest.mark.parametrize("kernel", ["event", "reference"])
+    def test_repaired_onoff_link_never_overflows(self, mesh44, kernel):
+        """The ON/OFF twin: a link repaired one cycle after it failed
+        keeps counting the slots its full receiver still holds, instead
+        of reading a whole free buffer for ``delay`` cycles."""
+        m, table = mesh44
+        reset_packet_ids()
+        params = NocParameters(flow_control=FlowControlKind.ON_OFF,
+                               buffer_depth=2, onoff_threshold=1)
+        sim = NocSimulator(m, table, params, kernel=kernel)
+        sim.attach_fault_schedule(FaultSchedule([
+            FaultEvent(120, FaultKind.LINK_DOWN, ("s_1_1", "s_2_1")),
+            FaultEvent(121, FaultKind.LINK_UP, ("s_1_1", "s_2_1")),
+        ]))
+        sim.enable_retransmission()
+        traffic = SyntheticTraffic("uniform", 0.5, 4, seed=4)
+        sim.run(400, traffic)  # overflowed at cycle 122 before the fix
+        assert sim.cycle == 400
+        assert sim.stats.packets_delivered > 0
+
     def test_duplicates_are_discarded_not_double_counted(self, mesh44):
         """A transient burst NACK-storms; dedup keeps stats honest."""
         m, table = mesh44
