@@ -255,10 +255,13 @@ class Link:
 class CreditLink(Link):
     """Exact credit-based flow control with credit-return latency.
 
-    Each flit put on the wire spends a credit of its VC; each slot the
-    receiver frees, and each flit that dies on the wire, returns one
-    ``delay_cycles`` later.  A repair resets nothing: credits stay
-    exact because every lost flit returns its own.
+    Each flit put on the wire spends a credit of its VC and one of the
+    link's pool; each slot the receiver frees, and each flit that dies
+    on the wire, returns both ``delay_cycles`` later.  The pool is the
+    receiver's whole buffer: the sum of the VCs' buffers, so that it
+    never binds, or a share of one buffer that serves every VC (see
+    :meth:`connect`).  A repair resets nothing: credits stay exact
+    because every lost flit returns its own.
     """
 
     def __init__(self, name: str, delay_cycles: int, num_vcs: int, buffer_depth: int):
@@ -267,6 +270,7 @@ class CreditLink(Link):
             raise ValueError("downstream buffer depth must be >= 1")
         self.buffer_depth = buffer_depth
         self.credits = [buffer_depth] * num_vcs
+        self.pool = buffer_depth * num_vcs
         self._returning: Deque[Tuple[int, int]] = deque()  # (arrive_at, vc)
 
     def connect(self, receiver: Receiver, share: Optional[int] = None) -> None:
@@ -275,22 +279,24 @@ class CreditLink(Link):
             if share < 1:
                 raise ValueError(f"link {self.name}: no ejection buffer slot left")
             self.credits = [min(self.buffer_depth, share)] * self.num_vcs
+            self.pool = share
 
     def can_send(self, vc: int, cycle: int) -> bool:
         if self.failed:
             return True  # blackhole: the flit will be dropped on arrival
         self._collect_credits(cycle)
-        return self.credits[vc] > 0
+        return self.credits[vc] > 0 and self.pool > 0
 
     def send(self, flit: Flit, cycle: int) -> None:
         self._collect_credits(cycle)
-        if not self.failed and self.credits[flit.vc] <= 0:
+        if not self.failed and (self.credits[flit.vc] <= 0 or self.pool <= 0):
             raise RuntimeError(
                 f"link {self.name}: send without flow-control grant on vc "
                 f"{flit.vc}"
             )
         super().send(flit, cycle)
         self.credits[flit.vc] -= 1
+        self.pool -= 1
 
     def return_credit(self, vc: int, cycle: int, after_links: bool = False) -> None:
         # A credit is a token on its own wire: when in the cycle the
@@ -301,6 +307,7 @@ class CreditLink(Link):
         while self._returning and self._returning[0][0] <= cycle:
             __, vc = self._returning.popleft()
             self.credits[vc] += 1
+            self.pool += 1
 
     def tick(self, cycle: int) -> None:
         self._collect_credits(cycle)

@@ -27,14 +27,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.core.evaluate import DesignEvaluator, DesignPoint
 from repro.core.mapping import Mapping, map_cores
 from repro.core.spec import CommunicationSpec
 from repro.physical.floorplan import Block, Floorplan, IncrementalFloorplanner
 from repro.physical.technology import TechNode, TechnologyLibrary
 from repro.physical.wire import required_pipeline_stages
+from repro.topology.algorithms import reachable
 from repro.topology.graph import Route, RoutingTable, Topology
 
 # Amortized cost (dimensionless, in the Dijkstra metric) of opening a new
@@ -50,29 +49,32 @@ def switch_name(index: int) -> str:
     return f"sw{index}"
 
 
-def would_deadlock(cdg: nx.DiGraph, links: Sequence) -> bool:
+def would_deadlock(cdg: Dict[Tuple, Dict[Tuple, None]], links: Sequence) -> bool:
     """Add one route's channel dependencies to an acyclic CDG.
 
-    ``links`` is the route's ordered list of directed links; each
-    consecutive pair is a dependency edge.  Returns ``True``, and rolls
-    the additions back, if they would close a cycle.  The CDG is acyclic
-    before the call, so any new cycle passes through an added edge
-    ``(u, v)``: one exists exactly when ``u`` is reachable from ``v``.
+    ``cdg`` maps each directed link onto the links that depend on it
+    (``{link: {next link: None}}``).  ``links`` is the route's ordered
+    list of directed links; each consecutive pair is a dependency edge.
+    Returns ``True``, and rolls the additions back, if they would close
+    a cycle.  The CDG is acyclic before the call, so any new cycle
+    passes through an added edge ``(u, v)``: one exists exactly when
+    ``u`` is reachable from ``v``.
     """
     added_nodes = [l for l in links if l not in cdg]
     added_edges = [
         (a, b) for a, b in zip(links, links[1:])
-        if not cdg.has_edge(a, b)
+        if b not in cdg.get(a, ())
     ]
-    cdg.add_edges_from(added_edges)
     for l in links:
-        cdg.add_node(l)
-    cyclic = any(nx.has_path(cdg, v, u) for u, v in added_edges)
-    if cyclic:  # roll back
-        cdg.remove_edges_from(added_edges)
-        cdg.remove_nodes_from(
-            [n for n in added_nodes if cdg.degree(n) == 0]
-        )
+        cdg.setdefault(l, {})
+    for a, b in added_edges:
+        cdg[a][b] = None
+    cyclic = any(u in reachable(cdg, v) for u, v in added_edges)
+    if cyclic:  # roll back; every edge of an added node was added here
+        for a, b in added_edges:
+            cdg[a].pop(b, None)
+        for l in added_nodes:
+            cdg.pop(l, None)
     return cyclic
 
 
@@ -225,7 +227,7 @@ class TopologySynthesizer:
         opened: set = set()  # undirected (i, j) pairs, i < j
         is_open = [[False] * k for _ in range(k)]  # ``opened``, both ways
         link_load = [[0.0] * k for _ in range(k)]  # directed, bits/s
-        cdg = nx.DiGraph()  # nodes: directed (src node, dst node) links
+        cdg: Dict[Tuple, Dict[Tuple, None]] = {}  # see would_deadlock
 
         # Aggregate flows per core pair, largest first.
         pair_bw: Dict[Tuple[str, str], float] = {}

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
+from repro.topology.algorithms import connected_components
 from repro.topology.graph import NodeKind, Route, RoutingTable, Topology
 from repro.topology.routing import up_down_routing
 
@@ -86,9 +85,8 @@ def _largest_island(survivor: Topology) -> Topology:
     bidirectional attachment to a kept switch — a core that can only
     send or only receive is as unreachable as one fully cut off.
     """
-    fabric = survivor.switch_subgraph().to_undirected()
     components = sorted(
-        (sorted(c) for c in nx.connected_components(fabric)),
+        (sorted(c) for c in connected_components(survivor.switch_neighbors())),
         key=lambda c: (-len(c), c),
     )
     if not components:
@@ -102,9 +100,8 @@ def _largest_island(survivor: Topology) -> Topology:
                 **{k: v for k, v in survivor.node_attrs(sw).items() if k != "kind"},
             )
     for core in survivor.cores:
-        graph = survivor.graph
-        sends = any(sw in keep for sw in graph.successors(core))
-        receives = any(sw in keep for sw in graph.predecessors(core))
+        sends = any(sw in keep for sw in survivor.successors(core))
+        receives = any(sw in keep for sw in survivor.predecessors(core))
         if sends and receives:
             island.add_core(
                 core,

@@ -62,7 +62,9 @@ from repro.resilience.integrity import (
 #: ejection link.
 #: 8: a link holds the event wheel it posts on (``wheel``, ``token``);
 #: an ON/OFF link no longer restarts its count after a repair.
-CHECKPOINT_VERSION = 8
+#: 9: a topology is plain node and link dicts; a credit link keeps a
+#: credit pool across its VCs.
+CHECKPOINT_VERSION = 9
 
 _MAGIC = b"repro-ckpt\x00"
 _VERSION = struct.Struct(">I")

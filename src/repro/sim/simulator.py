@@ -254,8 +254,8 @@ class NocSimulator:
         """
         topo = self.topology
         params = self.params
-        ins: Dict[str, Dict[str, Link]] = {node: {} for node in topo.graph}
-        outs: Dict[str, Dict[str, Link]] = {node: {} for node in topo.graph}
+        ins: Dict[str, Dict[str, Link]] = {node: {} for node in topo.nodes}
+        outs: Dict[str, Dict[str, Link]] = {node: {} for node in topo.nodes}
         for src, dst in topo.links:
             link = make_link(
                 f"{src}->{dst}", topo.link_attrs(src, dst).delay_cycles,

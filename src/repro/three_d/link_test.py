@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.topology.graph import NodeKind, Route, RoutingTable, Topology
 from repro.three_d.topology3d import vertical_links
 

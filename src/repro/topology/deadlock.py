@@ -21,18 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
+from repro.topology.algorithms import find_cycle
 from repro.topology.graph import NodeKind, RoutingTable, Topology
 
 Channel = Tuple[str, str, int]  # (src node, dst node, virtual channel)
+#: channel -> the channels a route requests while holding it; both
+#: levels in first-seen order (the values are all None).
+DependencyGraph = Dict[Channel, Dict[Channel, None]]
 
 
 def channel_dependency_graph(
     topo: Topology,
     table: RoutingTable,
     vc_assignment: Optional[Dict[Tuple[str, str], Sequence[int]]] = None,
-) -> nx.DiGraph:
+) -> DependencyGraph:
     """Build the CDG induced by a routing table.
 
     ``vc_assignment`` maps (src core, dst core) to the VC index used on
@@ -40,7 +42,7 @@ def channel_dependency_graph(
     :func:`repro.topology.routing.dateline_vc_assignment`); omitted
     routes use VC 0 everywhere.
     """
-    cdg = nx.DiGraph()
+    cdg: DependencyGraph = {}
     for route in table:
         links = route.links()
         vcs = _vcs_for(route.source, route.destination, len(links), vc_assignment)
@@ -48,9 +50,9 @@ def channel_dependency_graph(
             (src, dst, vc) for (src, dst), vc in zip(links, vcs)
         ]
         for ch in channels:
-            cdg.add_node(ch)
+            cdg.setdefault(ch, {})
         for held, wanted in zip(channels, channels[1:]):
-            cdg.add_edge(held, wanted)
+            cdg[held][wanted] = None
     return cdg
 
 
@@ -93,21 +95,13 @@ def check_routing_deadlock(
 ) -> DeadlockReport:
     """Dally-Seitz acyclicity check; returns a witness cycle if any."""
     cdg = channel_dependency_graph(topo, table, vc_assignment)
-    try:
-        cycle_edges = nx.find_cycle(cdg)
-        cycle = [edge[0] for edge in cycle_edges]
-        return DeadlockReport(
-            is_deadlock_free=False,
-            cycle=cycle,
-            num_channels=cdg.number_of_nodes(),
-            num_dependencies=cdg.number_of_edges(),
-        )
-    except nx.NetworkXNoCycle:
-        return DeadlockReport(
-            is_deadlock_free=True,
-            num_channels=cdg.number_of_nodes(),
-            num_dependencies=cdg.number_of_edges(),
-        )
+    cycle = find_cycle(cdg)
+    return DeadlockReport(
+        is_deadlock_free=cycle is None,
+        cycle=cycle or [],
+        num_channels=len(cdg),
+        num_dependencies=sum(map(len, cdg.values())),
+    )
 
 
 def minimum_vcs_required(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import networkx as nx
+from repro.topology.algorithms import reachable
 
 
 class NodeKind(Enum):
@@ -57,6 +57,12 @@ class Topology:
         Human-readable identifier (e.g. ``"mesh4x4"``).
     flit_width:
         Default link width in bits; individual links may override.
+
+    The graph is three insertion-ordered dicts: node -> attributes (its
+    ``kind`` included), and node -> {neighbor: :class:`LinkAttrs`} for
+    outgoing and for incoming links, both directions sharing one
+    ``LinkAttrs``.  Nodes list in the order they were added, and links
+    by source node, then in the order they were added.
     """
 
     def __init__(self, name: str = "noc", flit_width: int = 32):
@@ -64,7 +70,9 @@ class Topology:
             raise ValueError("flit width must be >= 1")
         self.name = name
         self.flit_width = flit_width
-        self._graph = nx.DiGraph()
+        self._nodes: Dict[str, dict] = {}
+        self._succ: Dict[str, Dict[str, LinkAttrs]] = {}
+        self._pred: Dict[str, Dict[str, LinkAttrs]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -76,9 +84,11 @@ class Topology:
         self._add_node(name, NodeKind.CORE, **attrs)
 
     def _add_node(self, name: str, kind: NodeKind, **attrs) -> None:
-        if name in self._graph:
+        if name in self._nodes:
             raise ValueError(f"duplicate node {name!r}")
-        self._graph.add_node(name, kind=kind, **attrs)
+        self._nodes[name] = {"kind": kind, **attrs}
+        self._succ[name] = {}
+        self._pred[name] = {}
 
     def add_link(
         self,
@@ -91,121 +101,131 @@ class Topology:
     ) -> None:
         """Add a link; by default also adds the opposing direction."""
         for node in (src, dst):
-            if node not in self._graph:
+            if node not in self._nodes:
                 raise KeyError(f"unknown node {node!r}")
         if src == dst:
             raise ValueError(f"self-link on {src!r}")
         if self.kind(src) is NodeKind.CORE and self.kind(dst) is NodeKind.CORE:
             raise ValueError("cores cannot connect directly; route through a switch")
-        if self._graph.has_edge(src, dst):
+        if dst in self._succ[src]:
             raise ValueError(f"duplicate link {src!r}->{dst!r}")
-        attrs = LinkAttrs(length_mm, pipeline_stages, width_bits)
-        self._graph.add_edge(src, dst, attrs=attrs)
+        self._link(src, dst, LinkAttrs(length_mm, pipeline_stages, width_bits))
         if bidirectional:
-            if self._graph.has_edge(dst, src):
+            if src in self._succ[dst]:
                 raise ValueError(f"duplicate link {dst!r}->{src!r}")
-            self._graph.add_edge(
-                dst, src, attrs=LinkAttrs(length_mm, pipeline_stages, width_bits)
-            )
+            self._link(dst, src, LinkAttrs(length_mm, pipeline_stages, width_bits))
+
+    def _link(self, src: str, dst: str, attrs: LinkAttrs) -> None:
+        self._succ[src][dst] = self._pred[dst][src] = attrs
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._nodes
 
     def kind(self, name: str) -> NodeKind:
         try:
-            return self._graph.nodes[name]["kind"]
+            return self._nodes[name]["kind"]
         except KeyError:
             raise KeyError(f"unknown node {name!r}") from None
 
     def node_attrs(self, name: str) -> dict:
-        if name not in self._graph:
+        if name not in self._nodes:
             raise KeyError(f"unknown node {name!r}")
-        return dict(self._graph.nodes[name])
+        return dict(self._nodes[name])
+
+    @property
+    def nodes(self) -> List[str]:
+        return list(self._nodes)
+
+    @property
+    def adjacency(self) -> Dict[str, Dict[str, LinkAttrs]]:
+        """node -> {successor: the link's attributes} (treat as read-only)."""
+        return self._succ
 
     @property
     def switches(self) -> List[str]:
-        return [n for n, d in self._graph.nodes(data=True) if d["kind"] is NodeKind.SWITCH]
+        return [n for n, d in self._nodes.items() if d["kind"] is NodeKind.SWITCH]
 
     @property
     def cores(self) -> List[str]:
-        return [n for n, d in self._graph.nodes(data=True) if d["kind"] is NodeKind.CORE]
+        return [n for n, d in self._nodes.items() if d["kind"] is NodeKind.CORE]
 
     @property
     def links(self) -> List[Tuple[str, str]]:
-        return list(self._graph.edges())
+        return [(src, dst) for src, out in self._succ.items() for dst in out]
 
     def link_attrs(self, src: str, dst: str) -> LinkAttrs:
         try:
-            return self._graph.edges[src, dst]["attrs"]
+            return self._succ[src][dst]
         except KeyError:
             raise KeyError(f"no link {src!r}->{dst!r}") from None
 
     def has_link(self, src: str, dst: str) -> bool:
-        return self._graph.has_edge(src, dst)
+        return dst in self._succ.get(src, ())
 
     def link_width(self, src: str, dst: str) -> int:
         attrs = self.link_attrs(src, dst)
         return attrs.width_bits if attrs.width_bits is not None else self.flit_width
 
     def successors(self, name: str) -> List[str]:
-        if name not in self._graph:
+        if name not in self._nodes:
             raise KeyError(f"unknown node {name!r}")
-        return list(self._graph.successors(name))
+        return list(self._succ[name])
 
     def predecessors(self, name: str) -> List[str]:
-        if name not in self._graph:
+        if name not in self._nodes:
             raise KeyError(f"unknown node {name!r}")
-        return list(self._graph.predecessors(name))
+        return list(self._pred[name])
 
     def radix(self, switch: str) -> Tuple[int, int]:
         """(input ports, output ports) of a switch, cores included."""
         if self.kind(switch) is not NodeKind.SWITCH:
             raise ValueError(f"{switch!r} is not a switch")
-        return (self._graph.in_degree(switch), self._graph.out_degree(switch))
+        return (len(self._pred[switch]), len(self._succ[switch]))
 
     def attached_switches(self, core: str) -> List[str]:
         """Switches this core's NI connects to."""
         if self.kind(core) is not NodeKind.CORE:
             raise ValueError(f"{core!r} is not a core")
-        out = set(self._graph.successors(core)) | set(self._graph.predecessors(core))
-        return sorted(out)
+        return sorted(self._succ[core].keys() | self._pred[core].keys())
 
-    def switch_subgraph(self) -> nx.DiGraph:
-        """The switch-to-switch fabric (cores stripped)."""
-        return self._graph.subgraph(self.switches).copy()
-
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying directed graph (treat as read-only)."""
-        return self._graph
+    def switch_neighbors(self) -> Dict[str, List[str]]:
+        """The switch fabric, cores stripped, with links taken both ways:
+        each switch (in node order) -> its neighboring switches, sorted."""
+        nodes = self._nodes
+        return {
+            sw: sorted(
+                n for n in self._succ[sw].keys() | self._pred[sw].keys()
+                if nodes[n]["kind"] is NodeKind.SWITCH
+            )
+            for sw in self.switches
+        }
 
     def is_connected(self) -> bool:
-        """Every core can reach every other core."""
+        """Every core can reach every other core.
+
+        They all can exactly when the first core reaches every core and
+        every core reaches it, so two searches decide it.
+        """
         cores = self.cores
         if len(cores) < 2:
             return True
-        for src in cores:
-            reachable = nx.descendants(self._graph, src)
-            if not all(dst in reachable for dst in cores if dst != src):
-                return False
-        return True
+        return all(
+            reachable(adj, cores[0]).issuperset(cores)
+            for adj in (self._succ, self._pred)
+        )
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Structural design rules: raise ValueError on violation."""
         problems: List[str] = []
         for core in self.cores:
-            succ = list(self._graph.successors(core))
-            pred = list(self._graph.predecessors(core))
-            if not succ and not pred:
+            if not self._succ[core] and not self._pred[core]:
                 problems.append(f"core {core!r} is unconnected")
         for switch in self.switches:
-            in_deg = self._graph.in_degree(switch)
-            out_deg = self._graph.out_degree(switch)
-            if in_deg == 0 or out_deg == 0:
+            if not self._pred[switch] or not self._succ[switch]:
                 problems.append(f"switch {switch!r} lacks input or output links")
         if not self.is_connected():
             problems.append("topology does not connect all core pairs")
@@ -298,10 +318,9 @@ class RoutingTable:
         self._routes[(route.source, route.destination)] = route
 
     def _check(self, path: Tuple[str, ...]) -> None:
-        # networkx's own node and adjacency dicts: route tables hold one
-        # entry per core pair, too many to check through view objects.
-        graph = self.topology.graph
-        nodes, succ = graph._node, graph._succ
+        # The topology's own dicts: route tables hold one entry per core
+        # pair, too many to check through copying accessors.
+        nodes, succ = self.topology._nodes, self.topology._succ
         for node in path:
             if node not in nodes:
                 raise KeyError(f"route references unknown node {node!r}")

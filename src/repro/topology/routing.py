@@ -31,8 +31,7 @@ from collections.abc import Mapping
 from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
+from repro.topology.algorithms import dijkstra
 from repro.topology.graph import NodeKind, Route, RoutingTable, Topology
 
 Direction = str  # "E", "W", "N", "S"
@@ -312,13 +311,13 @@ def shortest_path_routing(
 def _shortest_path(
     topo: Topology, weight: Optional[str], src: str, dst: str
 ) -> List[str]:
-    def w(u, v, d):
-        base = d["attrs"].length_mm if weight == "length" else 1.0
+    def w(u, v, attrs):
+        base = attrs.length_mm if weight == "length" else 1.0
         if weight == "length":
             base = base if base > 0 else 1e-3
         # Never route through an intermediate core.
         if topo.kind(v) is NodeKind.CORE:
-            return None  # networkx: None hides the edge
+            return None  # hides the edge
         return base
 
     # Route to each switch attached to the destination, then append the
@@ -326,10 +325,10 @@ def _shortest_path(
     best: Optional[List[str]] = None
     best_cost = float("inf")
     for d_sw in sorted(topo.attached_switches(dst)):
-        try:
-            cost, path = nx.single_source_dijkstra(topo.graph, src, d_sw, weight=w)
-        except nx.NetworkXNoPath:
+        found = dijkstra(topo.adjacency, src, d_sw, w)
+        if found is None:
             continue
+        cost, path = found
         tail = topo.link_attrs(d_sw, dst).length_mm if weight == "length" else 1.0
         if not topo.has_link(d_sw, dst):
             continue
@@ -364,16 +363,16 @@ def _up_down_levels(topo: Topology, root: Optional[str]) -> Dict[str, int]:
     switches = topo.switches
     if not switches:
         raise ValueError("topology has no switches")
-    fabric = topo.switch_subgraph().to_undirected()
+    fabric = topo.switch_neighbors()
     if root is None:
-        root = max(switches, key=lambda s: (fabric.degree(s), s))
+        root = max(switches, key=lambda s: (len(fabric[s]), s))
     elif root not in switches:
         raise KeyError(f"root {root!r} is not a switch")
     level = {root: 0}
     order = deque([root])
     while order:
         node = order.popleft()
-        for nxt in sorted(fabric.neighbors(node)):
+        for nxt in fabric[node]:
             if nxt not in level:
                 level[nxt] = level[node] + 1
                 order.append(nxt)

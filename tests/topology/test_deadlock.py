@@ -104,7 +104,7 @@ class TestCDGStructure:
         m = mesh(2, 2)
         table = xy_routing(m)
         cdg = channel_dependency_graph(m, table)
-        for src, dst, vc in cdg.nodes:
+        for src, dst, vc in cdg:
             assert m.has_link(src, dst)
             assert vc == 0
 

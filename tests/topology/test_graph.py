@@ -1,5 +1,6 @@
 """Tests for the topology graph model."""
 
+import networkx as nx
 import pytest
 
 from repro.topology.graph import LinkAttrs, NodeKind, Route, RoutingTable, Topology
@@ -124,9 +125,17 @@ class TestQueries:
         with pytest.raises(ValueError, match="lonely"):
             t.validate()
 
-    def test_switch_subgraph_strips_cores(self, small):
-        fabric = small.switch_subgraph()
-        assert set(fabric.nodes) == {"s0", "s1"}
+    def test_switch_neighbors_strip_cores(self, small):
+        fabric = small.switch_neighbors()
+        assert set(fabric) == {"s0", "s1"}
+        # Oracle: the undirected graph of the switch-to-switch links.
+        switches = set(small.switches)
+        oracle = nx.Graph()
+        oracle.add_nodes_from(small.switches)
+        oracle.add_edges_from(
+            (a, b) for a, b in small.links if a in switches and b in switches
+        )
+        assert fabric == {s: sorted(oracle.neighbors(s)) for s in oracle}
 
     def test_repr(self, small):
         text = repr(small)

@@ -138,7 +138,12 @@ class TestUpDown:
         # Reconstruct levels the same way the router does.
         import networkx as nx
 
-        fabric = b.switch_subgraph().to_undirected()
+        switches = set(b.switches)
+        fabric = nx.Graph()
+        fabric.add_nodes_from(b.switches)
+        fabric.add_edges_from(
+            (a, c) for a, c in b.links if a in switches and c in switches
+        )
         root = max(b.switches, key=lambda s: (fabric.degree(s), s))
         level = nx.single_source_shortest_path_length(fabric, root)
 
