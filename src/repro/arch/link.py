@@ -32,11 +32,11 @@ and ignores returned slots.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.arch.packet import Flit
 from repro.arch.parameters import FlowControlKind, NocParameters
+from repro.arch.slots import slot_state
 
 
 class Receiver(Protocol):
@@ -46,7 +46,21 @@ class Receiver(Protocol):
 
 
 class Link:
-    """Base link: delay pipeline and per-cycle bandwidth accounting."""
+    """Base link: delay pipeline and per-cycle bandwidth accounting.
+
+    Links are slotted, and their queues are lists: one link per
+    direction of every channel is built, and each queue holds at most
+    a delay's, a window's or a buffer's worth of entries, so ``pop(0)``
+    costs no more than ``deque.popleft`` while an empty list takes a
+    fourteenth of an empty deque's memory.
+    """
+
+    __slots__ = (
+        "name", "delay_cycles", "num_vcs", "receiver", "wheel", "token",
+        "wakeup", "_in_flight", "_last_send_cycle", "flits_carried",
+        "failed", "flits_dropped", "_burst_until", "_burst_probability",
+        "_burst_rng", "_poisoned",
+    )
 
     def __init__(self, name: str, delay_cycles: int, num_vcs: int):
         if delay_cycles < 1:
@@ -67,7 +81,7 @@ class Link:
         self.wheel: Optional[Dict[int, List[int]]] = None
         self.token = -1
         self.wakeup: Optional[Callable[[], None]] = None
-        self._in_flight: Deque[Tuple[int, Flit]] = deque()  # (deliver_at, flit)
+        self._in_flight: List[Tuple[int, Flit]] = []  # (deliver_at, flit)
         self._last_send_cycle = -1
         self.flits_carried = 0  # lifetime statistics (utilization, power)
         # Live fault state (see repro.sim.faults).  A hard-failed link is
@@ -89,8 +103,9 @@ class Link:
         # or a tailless head (the lock is never released), so corruption
         # is packet-granular — either a whole packet crosses or none of
         # it does.  Link-level retransmission (AckNackLink) recovers
-        # per-flit instead and does not use this set.
-        self._poisoned: set = set()
+        # per-flit instead and does not use this set.  Created by the
+        # first truncation: most links never see one.
+        self._poisoned: Optional[Set[int]] = None
 
     def connect(self, receiver: Receiver, share: Optional[int] = None) -> None:
         """Deliver to ``receiver``.
@@ -117,10 +132,7 @@ class Link:
         rebuilds its scheduler (and reinstalls hooks) from component
         state, so the capsule never carries them.
         """
-        state = self.__dict__.copy()
-        state["wheel"] = None
-        state["wakeup"] = None
-        return state
+        return slot_state(self, ("wheel", "wakeup"))
 
     # -- fault injection -------------------------------------------------
     def fail(self, cycle: int) -> int:
@@ -135,7 +147,7 @@ class Link:
         """Bring a failed link back up; flits sent into it are gone."""
         self.failed = False
         self._lose_in_flight(cycle)
-        self._poisoned.clear()
+        self._poisoned = None
         self._on_repair(cycle)
 
     def _lose_in_flight(self, cycle: int) -> None:
@@ -173,7 +185,7 @@ class Link:
         longer reach their destination; flow-control state is repaired
         per subclass (credits returned, occupancy counters adjusted).
         """
-        keep: Deque[Tuple[int, Flit]] = deque()
+        keep: List[Tuple[int, Flit]] = []
         purged = 0
         for at, flit in self._in_flight:
             if predicate(flit.packet):
@@ -215,16 +227,19 @@ class Link:
     def _drops(self, flit: Flit, cycle: int) -> bool:
         """Discard a due ``flit`` if a fault kills it; returns whether it did."""
         packet_id = flit.packet.packet_id
+        poisoned = self._poisoned
         if self.failed:
             self._discard(flit, cycle)
-        elif packet_id in self._poisoned:
+        elif poisoned and packet_id in poisoned:
             self._discard(flit, cycle)
             if flit.is_tail:
-                self._poisoned.discard(packet_id)
+                poisoned.discard(packet_id)
         elif flit.is_head and self._burst_corrupts(cycle):
             self._discard(flit, cycle)
             if not flit.is_tail:
-                self._poisoned.add(packet_id)
+                if poisoned is None:
+                    self._poisoned = poisoned = set()
+                poisoned.add(packet_id)
         else:
             return False
         return True
@@ -240,7 +255,7 @@ class Link:
         # link, poison a packet, or open a burst window.
         clean = not self.failed and not self._poisoned and cycle >= self._burst_until
         while in_flight and in_flight[0][0] <= cycle:
-            flit = in_flight.popleft()[1]
+            flit = in_flight.pop(0)[1]
             if clean or not self._drops(flit, cycle):
                 self._deliver(flit, cycle)
 
@@ -264,6 +279,8 @@ class CreditLink(Link):
     because every lost flit returns its own.
     """
 
+    __slots__ = ("buffer_depth", "credits", "pool", "_returning")
+
     def __init__(self, name: str, delay_cycles: int, num_vcs: int, buffer_depth: int):
         super().__init__(name, delay_cycles, num_vcs)
         if buffer_depth < 1:
@@ -271,7 +288,7 @@ class CreditLink(Link):
         self.buffer_depth = buffer_depth
         self.credits = [buffer_depth] * num_vcs
         self.pool = buffer_depth * num_vcs
-        self._returning: Deque[Tuple[int, int]] = deque()  # (arrive_at, vc)
+        self._returning: List[Tuple[int, int]] = []  # (arrive_at, vc)
 
     def connect(self, receiver: Receiver, share: Optional[int] = None) -> None:
         super().connect(receiver)
@@ -304,8 +321,9 @@ class CreditLink(Link):
         self._returning.append((cycle + self.delay_cycles, vc))
 
     def _collect_credits(self, cycle: int) -> None:
-        while self._returning and self._returning[0][0] <= cycle:
-            __, vc = self._returning.popleft()
+        returning = self._returning
+        while returning and returning[0][0] <= cycle:
+            __, vc = returning.pop(0)
             self.credits[vc] += 1
             self.pool += 1
 
@@ -356,6 +374,11 @@ class OnOffLink(Link):
     has work only on its delivery cycles.
     """
 
+    __slots__ = (
+        "buffer_depth", "threshold", "share", "_off_floor", "_fresh",
+        "_count_of", "_free", "_in_flight_count", "_changes",
+    )
+
     def __init__(
         self,
         name: str,
@@ -382,8 +405,6 @@ class OnOffLink(Link):
         self._count_of = list(range(num_vcs))
         self._free = [buffer_depth] * num_vcs
         self._in_flight_count = [0] * num_vcs
-        # A list, not a deque: it holds a few entries per flit buffered
-        # or in flight, and an empty deque is over ten times an empty list.
         self._changes: List[Tuple[int, int, int]] = []  # (stamp, count, +-1)
 
     def connect(self, receiver: Receiver, share: Optional[int] = None) -> None:
@@ -444,7 +465,7 @@ class OnOffLink(Link):
         in_flight_count = self._in_flight_count
         changes = self._changes
         while in_flight and in_flight[0][0] <= cycle:
-            flit = in_flight.popleft()[1]
+            flit = in_flight.pop(0)[1]
             if not clean and self._drops(flit, cycle):
                 continue
             i = count_of[flit.vc]
@@ -479,6 +500,13 @@ class AckNackLink(Link):
     are deterministic under ``error_seed``.
     """
 
+    __slots__ = (
+        "window", "flit_error_probability", "_error_rng", "flits_corrupted",
+        "_buffer", "_base_seq", "_send_ptr", "_high_water", "_control",
+        "_expected_seq", "_last_nacked", "_last_event_cycle", "_timeout",
+        "retransmissions",
+    )
+
     def __init__(
         self,
         name: str,
@@ -498,11 +526,11 @@ class AckNackLink(Link):
         self.flit_error_probability = flit_error_probability
         self._error_rng = _random.Random(error_seed)
         self.flits_corrupted = 0
-        self._buffer: Deque[Flit] = deque()  # unacked flits, seq order
+        self._buffer: List[Flit] = []        # unacked flits, seq order
         self._base_seq = 0                   # seq of _buffer[0]
         self._send_ptr = 0                   # next index in _buffer to (re)transmit
         self._high_water = 0                 # furthest index ever transmitted
-        self._control: Deque[Tuple[int, str, int]] = deque()  # (at, kind, seq)
+        self._control: List[Tuple[int, str, int]] = []  # (at, kind, seq)
         self._expected_seq = 0               # receiver side
         self._last_nacked: Optional[int] = None
         self._last_event_cycle = 0           # for the retransmission timeout
@@ -580,7 +608,7 @@ class AckNackLink(Link):
             self._last_event_cycle = cycle
         # Deliveries.
         while self._in_flight and self._in_flight[0][0] <= cycle:
-            __, (seq, flit) = self._in_flight.popleft()
+            __, (seq, flit) = self._in_flight.pop(0)
             self._receive(seq, flit, cycle)
 
     # -- receiver ------------------------------------------------------------
@@ -618,11 +646,11 @@ class AckNackLink(Link):
 
     def _process_control(self, cycle: int) -> None:
         while self._control and self._control[0][0] <= cycle:
-            __, kind, seq = self._control.popleft()
+            __, kind, seq = self._control.pop(0)
             self._last_event_cycle = cycle
             if kind == "ack":
                 while self._buffer and self._base_seq <= seq:
-                    self._buffer.popleft()
+                    self._buffer.pop(0)
                     self._base_seq += 1
                     self._send_ptr = max(0, self._send_ptr - 1)
                     self._high_water = max(0, self._high_water - 1)

@@ -26,6 +26,7 @@ from typing import Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
 from repro.arch.link import Link
 from repro.arch.packet import EndToEndAck, Flit, MessageClass, Packet
 from repro.arch.parameters import NocParameters
+from repro.arch.slots import slot_state
 
 
 #: One LUT entry: the node path and its per-hop VC indices (or None).
@@ -44,6 +45,8 @@ class RoutingLut:
     current routing table, so a LUT holds only the destinations its core
     has used.  A hit is one dict lookup.
     """
+
+    __slots__ = ("_entries", "_fill")
 
     def __init__(self, fill: Optional[Callable[[str], Optional[LutEntry]]] = None):
         self._entries: Dict[str, LutEntry] = {}
@@ -147,7 +150,20 @@ class InitiatorNI:
     link toward it; a flit leaves on the link to its route's first
     switch, so a multi-homed core (BONE's dual-port SRAMs) injects on
     whichever port its route starts from.
+
+    The source queues are deques: past saturation they grow without
+    bound, where a list's ``pop(0)`` would cost their length.
     """
+
+    __slots__ = (
+        "core", "params", "lut", "injection_links", "_be_queue",
+        "_gt_queues", "_current_be", "_current_gt", "slot_table", "gt_vc",
+        "trace", "packets_injected", "flits_injected",
+        "injection_stall_cycles", "retransmission", "_pending",
+        "_next_transfer_seq", "packets_retransmitted", "packets_recovered",
+        "packets_lost", "packets_abandoned_unreachable", "on_timeout",
+        "on_ack", "wakeup",
+    )
 
     def __init__(self, core: str, params: NocParameters, lut: RoutingLut,
                  injection_links: Mapping[str, Link]):
@@ -191,12 +207,7 @@ class InitiatorNI:
         simulator on restore (see ``NocSimulator.__setstate__``), so the
         capsule stores only the NI's own data.
         """
-        state = self.__dict__.copy()
-        state["trace"] = None
-        state["on_timeout"] = None
-        state["on_ack"] = None
-        state["wakeup"] = None
-        return state
+        return slot_state(self, ("trace", "on_timeout", "on_ack", "wakeup"))
 
     # ------------------------------------------------------------------
     def send(self, destination: str, size_flits: int, cycle: int,
@@ -242,9 +253,10 @@ class InitiatorNI:
     def enqueue(self, packet: Packet) -> None:
         """Queue a pre-built packet (responses, traces)."""
         if packet.message_class is MessageClass.GUARANTEED:
-            self._gt_queues.setdefault(packet.connection_id, deque()).append(
-                packet
-            )
+            queue = self._gt_queues.get(packet.connection_id)
+            if queue is None:
+                queue = self._gt_queues[packet.connection_id] = deque()
+            queue.append(packet)
         else:
             self._be_queue.append(packet)
         if self.wakeup is not None:
@@ -496,23 +508,34 @@ class TargetNI:
     ``ejection_depth // len(ejection_links)`` slots, so the links never
     overflow it together; a drain returns the slot to the link the flit
     arrived on.  A link that cannot work within its share is refused.
+
+    The ejection buffer is a list (it holds at most ``ejection_depth``
+    flits); the pending-response queue and the set of seen transfers
+    are created on first use, since most targets never need them.
     """
+
+    __slots__ = (
+        "core", "params", "ejection_depth", "_buffer", "_responder", "trace",
+        "_service_cycles", "_pending_responses", "response_ni",
+        "packets_received", "flits_received", "_seen_transfers",
+        "duplicates_discarded", "acks_sent", "wakeup", "ejection_links",
+    )
 
     def __init__(self, core: str, params: NocParameters,
                  ejection_links: Mapping[str, Link], ejection_depth: int = 8):
         self.core = core
         self.params = params
         self.ejection_depth = ejection_depth
-        self._buffer: Deque[Flit] = deque()
+        self._buffer: List[Flit] = []
         self._responder: Optional[Callable[[Packet, int], Optional[Packet]]] = None
         self.trace = None  # optional callback(cycle, flit) on drain
         self._service_cycles = 0
-        self._pending_responses: Deque[Tuple[int, Packet]] = deque()
+        self._pending_responses: Optional[Deque[Tuple[int, Packet]]] = None
         self.response_ni: Optional[InitiatorNI] = None
         self.packets_received: List[Tuple[Packet, int]] = []  # (packet, arrival)
         self.flits_received = 0
         # Transport-layer state (end-to-end retransmission).
-        self._seen_transfers: Set[Tuple[str, int]] = set()
+        self._seen_transfers: Optional[Set[Tuple[str, int]]] = None
         self.duplicates_discarded = 0
         self.acks_sent = 0
         # Event-kernel wakeup hook: fired on accept() so the target is
@@ -532,11 +555,7 @@ class TargetNI:
         restore (``_service_cycles`` and the pending-response queue are
         data and travel in the capsule).
         """
-        state = self.__dict__.copy()
-        state["trace"] = None
-        state["_responder"] = None
-        state["wakeup"] = None
-        return state
+        return slot_state(self, ("trace", "_responder", "wakeup"))
 
     @property
     def idle(self) -> bool:
@@ -578,8 +597,9 @@ class TargetNI:
     def tick(self, cycle: int) -> None:
         """Drain one flit; complete packets at their tail flit."""
         # Release responses whose service latency has elapsed.
-        while self._pending_responses and self._pending_responses[0][0] <= cycle:
-            __, response = self._pending_responses.popleft()
+        pending = self._pending_responses
+        while pending and pending[0][0] <= cycle:
+            __, response = pending.popleft()
             if self.response_ni is None:
                 raise RuntimeError(
                     f"target NI {self.core!r} has a responder but no "
@@ -588,7 +608,7 @@ class TargetNI:
             self.response_ni.enqueue(response)
         if not self._buffer:
             return
-        flit = self._buffer.popleft()
+        flit = self._buffer.pop(0)
         link = self.ejection_links.get(flit.packet.route[flit.hop - 1])
         if link is not None:
             link.return_credit(flit.vc, cycle, after_links=True)
@@ -607,8 +627,11 @@ class TargetNI:
                     )
                 return
             if packet.transfer_id is not None:
-                duplicate = packet.transfer_id in self._seen_transfers
-                self._seen_transfers.add(packet.transfer_id)
+                seen = self._seen_transfers
+                if seen is None:
+                    self._seen_transfers = seen = set()
+                duplicate = packet.transfer_id in seen
+                seen.add(packet.transfer_id)
                 self._acknowledge(packet, cycle)
                 if duplicate:
                     # A retransmitted copy of an already-delivered
@@ -631,6 +654,8 @@ class TargetNI:
                     if self._service_cycles == 0:
                         self.response_ni.enqueue(response)
                     else:
+                        if self._pending_responses is None:
+                            self._pending_responses = deque()
                         self._pending_responses.append(
                             (cycle + self._service_cycles, response)
                         )

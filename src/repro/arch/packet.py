@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -89,35 +89,81 @@ def set_packet_id_watermark(mark: int) -> None:
 
 @dataclass
 class Packet:
-    """One network packet: a routed payload between two cores."""
+    """One network packet: a routed payload between two cores.
+
+    Slotted, like :class:`Flit`: a simulator holds every packet in
+    flight or delivered.  The fields carry no class-level defaults (a
+    slot and a default cannot share a name), so ``__init__`` is written
+    out; it draws the next packet id unless one is given.
+    """
+
+    __slots__ = (
+        "source", "destination", "size_flits", "route", "injection_cycle",
+        "message_class", "connection_id", "vc_path", "packet_id", "payload",
+        "transfer_id",
+    )
 
     source: str
     destination: str
     size_flits: int
     route: Tuple[str, ...]
-    injection_cycle: int = 0
-    message_class: MessageClass = MessageClass.BEST_EFFORT
-    connection_id: Optional[int] = None  # GT connection (TDMA slot owner)
-    vc_path: Optional[Tuple[int, ...]] = None  # VC per link, len(route) - 1
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    payload: Optional[object] = None
+    injection_cycle: int
+    message_class: MessageClass
+    connection_id: Optional[int]  # GT connection (TDMA slot owner)
+    vc_path: Optional[Tuple[int, ...]]  # VC per link, len(route) - 1
+    packet_id: int
+    payload: Optional[object]
     #: Transport-level identity for end-to-end retransmission: all
     #: (re)transmissions of one logical transfer share this id, so the
     #: target NI can discard duplicates and ack the original.  ``None``
     #: when retransmission is disabled (the default).
-    transfer_id: Optional[Tuple[str, int]] = None
+    transfer_id: Optional[Tuple[str, int]]
 
-    def __post_init__(self) -> None:
-        if self.size_flits < 1:
+    def __init__(
+        self,
+        source: str,
+        destination: str,
+        size_flits: int,
+        route: Tuple[str, ...],
+        injection_cycle: int = 0,
+        message_class: MessageClass = MessageClass.BEST_EFFORT,
+        connection_id: Optional[int] = None,
+        vc_path: Optional[Tuple[int, ...]] = None,
+        packet_id: Optional[int] = None,
+        payload: Optional[object] = None,
+        transfer_id: Optional[Tuple[str, int]] = None,
+    ):
+        self.source = source
+        self.destination = destination
+        self.size_flits = size_flits
+        self.route = route
+        self.injection_cycle = injection_cycle
+        self.message_class = message_class
+        self.connection_id = connection_id
+        self.vc_path = vc_path
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
+        self.payload = payload
+        self.transfer_id = transfer_id
+        if size_flits < 1:
             raise ValueError("packet needs at least one flit")
-        if len(self.route) < 2:
+        if len(route) < 2:
             raise ValueError("packet route must span source to destination")
-        if self.route[0] != self.source or self.route[-1] != self.destination:
+        if route[0] != source or route[-1] != destination:
             raise ValueError("route endpoints must match source/destination")
-        if self.vc_path is not None and len(self.vc_path) != len(self.route) - 1:
+        if vc_path is not None and len(vc_path) != len(route) - 1:
             raise ValueError(
-                f"vc_path needs {len(self.route) - 1} entries, got {len(self.vc_path)}"
+                f"vc_path needs {len(route) - 1} entries, got {len(vc_path)}"
             )
+
+    def __reduce__(self):
+        # Rebuilt from its fields in __init__ order: a checkpoint holds
+        # every packet in flight or delivered, and a tuple pickles in
+        # half the time and bytes of a slot-state dict.
+        return Packet, (
+            self.source, self.destination, self.size_flits, self.route,
+            self.injection_cycle, self.message_class, self.connection_id,
+            self.vc_path, self.packet_id, self.payload, self.transfer_id,
+        )
 
     def vc_on_link(self, hop: int) -> int:
         """VC used on the link route[hop] -> route[hop+1]."""
@@ -141,17 +187,21 @@ class Packet:
 class Flit:
     """One flow-control unit moving through the network."""
 
+    # ``is_head`` and ``is_tail`` are derived from flit_type once at
+    # construction: they are read on every hop (wormhole lock
+    # take/release), so they are plain slots rather than properties,
+    # and not dataclass fields (they take no part in eq).
+    __slots__ = (
+        "packet", "index", "flit_type", "hop", "vc", "arrival_cycle",
+        "is_head", "is_tail",
+    )
+
     packet: Packet
     index: int
     flit_type: FlitType
-    hop: int = 0          # position in packet.route: the node currently holding it
-    vc: int = 0           # virtual channel on the *next* link
-    arrival_cycle: Optional[int] = None
-    # Derived from flit_type once at construction: these are read on
-    # every hop (wormhole lock take/release), so they are plain
-    # attributes rather than properties.
-    is_head: bool = field(init=False, repr=False, compare=False)
-    is_tail: bool = field(init=False, repr=False, compare=False)
+    hop: int              # position in packet.route: the node currently holding it
+    vc: int               # virtual channel on the *next* link
+    arrival_cycle: Optional[int]
 
     def __init__(
         self,
@@ -173,6 +223,13 @@ class Flit:
         self.arrival_cycle = arrival_cycle
         self.is_head = flit_type is _HEAD or flit_type is _SINGLE
         self.is_tail = flit_type is _TAIL or flit_type is _SINGLE
+
+    def __reduce__(self):
+        # As Packet.__reduce__; __init__ derives is_head and is_tail.
+        return Flit, (
+            self.packet, self.index, self.flit_type, self.hop, self.vc,
+            self.arrival_cycle,
+        )
 
     @property
     def route(self) -> Tuple[str, ...]:

@@ -29,13 +29,13 @@ its links, so its ports never change after ``__init__``.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.arch.arbiter import RoundRobinArbiter, TdmaArbiter
 from repro.arch.link import Link
 from repro.arch.packet import Flit, MessageClass
 from repro.arch.parameters import ArbitrationKind, NocParameters
+from repro.arch.slots import slot_state
 
 # Hoisted enum member: the GT test runs once per buffered head flit per
 # switch tick, and ``MessageClass.GUARANTEED`` costs a class __getattr__
@@ -50,8 +50,14 @@ class InputPort:
     flit's slot returned to the upstream link.  Each buffered flit
     carries its *ready cycle* — arrival plus the router pipeline depth —
     so multi-stage switches are modelled by delaying eligibility, not by
-    extra buffer structures.
+    extra buffer structures.  A FIFO is a plain list: it never holds
+    more than ``buffer_depth`` flits, so popping its head is cheap.
     """
+
+    __slots__ = (
+        "switch", "upstream", "depth", "_latency", "buffers",
+        "upstream_link", "peak_occupancy",
+    )
 
     def __init__(self, switch: "SwitchModel", upstream: str, link: Link):
         params = switch.params
@@ -62,8 +68,8 @@ class InputPort:
         # (one call per flit-hop) skips the params attribute chase.
         self._latency = params.switch_latency_cycles
         # Each entry: (flit, earliest cycle it may be forwarded).
-        self.buffers: List[Deque[Tuple[Flit, int]]] = [
-            deque() for __ in range(params.num_vcs)
+        self.buffers: List[List[Tuple[Flit, int]]] = [
+            [] for __ in range(params.num_vcs)
         ]
         self.upstream_link = link
         self.peak_occupancy = 0  # deepest any single VC FIFO ever got
@@ -95,7 +101,7 @@ class InputPort:
 
     def pop(self, vc: int, cycle: int) -> Flit:
         buf = self.buffers[vc]
-        flit, __ = buf.popleft()
+        flit, __ = buf.pop(0)
         self.upstream_link.return_credit(vc, cycle)
         return flit
 
@@ -113,11 +119,20 @@ class SwitchModel:
     link to it.
 
     The flat ``_scan`` list drives tick()'s sweep over every (input, VC)
-    FIFO.  Caching the deques is safe because they are created once per
-    port and only ever mutated in place (purge/fail clear-and-extend,
+    FIFO.  Caching the FIFO lists is safe because they are created once
+    per port and only ever mutated in place (purge/fail clear-and-extend,
     never rebind), so the references stay live across faults, purges
     and checkpoint restores.
     """
+
+    __slots__ = (
+        "name", "params", "inputs", "outputs", "_tdma", "trace", "wakeup",
+        "flits_forwarded", "failed", "flits_dropped", "contention_losers",
+        "lock_hold_cycles", "locks_taken", "_sorted_outputs", "out_index",
+        "_out_links", "_scan", "_nvcs", "_nslots", "_rr", "_locks",
+        "_lock_owner", "_lock_since", "_arbiters", "_tdma_at", "_requests",
+        "_stalls", "_stall_mark", "_contention",
+    )
 
     def __init__(self, name: str, params: NocParameters,
                  inputs: Mapping[str, Link], outputs: Mapping[str, Link]):
@@ -184,10 +199,7 @@ class SwitchModel:
         The owning simulator re-installs tracing on restore; everything
         else (ports, locks, arbiters, counters) is plain data.
         """
-        state = self.__dict__.copy()
-        state["trace"] = None
-        state["wakeup"] = None
-        return state
+        return slot_state(self, ("trace", "wakeup"))
 
     def set_tdma_table(self, downstream: str, arbiter: TdmaArbiter) -> None:
         """Install an Aethereal slot table on one output port."""
@@ -382,7 +394,7 @@ class SwitchModel:
         purged = 0
         for port in self.inputs.values():
             for buf in port.buffers:
-                keep = deque()
+                keep = []
                 for flit, ready in buf:
                     if predicate(flit.packet):
                         port.upstream_link.return_credit(

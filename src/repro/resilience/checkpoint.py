@@ -15,8 +15,9 @@ Byte-identity is the contract, leaning on two established invariants:
 
 * splitting ``sim.run(N)`` into chunks is result-identical (the event
   kernel's ``EventScheduler.jump_target`` only shrinks at chunk ends —
-  skipping less is always safe — and the scheduler is rebuilt from
-  component state at every run entry);
+  skipping less is always safe — and the scheduler built by the first
+  run carries on into the next; a restored simulator builds a fresh one
+  from component state);
 * observation never changes results (PR 3), so capsules exclude
   recorders/probes and the host re-attaches them after restore.
 
@@ -64,7 +65,11 @@ from repro.resilience.integrity import (
 #: an ON/OFF link no longer restarts its count after a repair.
 #: 9: a topology is plain node and link dicts; a credit link keeps a
 #: credit pool across its VCs.
-CHECKPOINT_VERSION = 9
+#: 10: components, packets and flits are slotted, and packets, flits
+#: and packet records pickle as field tuples; bounded FIFOs are lists,
+#: and a link's poisoned set and a target NI's pending responses and
+#: seen transfers are None until first used.
+CHECKPOINT_VERSION = 10
 
 _MAGIC = b"repro-ckpt\x00"
 _VERSION = struct.Struct(">I")

@@ -329,9 +329,9 @@ def _shortest_path(
         if found is None:
             continue
         cost, path = found
-        tail = topo.link_attrs(d_sw, dst).length_mm if weight == "length" else 1.0
         if not topo.has_link(d_sw, dst):
             continue
+        tail = topo.link_attrs(d_sw, dst).length_mm if weight == "length" else 1.0
         if cost + tail < best_cost:
             best_cost = cost + tail
             best = path + [dst]

@@ -130,3 +130,57 @@ class TestGuaranteeProperty:
         sim.run(900, CompositeTraffic([gt, be]))
         latency = sim.stats.latency(MessageClass.GUARANTEED)
         assert latency.maximum <= bound
+
+    @given(
+        sizes=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        pattern=st.sampled_from(["transpose", "hotspot"]),
+        be_rate=st.floats(0.0, 0.35),
+        seed=st.integers(0, 1000),
+    )
+    @settings(
+        max_examples=8, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_gt_bound_holds_for_shared_multi_flit_connections(
+        self, sizes, pattern, be_rate, seed
+    ):
+        """Two admitted connections share two links and carry multi-flit
+        packets under non-uniform BE load; every GT packet still meets
+        its own connection's bound.  Each flow offers one packet per
+        bound, so a packet never queues behind its predecessor."""
+        topo = mesh(3, 3)
+        table = xy_routing(topo)
+        mgr = ConnectionManager(topo, table, num_slots=8)
+        # XY routes: c_0_0 -> c_2_2 and c_1_0 -> c_2_1 both cross
+        # s_1_0 -> s_2_0 and s_2_0 -> s_2_1.
+        ends = {1: ("c_0_0", "c_2_2"), 2: ("c_1_0", "c_2_1")}
+        admitted = {
+            cid: mgr.admit(GtConnection(cid, src, dst, 0.25,
+                                        packet_size_flits=size))
+            for (cid, (src, dst)), size in zip(ends.items(), sizes)
+        }
+        shared = set(admitted[1].route_links) & set(admitted[2].route_links)
+        assert len(shared) == 2
+        bounds = {
+            cid: analyze(a, 8).worst_case_latency_cycles
+            for cid, a in admitted.items()
+        }
+        sim = NocSimulator(topo, table, NocParameters(num_vcs=2),
+                           warmup_cycles=100)
+        mgr.install(sim)
+        gt = FlowGraphTraffic([
+            Flow(src, dst, size / bounds[cid], size,
+                 MessageClass.GUARANTEED, cid)
+            for (cid, (src, dst)), size in zip(ends.items(), sizes)
+        ])
+        be = SyntheticTraffic(pattern, be_rate, 4, seed=seed,
+                              hotspot_core="c_2_2")
+        sim.run(900, CompositeTraffic([gt, be]))
+        cid_of = {dst: cid for cid, (__, dst) in ends.items()}
+        seen = set()
+        for record in sim.stats.records:
+            if record.message_class is MessageClass.GUARANTEED:
+                cid = cid_of[record.destination]
+                seen.add(cid)
+                assert record.latency <= bounds[cid], f"connection {cid}"
+        assert seen == {1, 2}

@@ -213,3 +213,55 @@ class TestReclamation:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestFootprint:
+    """The simulator's own memory: list FIFOs, lazily created queues and
+    slotted components keep a 16x16 mesh small."""
+
+    def test_mesh16_build_allocates_at_most_3_mb(self):
+        import gc
+        import tracemalloc
+
+        from repro.topology.presets import standard_instance
+
+        inst = standard_instance("mesh", 16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sim = NocSimulator(inst.topology, inst.table,
+                               vc_assignment=inst.vc_assignment)
+            gc.collect()
+            allocated = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(sim.switches) == 256
+        assert allocated <= 3_000_000, f"{allocated / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("fc", ["credit", "on_off", "ack_nack"])
+    def test_components_and_packets_have_no_instance_dict(self, mesh44, fc):
+        from repro.arch.network_interface import InitiatorNI, TargetNI
+        from repro.arch.packet import Flit, Packet
+        from repro.arch.switch import InputPort, SwitchModel
+        from repro.sim.stats import PacketRecord
+
+        m, table = mesh44
+        params = NocParameters(
+            flow_control=FlowControlKind(fc),
+            output_buffer_depth=4 if fc == "ack_nack" else 0,
+        )
+        sim = NocSimulator(m, table, params)
+        packet = sim.inject("c_0_0", "c_3_3", 4)
+        sim.run(0, drain=True)
+        objects = [packet, *packet.flits(), *sim.stats.records,
+                   *sim.links.values()]
+        for sw in sim.switches.values():
+            objects.append(sw)
+            objects.extend(sw.inputs.values())
+        objects.extend(sim.initiators.values())
+        objects.extend(sim.targets.values())
+        kinds = {type(o) for o in objects}
+        assert {Flit, Packet, PacketRecord, InputPort, SwitchModel,
+                InitiatorNI, TargetNI} <= kinds
+        for obj in objects:
+            assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -119,6 +119,25 @@ class TestShortestPath:
         assert by_hops.switch_hops == 1
         assert by_length.switch_hops == 2
 
+    @pytest.mark.parametrize("weight", [None, "length"])
+    def test_send_only_attachment_is_skipped(self, weight):
+        """A switch the destination only sends to cannot deliver to it:
+        both weights route around it instead of reading its missing
+        ``switch -> core`` link."""
+        from repro.topology.graph import Topology
+
+        t = Topology()
+        t.add_switch("s0")
+        t.add_switch("s1")
+        t.add_core("a")
+        t.add_core("b")
+        t.add_link("a", "s0")
+        t.add_link("b", "s1")
+        t.add_link("s0", "s1")
+        t.add_link("b", "s0", bidirectional=False)
+        route = shortest_path_routing(t, weight=weight).route("a", "b")
+        assert route.path == ("a", "s0", "s1", "b")
+
     def test_multi_attached_core(self):
         b = bone_style()
         table = shortest_path_routing(b)
