@@ -21,13 +21,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple,
+)
 
 from repro.arch.link import Link
 from repro.arch.packet import EndToEndAck, Flit, MessageClass, Packet
 from repro.arch.parameters import NocParameters
 from repro.arch.slots import slot_state
 
+if TYPE_CHECKING:  # repro.sim imports this module
+    from repro.sim.stats import PacketRecord, StatsCollector
 
 #: One LUT entry: the node path and its per-hop VC indices (or None).
 LutEntry = Tuple[Tuple[str, ...], Optional[Tuple[int, ...]]]
@@ -512,17 +516,25 @@ class TargetNI:
     The ejection buffer is a list (it holds at most ``ejection_depth``
     flits); the pending-response queue and the set of seen transfers
     are created on first use, since most targets never need them.
+
+    A completed packet is logged in ``stats`` (the simulator's
+    collector, or one of the target's own) and let go.
     """
 
     __slots__ = (
         "core", "params", "ejection_depth", "_buffer", "_responder", "trace",
-        "_service_cycles", "_pending_responses", "response_ni",
-        "packets_received", "flits_received", "_seen_transfers",
+        "_service_cycles", "_pending_responses", "response_ni", "stats",
+        "flits_received", "_seen_transfers",
         "duplicates_discarded", "acks_sent", "wakeup", "ejection_links",
     )
 
     def __init__(self, core: str, params: NocParameters,
-                 ejection_links: Mapping[str, Link], ejection_depth: int = 8):
+                 ejection_links: Mapping[str, Link], ejection_depth: int = 8,
+                 stats: Optional[StatsCollector] = None):
+        if stats is None:  # a target on its own (repro.sim imports us)
+            from repro.sim.stats import StatsCollector
+            stats = StatsCollector()
+        self.stats = stats
         self.core = core
         self.params = params
         self.ejection_depth = ejection_depth
@@ -532,7 +544,6 @@ class TargetNI:
         self._service_cycles = 0
         self._pending_responses: Optional[Deque[Tuple[int, Packet]]] = None
         self.response_ni: Optional[InitiatorNI] = None
-        self.packets_received: List[Tuple[Packet, int]] = []  # (packet, arrival)
         self.flits_received = 0
         # Transport-layer state (end-to-end retransmission).
         self._seen_transfers: Optional[Set[Tuple[str, int]]] = None
@@ -566,6 +577,12 @@ class TargetNI:
     def backlog(self) -> int:
         """Flits waiting in the ejection buffer (drain census)."""
         return len(self._buffer)
+
+    @property
+    def packets_received(self) -> Tuple[Tuple[PacketRecord, int], ...]:
+        """``(record, arrival)`` per packet logged here (warm-up too)."""
+        return tuple((r, r.arrival_cycle) for r in self.stats.log
+                     if r.destination == self.core)
 
     def set_responder(
         self,
@@ -639,7 +656,7 @@ class TargetNI:
                     # but never double-count the delivery.
                     self.duplicates_discarded += 1
                     return
-            self.packets_received.append((packet, cycle))
+            self.stats.record_packet(packet, cycle)
             if (
                 self._responder is not None
                 and packet.message_class is MessageClass.REQUEST

@@ -91,16 +91,16 @@ def set_packet_id_watermark(mark: int) -> None:
 class Packet:
     """One network packet: a routed payload between two cores.
 
-    Slotted, like :class:`Flit`: a simulator holds every packet in
-    flight or delivered.  The fields carry no class-level defaults (a
-    slot and a default cannot share a name), so ``__init__`` is written
-    out; it draws the next packet id unless one is given.
+    Slotted, like :class:`Flit`; a simulator holds it until delivered.
+    The fields carry no class-level defaults (a slot and a default
+    cannot share a name), so ``__init__`` is written out; it draws the
+    next packet id unless one is given.
     """
 
     __slots__ = (
         "source", "destination", "size_flits", "route", "injection_cycle",
         "message_class", "connection_id", "vc_path", "packet_id", "payload",
-        "transfer_id",
+        "transfer_id", "__weakref__",  # tests watch delivered ones go
     )
 
     source: str
@@ -157,8 +157,8 @@ class Packet:
 
     def __reduce__(self):
         # Rebuilt from its fields in __init__ order: a checkpoint holds
-        # every packet in flight or delivered, and a tuple pickles in
-        # half the time and bytes of a slot-state dict.
+        # every packet in flight, and a tuple pickles in half the time
+        # and bytes of a slot-state dict.
         return Packet, (
             self.source, self.destination, self.size_flits, self.route,
             self.injection_cycle, self.message_class, self.connection_id,

@@ -69,7 +69,9 @@ from repro.resilience.integrity import (
 #: and packet records pickle as field tuples; bounded FIFOs are lists,
 #: and a link's poisoned set and a target NI's pending responses and
 #: seen transfers are None until first used.
-CHECKPOINT_VERSION = 10
+#: 11: the stats keep one log of every completed packet, which target
+#: NIs write; targets keep no delivered packets.
+CHECKPOINT_VERSION = 11
 
 _MAGIC = b"repro-ckpt\x00"
 _VERSION = struct.Struct(">I")

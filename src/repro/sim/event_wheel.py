@@ -306,19 +306,14 @@ class EventScheduler:
             if done is not None:
                 self.active_links.difference_update(done)
 
-        # Phase 4: target NIs drain and complete packets.
+        # Phase 4: target NIs drain, and each logs the packets it
+        # completes in the simulator's stats itself.
         if self.active_targets:
-            record_packet = sim.stats.record_packet
             seq = sim._target_seq
             done = []
             for i in sorted(self.active_targets):
                 tgt = seq[i]
-                received = tgt.packets_received
-                before = len(received)
                 tgt.tick(c)
-                if len(received) != before:
-                    for packet, arrival in received[before:]:
-                        record_packet(packet, arrival)
                 if not (tgt._buffer or tgt._pending_responses):  # idle
                     done.append(i)
             self.active_targets.difference_update(done)

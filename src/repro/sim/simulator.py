@@ -9,7 +9,7 @@ them cycle by cycle with a deterministic two-phase schedule:
 3. links deliver flits whose traversal completes (an ON/OFF link's
    backpressure wire carries its receiver's free-slot count as of this
    point, see :class:`repro.arch.link.OnOffLink`);
-4. target NIs drain, complete packets, and issue responses.
+4. target NIs drain, log completed packets, and issue responses.
 
 Receivers hand every slot they free back to the link it came from:
 switch pops in phase 1, target drains in phase 4, and purges and
@@ -270,8 +270,9 @@ class NocSimulator:
             lut = RoutingLut(partial(self._route_source.entry, core))
             ni = InitiatorNI(core, params, lut, outs[core])
             self.initiators[core] = ni
-            self.targets[core] = TargetNI(core, params, ins[core])
-            self.targets[core].response_ni = ni
+            target = TargetNI(core, params, ins[core], stats=self.stats)
+            target.response_ni = ni
+            self.targets[core] = target
 
     # ------------------------------------------------------------------
     # Driving
@@ -501,14 +502,8 @@ class NocSimulator:
             ni.tick(c)
         for link in self._link_seq:
             link.tick(c)
-        record_packet = self.stats.record_packet
         for target in self._target_seq:
-            received = target.packets_received
-            before = len(received)
             target.tick(c)
-            if len(received) != before:
-                for packet, arrival in received[before:]:
-                    record_packet(packet, arrival)
         if self._retransmission is not None:
             for name, ni in self._initiator_items:
                 before_rt = ni.packets_retransmitted

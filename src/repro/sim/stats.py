@@ -1,10 +1,10 @@
 """Simulation statistics: latency, throughput, utilization.
 
-Collects per-packet records after an optional warmup window and reduces
-them into the numbers the paper's evaluation language uses: average and
-tail latency (cycles), accepted throughput (flits/cycle and
-flits/cycle/core), aggregate bandwidth (bits/s at a clock frequency),
-and per-link utilization.
+Logs every completed packet and reduces the ones injected after an
+optional warmup window into the numbers the paper's evaluation language
+uses: average and tail latency (cycles), accepted throughput
+(flits/cycle and flits/cycle/core), aggregate bandwidth (bits/s at a
+clock frequency), and per-link utilization.
 """
 
 from __future__ import annotations
@@ -116,17 +116,21 @@ class DegradedLatencyReport:
 
 
 class StatsCollector:
-    """Accumulates packet completions and exposes summaries."""
+    """A run's one delivery log, and the summaries read from it.
+
+    Target NIs call :meth:`record_packet` as each packet completes, so
+    ``log`` holds a :class:`PacketRecord` per delivery, in completion
+    order, warm-up included.  Every summary reads :attr:`records`, its
+    measured part; each target NI's view reads the part addressed to it.
+    """
 
     def __init__(self, warmup_cycles: int = 0):
         if warmup_cycles < 0:
             raise ValueError("warmup must be non-negative")
         self.warmup_cycles = warmup_cycles
-        self.records: List[PacketRecord] = []
+        self.log: List[PacketRecord] = []
         self.flits_injected = 0
         self.flits_delivered = 0
-        self._first_cycle: Optional[int] = None
-        self._last_cycle: Optional[int] = None
         # Fault-injection and recovery bookkeeping.
         self.fault_events: List[FaultRecord] = []
         self.recoveries: List[RecoveryRecord] = []
@@ -135,22 +139,17 @@ class StatsCollector:
 
     # ------------------------------------------------------------------
     def record_packet(self, packet: Packet, arrival_cycle: int) -> None:
-        if packet.injection_cycle < self.warmup_cycles:
-            return  # warmup transient excluded from statistics
-        self.records.append(
-            PacketRecord(
-                source=packet.source,
-                destination=packet.destination,
-                size_flits=packet.size_flits,
-                injection_cycle=packet.injection_cycle,
-                arrival_cycle=arrival_cycle,
-                message_class=packet.message_class,
-            )
-        )
-        self.flits_delivered += packet.size_flits
-        if self._first_cycle is None:
-            self._first_cycle = packet.injection_cycle
-        self._last_cycle = max(self._last_cycle or 0, arrival_cycle)
+        self.log.append(PacketRecord(
+            packet.source, packet.destination, packet.size_flits,
+            packet.injection_cycle, arrival_cycle, packet.message_class,
+        ))
+        if packet.injection_cycle >= self.warmup_cycles:
+            self.flits_delivered += packet.size_flits
+
+    @property
+    def records(self) -> List[PacketRecord]:
+        """Post-warm-up entries (a filter: a warm-up packet may land later)."""
+        return [r for r in self.log if r.injection_cycle >= self.warmup_cycles]
 
     # ------------------------------------------------------------------
     def latency(self, message_class: Optional[MessageClass] = None) -> LatencySummary:
@@ -249,20 +248,12 @@ class StatsCollector:
         first_recovered = min(
             (r.completed_cycle for r in self.recoveries), default=None
         )
-        healthy = [
-            r.latency
-            for r in self.records
-            if first_fault is None or r.injection_cycle < first_fault
+        records = self.records
+        healthy = [r.latency for r in records
+                   if first_fault is None or r.injection_cycle < first_fault]
+        degraded = [] if first_recovered is None else [
+            r.latency for r in records if r.injection_cycle >= first_recovered
         ]
-        degraded = (
-            []
-            if first_recovered is None
-            else [
-                r.latency
-                for r in self.records
-                if r.injection_cycle >= first_recovered
-            ]
-        )
         return DegradedLatencyReport(
             healthy_count=len(healthy),
             healthy_mean=sum(healthy) / len(healthy) if healthy else None,

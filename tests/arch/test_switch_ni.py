@@ -87,23 +87,18 @@ class TestEndToEnd:
         switch = SwitchModel("s0", PARAMS, {"c0": l0, "c1": l1}, {"c2": ej})
         ni0.send("c2", 4, cycle=0)
         ni1.send("c2", 4, cycle=0)
-        order = []
+        drained = []
+        target.trace = lambda cycle, flit: drained.append(flit.packet.source)
         for c in range(40):
             switch.tick(c)
             ni0.tick(c)
             ni1.tick(c)
             for link in (l0, l1, ej):
                 link.tick(c)
-            before = target.flits_received
             target.tick(c)
-            if target.flits_received > before:
-                # Track which packet each drained flit belongs to via
-                # the received packet log plus buffer inspection.
-                pass
-            order = order  # flit order checked via packets below
+        # The output lock holds the one ejection VC from head to tail.
+        assert drained == ["c0"] * 4 + ["c1"] * 4
         assert len(target.packets_received) == 2
-        # Both packets complete; wormhole is enforced structurally by the
-        # lock test below.
 
     def test_output_lock_blocks_second_head(self):
         params = PARAMS

@@ -189,8 +189,9 @@ class TestUtilities:
 
 class TestReclamation:
     """A finished simulator is freed by reference counting alone: the
-    event scheduler's back-reference and the wakeup closures the
-    components hold form no cycle through it."""
+    event scheduler's back-reference, the wakeup closures the components
+    hold and the targets' shared stats form no cycle through it; and a
+    delivered packet leaves only its record in the log."""
 
     @pytest.mark.parametrize("kernel", ["event", "reference"])
     @pytest.mark.parametrize("fc", ["on_off", "credit"])
@@ -213,6 +214,42 @@ class TestReclamation:
             assert ref() is None
         finally:
             gc.enable()
+
+
+    @pytest.mark.parametrize("kernel", ["event", "reference"])
+    def test_delivered_packet_is_let_go(self, mesh44, kernel):
+        import gc
+        import weakref
+
+        m, table = mesh44
+        gc.disable()
+        try:
+            sim = NocSimulator(m, table, kernel=kernel)
+            ref = weakref.ref(sim.inject("c_0_0", "c_3_3", 4))
+            sim.run(0, drain=True)
+            assert ref() is None
+        finally:
+            gc.enable()
+        (record,) = sim.stats.log
+        assert (record.source, record.destination) == ("c_0_0", "c_3_3")
+        assert sim.targets["c_3_3"].packets_received == (
+            (record, record.arrival_cycle),
+        )
+
+    @pytest.mark.parametrize("kernel", ["event", "reference"])
+    def test_records_filter_the_warmup_out_of_the_log(self, mesh44, kernel):
+        m, table = mesh44
+        sim = NocSimulator(m, table, warmup_cycles=10, kernel=kernel)
+        sim.run(9)
+        sim.inject("c_0_0", "c_3_3", 16)  # warm-up: long and far
+        sim.run(1)
+        sim.inject("c_1_1", "c_1_2", 1)  # measured: short and near
+        sim.run(0, drain=True)
+        log = sim.stats.log
+        assert [r.injection_cycle for r in log] == [10, 9]  # arrival order
+        assert sim.stats.records == [log[0]]
+        assert sim.stats.flits_delivered == 1
+        assert len(sim.targets["c_3_3"].packets_received) == 1
 
 
 class TestFootprint:
@@ -265,3 +302,63 @@ class TestFootprint:
                 InitiatorNI, TargetNI} <= kinds
         for obj in objects:
             assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+    @pytest.mark.parametrize("kernel", ["event", "reference"])
+    def test_run_grows_only_by_the_delivery_log(self, kernel):
+        """From 3k to 12k cycles of 8x8 uniform traffic, memory and the
+        capsule grow only by the log.  A log entry is a slotted record
+        (80 B), at most two cycle ints (64 B) and a list slot (8 B), and
+        pickles to under 40 B.  Memory is read after each snapshot: the
+        first pickle of a table's routes gives each a ``__dict__``."""
+        import gc
+        import tracemalloc
+
+        from repro.resilience.checkpoint import snapshot_simulator
+        from repro.topology.presets import standard_instance
+
+        inst = standard_instance("mesh", 8)
+        list(inst.table)  # every route computed up front
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sim = NocSimulator(inst.topology, inst.table,
+                               vc_assignment=inst.vc_assignment, kernel=kernel)
+            for ni in sim.initiators.values():  # every LUT filled up front
+                for core in sim.targets:
+                    if core != ni.core:
+                        ni.lut.lookup(core)
+            traffic = SyntheticTraffic("uniform", 0.02, 4, seed=7)
+            points = []
+            for upto in (3000, 12000):
+                sim.run(upto - sim.cycle, traffic)
+                capsule_bytes = len(snapshot_simulator(sim, traffic))
+                gc.collect()
+                points.append((len(sim.stats.log), capsule_bytes,
+                               tracemalloc.get_traced_memory()[0]))
+        finally:
+            tracemalloc.stop()
+        (n0, cap0, mem0), (n1, cap1, mem1) = points
+        entries = n1 - n0
+        assert entries > 2000
+        assert cap1 - cap0 <= 40 * entries, (cap1 - cap0) / entries
+        assert mem1 - mem0 <= 152 * entries + 16_000, (mem1 - mem0) / entries
+
+    def test_version_10_capsule_is_refused_before_decoding(
+        self, mesh44, monkeypatch
+    ):
+        """A version-10 capsule holds targets' delivered packets, not the
+        one log: it is refused on its header, and never unpickled."""
+        from repro.resilience import checkpoint as ck
+
+        m, table = mesh44
+        sim = NocSimulator(m, table)
+        sim.run(200, SyntheticTraffic("uniform", 0.2, 4, seed=3))
+        body = ck.validate_capsule(sim.snapshot())
+
+        def decoded(*args, **kwargs):
+            raise AssertionError("a stale capsule was unpickled")
+
+        monkeypatch.setattr(ck.pickle, "loads", decoded)
+        assert ck.CHECKPOINT_VERSION == 11
+        with pytest.raises(ck.CheckpointVersionError):
+            ck.restore_simulator(ck._encode(body, version=10))
