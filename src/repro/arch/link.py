@@ -20,9 +20,11 @@ Three concrete links implement the flow controls of Fig. 1:
 All links carry at most one flit per cycle, regardless of VC count, and
 deliver after ``delay_cycles`` (1 + pipeline stages).
 
-The receiver contract: a downstream object exposes ``accept(flit,
-cycle)``, where ``cycle`` is the delivery cycle, and hands every slot
-it frees back to the link the flit came in on with
+The receiver contract: a link delivers into a port (a switch input
+port, a target's ejection port) that exposes ``accept(flit, cycle)``,
+where ``cycle`` is the delivery cycle.  The port holds no reference
+back; the component that owns it holds the links arriving at it, and
+hands every slot it frees back to the link the flit came in on with
 ``link.return_credit(vc, cycle)`` (``after_links=True`` when the slot
 is freed after the cycle's link phase).  Credit and ON/OFF links never
 call ``accept`` unless their count guarantees space; the ACK/NACK link
@@ -36,16 +38,16 @@ from typing import Callable, Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.arch.packet import Flit
 from repro.arch.parameters import FlowControlKind, NocParameters
-from repro.arch.slots import slot_state
+from repro.arch.slots import Slotted
 
 
 class Receiver(Protocol):
-    """Downstream endpoint of a link (switch input port or NI sink)."""
+    """Downstream endpoint of a link (switch input or ejection port)."""
 
     def accept(self, flit: Flit, cycle: int) -> bool: ...
 
 
-class Link:
+class Link(Slotted):
     """Base link: delay pipeline and per-cycle bandwidth accounting.
 
     Links are slotted, and their queues are lists: one link per
@@ -61,6 +63,7 @@ class Link:
         "failed", "flits_dropped", "_burst_until", "_burst_probability",
         "_burst_rng", "_poisoned",
     )
+    _unpickled = ("wheel", "wakeup")
 
     def __init__(self, name: str, delay_cycles: int, num_vcs: int):
         if delay_cycles < 1:
@@ -124,15 +127,6 @@ class Link:
         (a target drain, a purge).  Links without flow-control state
         ignore it.
         """
-
-    def __getstate__(self):
-        """Pickle state minus the event-kernel hooks.
-
-        The hooks bind the live scheduler; a restored simulator
-        rebuilds its scheduler (and reinstalls hooks) from component
-        state, so the capsule never carries them.
-        """
-        return slot_state(self, ("wheel", "wakeup"))
 
     # -- fault injection -------------------------------------------------
     def fail(self, cycle: int) -> int:

@@ -28,7 +28,7 @@ from typing import (
 from repro.arch.link import Link
 from repro.arch.packet import EndToEndAck, Flit, MessageClass, Packet
 from repro.arch.parameters import NocParameters
-from repro.arch.slots import slot_state
+from repro.arch.slots import Slotted
 
 if TYPE_CHECKING:  # repro.sim imports this module
     from repro.sim.stats import PacketRecord, StatsCollector
@@ -142,7 +142,7 @@ class _PendingTransfer:
     retries: int = 0
 
 
-class InitiatorNI:
+class InitiatorNI(Slotted):
     """Master-side NI: packetize and inject.
 
     Guaranteed and best-effort packets wait in *separate* queues (the
@@ -168,6 +168,9 @@ class InitiatorNI:
         "packets_lost", "packets_abandoned_unreachable", "on_timeout",
         "on_ack", "wakeup",
     )
+    # ``trace`` closes over a recorder and ``on_timeout``/``on_ack`` are
+    # controller bindings; the owning simulator re-wires them on restore.
+    _unpickled = ("trace", "on_timeout", "on_ack", "wakeup")
 
     def __init__(self, core: str, params: NocParameters, lut: RoutingLut,
                  injection_links: Mapping[str, Link]):
@@ -202,16 +205,6 @@ class InitiatorNI:
         # entry point for all backlog gains (sends, responses, acks,
         # retransmission copies).  None outside the event kernel.
         self.wakeup: Optional[Callable[[], None]] = None
-
-    def __getstate__(self):
-        """Pickle state minus host-wired callbacks (checkpointing).
-
-        ``trace`` closes over a recorder and ``on_timeout``/``on_ack``
-        are controller bindings; all three are re-wired by the owning
-        simulator on restore (see ``NocSimulator.__setstate__``), so the
-        capsule stores only the NI's own data.
-        """
-        return slot_state(self, ("trace", "on_timeout", "on_ack", "wakeup"))
 
     # ------------------------------------------------------------------
     def send(self, destination: str, size_flits: int, cycle: int,
@@ -498,35 +491,57 @@ class InitiatorNI:
         return purged
 
 
-class TargetNI:
+class EjectionPort(Slotted):
+    """A target's ejection buffer (at most ``depth`` flits of any VC),
+    which its ejection links deliver into.  ``wakeup`` (the event
+    kernel's hook) lets the target drain from the cycle a flit lands."""
+
+    __slots__ = ("buffer", "depth", "wakeup")
+    _unpickled = ("wakeup",)
+
+    def __init__(self, depth: int):
+        self.buffer: List[Flit] = []
+        self.depth = depth
+        self.wakeup: Optional[Callable[[], None]] = None
+
+    def accept(self, flit: Flit, cycle: int) -> bool:
+        if len(self.buffer) >= self.depth:
+            return False
+        self.buffer.append(flit)
+        if self.wakeup is not None:
+            self.wakeup()
+        return True
+
+
+class TargetNI(Slotted):
     """Slave-side NI: sink, reassembly, optional response generation.
 
-    Implements the link Receiver contract.  A small ejection buffer
-    (always drained at one flit per cycle) keeps the consumption
-    guarantee honest while still exerting realistic backpressure: a
-    core attached to several switches takes up to one flit per
-    ejection link per cycle.  Every VC shares the buffer.
+    A small ejection buffer (``port``, drained at one flit per cycle)
+    keeps the consumption guarantee honest while still exerting
+    realistic backpressure: a core attached to several switches takes
+    up to one flit per ejection link per cycle.  Every VC shares it.
 
     ``ejection_links`` maps each upstream switch onto the link arriving
-    from it.  Each link gets its own share of the buffer,
-    ``ejection_depth // len(ejection_links)`` slots, so the links never
-    overflow it together; a drain returns the slot to the link the flit
-    arrived on.  A link that cannot work within its share is refused.
-
-    The ejection buffer is a list (it holds at most ``ejection_depth``
-    flits); the pending-response queue and the set of seen transfers
-    are created on first use, since most targets never need them.
+    from it, which delivers into the port.  Each link gets its own
+    share, ``ejection_depth // len(ejection_links)`` slots, so the links
+    never overflow the buffer together; a drain returns the slot to the
+    link the flit arrived on.  A link that cannot work within its share
+    is refused.  The pending-response queue and the set of seen
+    transfers are created on first use: most targets never need them.
 
     A completed packet is logged in ``stats`` (the simulator's
     collector, or one of the target's own) and let go.
     """
 
     __slots__ = (
-        "core", "params", "ejection_depth", "_buffer", "_responder", "trace",
-        "_service_cycles", "_pending_responses", "response_ni", "stats",
-        "flits_received", "_seen_transfers",
-        "duplicates_discarded", "acks_sent", "wakeup", "ejection_links",
+        "core", "params", "port", "_responder", "trace", "_service_cycles",
+        "_pending_responses", "response_ni", "stats", "flits_received",
+        "_seen_transfers", "duplicates_discarded", "acks_sent",
+        "ejection_links",
     )
+    # A recorder's and the memory model's callbacks: the simulator
+    # re-wires both on restore (the pending responses are data).
+    _unpickled = ("trace", "_responder")
 
     def __init__(self, core: str, params: NocParameters,
                  ejection_links: Mapping[str, Link], ejection_depth: int = 8,
@@ -537,8 +552,7 @@ class TargetNI:
         self.stats = stats
         self.core = core
         self.params = params
-        self.ejection_depth = ejection_depth
-        self._buffer: List[Flit] = []
+        self.port = EjectionPort(ejection_depth)
         self._responder: Optional[Callable[[Packet, int], Optional[Packet]]] = None
         self.trace = None  # optional callback(cycle, flit) on drain
         self._service_cycles = 0
@@ -549,34 +563,21 @@ class TargetNI:
         self._seen_transfers: Optional[Set[Tuple[str, int]]] = None
         self.duplicates_discarded = 0
         self.acks_sent = 0
-        # Event-kernel wakeup hook: fired on accept() so the target is
-        # drained starting the cycle its first flit lands.
-        self.wakeup: Optional[Callable[[], None]] = None
 
         #: upstream node -> the ejection link arriving from it
         self.ejection_links: Dict[str, Link] = dict(ejection_links)
         for link in self.ejection_links.values():
-            link.connect(self, share=ejection_depth // len(ejection_links))
-
-    def __getstate__(self):
-        """Pickle state minus host-wired callbacks (checkpointing).
-
-        ``trace`` closes over a recorder and ``_responder`` over the
-        simulator's memory model; the owning simulator re-wires both on
-        restore (``_service_cycles`` and the pending-response queue are
-        data and travel in the capsule).
-        """
-        return slot_state(self, ("trace", "_responder", "wakeup"))
+            link.connect(self.port, share=ejection_depth // len(ejection_links))
 
     @property
     def idle(self) -> bool:
         """Nothing buffered and no response awaiting its service latency."""
-        return not self._buffer and not self._pending_responses
+        return not self.port.buffer and not self._pending_responses
 
     @property
     def backlog(self) -> int:
         """Flits waiting in the ejection buffer (drain census)."""
-        return len(self._buffer)
+        return len(self.port.buffer)
 
     @property
     def packets_received(self) -> Tuple[Tuple[PacketRecord, int], ...]:
@@ -601,15 +602,6 @@ class TargetNI:
         self._responder = responder
         self._service_cycles = service_cycles
 
-    # -- Receiver contract -------------------------------------------------
-    def accept(self, flit: Flit, cycle: int) -> bool:
-        if len(self._buffer) >= self.ejection_depth:
-            return False
-        self._buffer.append(flit)
-        if self.wakeup is not None:
-            self.wakeup()
-        return True
-
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
         """Drain one flit; complete packets at their tail flit."""
@@ -623,9 +615,10 @@ class TargetNI:
                     "response initiator NI"
                 )
             self.response_ni.enqueue(response)
-        if not self._buffer:
+        buffer = self.port.buffer
+        if not buffer:
             return
-        flit = self._buffer.pop(0)
+        flit = buffer.pop(0)
         link = self.ejection_links.get(flit.packet.route[flit.hop - 1])
         if link is not None:
             link.return_credit(flit.vc, cycle, after_links=True)

@@ -156,9 +156,9 @@ class Packet:
             )
 
     def __reduce__(self):
-        # Rebuilt from its fields in __init__ order: a checkpoint holds
-        # every packet in flight, and a tuple pickles in half the time
-        # and bytes of a slot-state dict.
+        # Rebuilt from its fields in __init__ order, not by the slot
+        # rule of repro.arch.slots: a checkpoint holds every packet in
+        # flight, and one constructor call restores it fastest.
         return Packet, (
             self.source, self.destination, self.size_flits, self.route,
             self.injection_cycle, self.message_class, self.connection_id,

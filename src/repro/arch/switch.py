@@ -16,7 +16,9 @@ The model is an input-queued wormhole switch with per-(port, VC) FIFOs:
 * every slot an input FIFO frees (a pop, a purge, the switch's death)
   is handed back to the upstream link with ``return_credit``; credit
   and ON/OFF links count on it, ACK/NACK links probe the buffer on
-  delivery instead.
+  delivery instead.  The switch holds those links itself
+  (``in_links``): a link delivers into an input port, and the port
+  holds nothing that leads back.
 
 Switch state is int-indexed.  Output ports are numbered in sorted
 downstream-name order (the arbitration order), input VC *slots* as
@@ -29,13 +31,13 @@ its links, so its ports never change after ``__init__``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.arch.arbiter import RoundRobinArbiter, TdmaArbiter
 from repro.arch.link import Link
 from repro.arch.packet import Flit, MessageClass
 from repro.arch.parameters import ArbitrationKind, NocParameters
-from repro.arch.slots import slot_state
+from repro.arch.slots import Slotted
 
 # Hoisted enum member: the GT test runs once per buffered head flit per
 # switch tick, and ``MessageClass.GUARANTEED`` costs a class __getattr__
@@ -43,26 +45,23 @@ from repro.arch.slots import slot_state
 _GT = MessageClass.GUARANTEED
 
 
-class InputPort:
+class InputPort(Slotted):
     """Per-upstream-neighbour input: one FIFO per virtual channel.
 
-    Implements the link Receiver contract: ``accept``, and each popped
-    flit's slot returned to the upstream link.  Each buffered flit
-    carries its *ready cycle* — arrival plus the router pipeline depth —
-    so multi-stage switches are modelled by delaying eligibility, not by
-    extra buffer structures.  A FIFO is a plain list: it never holds
-    more than ``buffer_depth`` flits, so popping its head is cheap.
+    Implements the link Receiver contract's ``accept``; the owning
+    switch pops the FIFOs and returns each slot to the upstream link.
+    Each buffered flit carries its *ready cycle* — arrival plus the
+    router pipeline depth — so multi-stage switches are modelled by
+    delaying eligibility, not by extra buffer structures.  A FIFO is a
+    plain list: it never holds more than ``buffer_depth`` flits, so
+    popping its head is cheap.  ``wakeup`` is the event kernel's hook,
+    fired on every accept so a delivery activates the switch.
     """
 
-    __slots__ = (
-        "switch", "upstream", "depth", "_latency", "buffers",
-        "upstream_link", "peak_occupancy",
-    )
+    __slots__ = ("depth", "_latency", "buffers", "peak_occupancy", "wakeup")
+    _unpickled = ("wakeup",)
 
-    def __init__(self, switch: "SwitchModel", upstream: str, link: Link):
-        params = switch.params
-        self.switch = switch
-        self.upstream = upstream
+    def __init__(self, params: NocParameters):
         self.depth = params.buffer_depth
         # Pipeline depth is fixed at construction; cached so accept()
         # (one call per flit-hop) skips the params attribute chase.
@@ -71,8 +70,8 @@ class InputPort:
         self.buffers: List[List[Tuple[Flit, int]]] = [
             [] for __ in range(params.num_vcs)
         ]
-        self.upstream_link = link
         self.peak_occupancy = 0  # deepest any single VC FIFO ever got
+        self.wakeup: Optional[Callable[[], None]] = None
 
     def accept(self, flit: Flit, cycle: int) -> bool:
         """Buffer a flit delivered in ``cycle``'s link phase.
@@ -86,37 +85,24 @@ class InputPort:
         occupied = len(buf)
         if occupied > self.peak_occupancy:
             self.peak_occupancy = occupied
-        wakeup = self.switch.wakeup
+        wakeup = self.wakeup
         if wakeup is not None:
             wakeup()
         return True
-
-    def head(self, vc: int, cycle: int) -> Optional[Flit]:
-        """Head-of-line flit, if its pipeline delay has elapsed."""
-        buf = self.buffers[vc]
-        if not buf:
-            return None
-        flit, ready = buf[0]
-        return flit if cycle >= ready else None
-
-    def pop(self, vc: int, cycle: int) -> Flit:
-        buf = self.buffers[vc]
-        flit, __ = buf.pop(0)
-        self.upstream_link.return_credit(vc, cycle)
-        return flit
 
     @property
     def occupancy(self) -> int:
         return sum(len(b) for b in self.buffers)
 
 
-class SwitchModel:
+class SwitchModel(Slotted):
     """One switch instance inside the simulator.
 
     ``inputs`` maps each upstream node to the link arriving from it and
     ``outputs`` each downstream node to the link leaving toward it.  The
-    switch makes an :class:`InputPort` per input link and connects the
-    link to it.
+    switch keeps the input links as ``in_links``, makes an
+    :class:`InputPort` per input link, connects the link to it, and
+    keeps the ports as ``inputs``.
 
     The flat ``_scan`` list drives tick()'s sweep over every (input, VC)
     FIFO.  Caching the FIFO lists is safe because they are created once
@@ -126,29 +112,28 @@ class SwitchModel:
     """
 
     __slots__ = (
-        "name", "params", "inputs", "outputs", "_tdma", "trace", "wakeup",
+        "name", "params", "inputs", "in_links", "outputs", "_tdma", "trace",
         "flits_forwarded", "failed", "flits_dropped", "contention_losers",
         "lock_hold_cycles", "locks_taken", "_sorted_outputs", "out_index",
         "_out_links", "_scan", "_nvcs", "_nslots", "_rr", "_locks",
         "_lock_owner", "_lock_since", "_arbiters", "_tdma_at", "_requests",
         "_stalls", "_stall_mark", "_contention",
     )
+    _unpickled = ("trace",)
 
     def __init__(self, name: str, params: NocParameters,
                  inputs: Mapping[str, Link], outputs: Mapping[str, Link]):
         self.name = name
         self.params = params
         self.inputs: Dict[str, InputPort] = {}
-        for upstream, link in inputs.items():
-            port = InputPort(self, upstream, link)
+        self.in_links: Dict[str, Link] = dict(inputs)
+        for upstream, link in self.in_links.items():
+            port = InputPort(params)
             link.connect(port)
             self.inputs[upstream] = port
         self.outputs: Dict[str, Link] = dict(outputs)
         self._tdma: Dict[str, TdmaArbiter] = {}
         self.trace = None  # optional callback(cycle, flit) on forward
-        # Event-kernel wakeup hook: fired by InputPort.accept so a
-        # delivery activates the switch.
-        self.wakeup = None
         self.flits_forwarded = 0
         self.failed = False  # a dead switch neither buffers nor forwards
         self.flits_dropped = 0
@@ -167,8 +152,8 @@ class SwitchModel:
         }
         self._out_links = [self.outputs[n] for n in self._sorted_outputs]
         self._scan = [
-            (i * nvcs + vc, vc, port.buffers[vc], port)
-            for i, (__, port) in enumerate(sorted(self.inputs.items()))
+            (i * nvcs + vc, vc, self.inputs[up].buffers[vc], self.in_links[up])
+            for i, up in enumerate(sorted(self.inputs))
             for vc in range(nvcs)
         ]
         nout = len(self._sorted_outputs)
@@ -192,14 +177,6 @@ class SwitchModel:
         self._stalls = [0] * nout       # downstream link refused
         self._stall_mark = [-1] * nout  # last cycle counted in _stalls
         self._contention = [0] * nout   # more than one candidate
-
-    def __getstate__(self):
-        """Pickle state minus the host-wired trace callback.
-
-        The owning simulator re-installs tracing on restore; everything
-        else (ports, locks, arbiters, counters) is plain data.
-        """
-        return slot_state(self, ("trace", "wakeup"))
 
     def set_tdma_table(self, downstream: str, arbiter: TdmaArbiter) -> None:
         """Install an Aethereal slot table on one output port."""
@@ -230,7 +207,7 @@ class SwitchModel:
         requests = self._requests
         touched = None  # output indices with candidates, in scan order
         held = 0  # non-empty FIFOs, less those a pop below empties
-        for slot, vc, buf, port in self._scan:
+        for slot, vc, buf, in_link in self._scan:
             if not buf:
                 continue
             held += 1
@@ -269,7 +246,7 @@ class SwitchModel:
                     self._stall_mark[oi] = cycle
                     self._stalls[oi] += 1
                 continue
-            cand = (slot, vc, flit, out_vc, link, li, port, buf)
+            cand = (slot, vc, flit, out_vc, link, li, in_link, buf)
             cand_list = requests[oi]
             if cand_list is None:
                 requests[oi] = [cand]
@@ -304,8 +281,9 @@ class SwitchModel:
                     winner = self._arbitrate(oi, tdma, candidates, cycle)
                     if winner is None:
                         continue
-                __, vc, flit, out_vc, link, li, port, buf = winner
-                port.pop(vc, cycle)
+                __, vc, flit, out_vc, link, li, in_link, buf = winner
+                buf.pop(0)
+                in_link.return_credit(vc, cycle)
                 if not buf:
                     held -= 1
                 flit.vc = out_vc
@@ -369,11 +347,11 @@ class SwitchModel:
         """Kill the switch: drop all buffered flits, stop forwarding."""
         self.failed = True
         dropped = 0
-        for port in self.inputs.values():
-            for vc, buf in enumerate(port.buffers):
+        for upstream, in_link in self.in_links.items():
+            for vc, buf in enumerate(self.inputs[upstream].buffers):
                 dropped += len(buf)
                 for __ in buf:
-                    port.upstream_link.return_credit(vc, cycle)
+                    in_link.return_credit(vc, cycle)
                 buf.clear()
         self.flits_dropped += dropped
         self._release_locks()
@@ -392,12 +370,12 @@ class SwitchModel:
         the link phase.
         """
         purged = 0
-        for port in self.inputs.values():
-            for buf in port.buffers:
+        for upstream, in_link in self.in_links.items():
+            for buf in self.inputs[upstream].buffers:
                 keep = []
                 for flit, ready in buf:
                     if predicate(flit.packet):
-                        port.upstream_link.return_credit(
+                        in_link.return_credit(
                             flit.vc, cycle, after_links=True
                         )
                         purged += 1

@@ -71,7 +71,9 @@ from repro.resilience.integrity import (
 #: seen transfers are None until first used.
 #: 11: the stats keep one log of every completed packet, which target
 #: NIs write; targets keep no delivered packets.
-CHECKPOINT_VERSION = 11
+#: 12: components refer to each other one way and pickle as slot-value
+#: tuples; a target NI's ejection buffer is its own port.
+CHECKPOINT_VERSION = 12
 
 _MAGIC = b"repro-ckpt\x00"
 _VERSION = struct.Struct(">I")

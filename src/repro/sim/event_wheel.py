@@ -18,9 +18,9 @@ Two structures drive the run loop:
 Wakeups are posted by the components themselves, through the optional
 hooks this scheduler installs:
 
-* ``InputPort.accept`` wakes its switch, ``TargetNI.accept`` its target
-  (both receive the delivery cycle from the link, so neither keeps a
-  clock of its own);
+* ``InputPort.accept`` wakes its switch, ``EjectionPort.accept`` its
+  target (a port holds only its buffers and this hook, and the delivery
+  cycle comes from the link, so neither keeps a clock of its own);
 * ``InitiatorNI.enqueue`` wakes the initiator — covering traffic
   injections, responses, end-to-end acks, and retransmission copies;
 * ``Link.send`` posts the delivery cycle on the link wheel itself
@@ -169,16 +169,19 @@ class EventScheduler:
     # (``rescan`` mutates them in place rather than rebinding, to keep
     # these references valid): wakeups fire on every send and delivery,
     # so each must cost a set or dict operation, not a Python frame.
-    # Switches, targets and ACK/NACK links get a bound ``set.add``; a
-    # wheel-managed link posts on the buckets inside its own ``send``.
+    # A switch's input ports, a target's ejection port and ACK/NACK
+    # links get a bound ``set.add``; a wheel-managed link posts on the
+    # buckets inside its own ``send``.
     def _install_wakers(self) -> None:
         sim = self.sim
         for i, sw in enumerate(sim._switch_seq):
-            sw.wakeup = partial(self.active_switches.add, i)
+            waker = partial(self.active_switches.add, i)
+            for port in sw.inputs.values():
+                port.wakeup = waker
         for i, ni in enumerate(sim._initiator_seq):
             ni.wakeup = self._make_initiator_waker(i)
         for i, tgt in enumerate(sim._target_seq):
-            tgt.wakeup = partial(self.active_targets.add, i)
+            tgt.port.wakeup = partial(self.active_targets.add, i)
         buckets = self.wheel._buckets
         for i, link in enumerate(sim._link_seq):
             if self._acknack[i]:
@@ -314,7 +317,7 @@ class EventScheduler:
             for i in sorted(self.active_targets):
                 tgt = seq[i]
                 tgt.tick(c)
-                if not (tgt._buffer or tgt._pending_responses):  # idle
+                if not (tgt.port.buffer or tgt._pending_responses):  # idle
                     done.append(i)
             self.active_targets.difference_update(done)
 

@@ -387,6 +387,8 @@ class NocSimulator:
         self._memory_attachments[core] = (
             service_cycles, default_response_flits
         )
+        # Not self: the target holding the responder must not hold us.
+        params, stats = self.params, self.stats
 
         def responder(request: Packet, cycle: int) -> Optional[Packet]:
             from repro.arch.ocp import OcpTransaction, make_response_packet
@@ -396,7 +398,7 @@ class NocSimulator:
             route, vc_path = ni.lut.lookup(request.source)
             if isinstance(request.payload, OcpTransaction):
                 response = make_response_packet(
-                    request, route, self.params, cycle, vc_path
+                    request, route, params, cycle, vc_path
                 )
             else:
                 response = Packet(
@@ -409,7 +411,7 @@ class NocSimulator:
                     vc_path=vc_path,
                     payload=request.payload,
                 )
-            self.stats.flits_injected += response.size_flits
+            stats.flits_injected += response.size_flits
             return response
 
         target.set_responder(responder, service_cycles=service_cycles)
@@ -440,8 +442,8 @@ class NocSimulator:
     def __setstate__(self, state):
         _check_kernel(state["kernel"])
         self.__dict__.update(state)
-        # Component __getstate__ hooks dropped the cross-object wiring;
-        # rebuild it from the durable attachment records.
+        # Components pickle their host hooks as None; re-wire the
+        # controller and memory hooks from the durable records.
         if self._controller is not None:
             for ni in self.initiators.values():
                 ni.on_timeout = self._controller.note_timeout

@@ -33,8 +33,8 @@ class PacketRecord:
     message_class: MessageClass
 
     def __reduce__(self):
-        # A tuple of the fields pickles in half the time and bytes of a
-        # slot-state dict, and a run keeps one record per delivery.
+        # As Packet.__reduce__: a tuple of the fields restores faster
+        # than the slot rule, and a run keeps one record per delivery.
         return PacketRecord, (
             self.source, self.destination, self.size_flits,
             self.injection_cycle, self.arrival_cycle, self.message_class,

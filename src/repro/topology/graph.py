@@ -243,6 +243,8 @@ class Topology:
 class Route:
     """One source route: the full node path core -> switches -> core."""
 
+    __slots__ = ("path",)  # by hand: dataclass(slots=True) needs 3.10
+
     path: Tuple[str, ...]
 
     def __post_init__(self) -> None:

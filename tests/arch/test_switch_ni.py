@@ -123,7 +123,7 @@ class TestEndToEnd:
             out.tick(c)
         # After 3 cycles exactly one packet has fully passed; no flits of
         # the other packet are interleaved among them.
-        drained = list(sink._buffer)
+        drained = list(sink.port.buffer)
         ids = [f.packet.packet_id for f in drained]
         assert len(set(ids)) == 1
 
@@ -276,7 +276,7 @@ class TestTargetNI:
         pkt = Packet("a", "c", 3, ("a", "s0", "c"))
         for f in pkt.flits():
             f.hop = 2
-            target.accept(f, BEFORE_START)
+            target.port.accept(f, BEFORE_START)
         target.tick(0)
         target.tick(1)
         assert target.flits_received == 2
@@ -290,9 +290,9 @@ class TestTargetNI:
         flits = pkt.flits()
         for f in flits:
             f.hop = 2
-        assert target.accept(flits[0], BEFORE_START)
-        assert target.accept(flits[1], BEFORE_START)
-        assert not target.accept(flits[2], BEFORE_START)
+        assert target.port.accept(flits[0], BEFORE_START)
+        assert target.port.accept(flits[1], BEFORE_START)
+        assert not target.port.accept(flits[2], BEFORE_START)
         assert target.backlog == 2
 
     def test_responder_generates_response(self):
@@ -314,7 +314,7 @@ class TestTargetNI:
                      message_class=MessageClass.REQUEST)
         (flit,) = req.flits()
         flit.hop = 2
-        target.accept(flit, 4)
+        target.port.accept(flit, 4)
         target.tick(5)
         assert response_ni.backlog == 1
 
@@ -326,6 +326,6 @@ class TestTargetNI:
                      message_class=MessageClass.REQUEST)
         (flit,) = req.flits()
         flit.hop = 2
-        target.accept(flit, BEFORE_START)
+        target.port.accept(flit, BEFORE_START)
         with pytest.raises(RuntimeError, match="no response"):
             target.tick(0)

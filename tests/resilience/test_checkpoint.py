@@ -146,6 +146,32 @@ class TestSnapshotRestore:
         restored.run(1200 - restored.cycle, restored_traffic, drain=True)
         assert _fingerprint(restored) == reference
 
+    @pytest.mark.parametrize("kernel", ["event", "reference"])
+    def test_mesh16_resumes_byte_identical(self, kernel):
+        """Components refer to each other one way, so pickle never walks
+        the mesh's wiring: a 16x16 capsule saves without RecursionError
+        and its run finishes like an uninterrupted one."""
+        def build():
+            reset_packet_ids()
+            inst = standard_instance("mesh", 16)
+            sim = NocSimulator(inst.topology, inst.table,
+                               vc_assignment=inst.vc_assignment,
+                               warmup_cycles=100, kernel=kernel)
+            return sim, SyntheticTraffic("neighbor", 0.05, 4, seed=7)
+
+        sim, traffic = build()
+        sim.run(600, traffic, drain=True)
+        reference = _fingerprint(sim)
+
+        sim, traffic = build()
+        sim.run(300, traffic)
+        capsule = sim.snapshot(traffic)
+        reset_packet_ids()
+        restored, restored_traffic = NocSimulator.restore(capsule)
+        restored.run(600 - restored.cycle, restored_traffic, drain=True)
+        assert restored.stats.packets_delivered > 1000
+        assert _fingerprint(restored) == reference
+
     def test_packet_id_watermark_round_trip(self):
         reset_packet_ids()
         mark = packet_id_watermark()

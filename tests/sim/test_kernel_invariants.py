@@ -409,8 +409,8 @@ class TestEventWakeupAudit:
 
     def test_lost_wakeup_detector_fails_the_run(self):
         """The detector is only worth trusting if it actually trips:
-        sabotage one busy switch mid-run by stripping its wakeup hook
-        and its active-set entry — the exact bug class the detector
+        sabotage one busy switch mid-run by stripping its ports' wakeup
+        hooks and its active-set entry — the exact bug class the detector
         exists for (a component that never posts) — and the audit hook
         must abort the run, not let the network stall silently."""
         reset_packet_ids()
@@ -423,7 +423,8 @@ class TestEventWakeupAudit:
                 for i in sorted(sched.active_switches):
                     sw = sim._switch_seq[i]
                     if sw.occupancy:
-                        sw.wakeup = None  # the hook was "never installed"
+                        for port in sw.inputs.values():
+                            port.wakeup = None  # "never installed"
                         sched.active_switches.discard(i)
                         state["sabotaged_at"] = cycle
                         break

@@ -187,33 +187,72 @@ class TestUtilities:
             sim.run(-1)
 
 
+def _freed_without_the_cyclic_gc(build, traffic):
+    """Run the simulator ``build()`` makes, drop it, and check that
+    reference counting alone freed it and everything it held."""
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        sim = build()
+        sim.run(300, traffic, drain=True)
+        assert sim.stats.packets_delivered > 0
+        ref = weakref.ref(sim)
+        del sim, traffic
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestReclamation:
-    """A finished simulator is freed by reference counting alone: the
-    event scheduler's back-reference, the wakeup closures the components
-    hold and the targets' shared stats form no cycle through it; and a
-    delivered packet leaves only its record in the log."""
+    """A finished simulator is freed by reference counting alone:
+    components refer to each other one way (a link to the port it
+    delivers into, never back), and the event scheduler's back-reference,
+    the wakeup hooks, the targets' shared stats, trace callbacks and
+    memory responders form no cycle; and a delivered packet leaves only
+    its record in the log."""
 
     @pytest.mark.parametrize("kernel", ["event", "reference"])
-    @pytest.mark.parametrize("fc", ["on_off", "credit"])
+    @pytest.mark.parametrize("fc", ["on_off", "credit", "ack_nack"])
     def test_dropped_simulator_is_freed_without_the_cyclic_gc(
         self, mesh44, kernel, fc
     ):
-        import gc
-        import weakref
+        m, table = mesh44
+        params = NocParameters(
+            flow_control=FlowControlKind(fc),
+            output_buffer_depth=4 if fc == "ack_nack" else 0,
+        )
+        _freed_without_the_cyclic_gc(
+            lambda: NocSimulator(m, table, params, kernel=kernel),
+            SyntheticTraffic("uniform", 0.2, 4, seed=3),
+        )
+
+    @pytest.mark.parametrize("kernel", ["event", "reference"])
+    @pytest.mark.parametrize("attachment", ["tracing", "memory"])
+    def test_attachments_form_no_cycle(self, mesh44, kernel, attachment):
+        from repro.sim import RequestResponseTraffic
+        from repro.sim.tracing import TraceRecorder
 
         m, table = mesh44
-        params = NocParameters(flow_control=FlowControlKind(fc))
-        gc.disable()
-        try:
-            sim = NocSimulator(m, table, params, kernel=kernel)
-            sim.run(300, SyntheticTraffic("uniform", 0.2, 4, seed=3),
-                    drain=True)
-            assert sim.stats.packets_delivered > 0
-            ref = weakref.ref(sim)
-            del sim
-            assert ref() is None
-        finally:
-            gc.enable()
+        cores = sorted(m.cores)
+
+        def build():
+            sim = NocSimulator(m, table, kernel=kernel)
+            if attachment == "tracing":
+                sim.enable_tracing(TraceRecorder())
+            else:
+                sim.attach_memory(cores[5], service_cycles=4)
+            return sim
+
+        if attachment == "tracing":
+            traffic = SyntheticTraffic("uniform", 0.2, 4, seed=3)
+        else:
+            traffic = RequestResponseTraffic(cores[:4], [cores[5]], 0.1,
+                                             seed=3)
+        _freed_without_the_cyclic_gc(build, traffic)
 
 
     @pytest.mark.parametrize("kernel", ["event", "reference"])
@@ -277,7 +316,9 @@ class TestFootprint:
 
     @pytest.mark.parametrize("fc", ["credit", "on_off", "ack_nack"])
     def test_components_and_packets_have_no_instance_dict(self, mesh44, fc):
-        from repro.arch.network_interface import InitiatorNI, TargetNI
+        from repro.arch.network_interface import (
+            EjectionPort, InitiatorNI, TargetNI,
+        )
         from repro.arch.packet import Flit, Packet
         from repro.arch.switch import InputPort, SwitchModel
         from repro.sim.stats import PacketRecord
@@ -297,9 +338,10 @@ class TestFootprint:
             objects.extend(sw.inputs.values())
         objects.extend(sim.initiators.values())
         objects.extend(sim.targets.values())
+        objects.extend(t.port for t in sim.targets.values())
         kinds = {type(o) for o in objects}
         assert {Flit, Packet, PacketRecord, InputPort, SwitchModel,
-                InitiatorNI, TargetNI} <= kinds
+                InitiatorNI, TargetNI, EjectionPort} <= kinds
         for obj in objects:
             assert not hasattr(obj, "__dict__"), type(obj).__name__
 

@@ -99,9 +99,10 @@ def wiring_record(sim):
     record = {"switches": {}, "targets": {}, "initiators": {}}
     for name in sorted(sim.switches):
         sw = sim.switches[name]
+        upstream_of = {link: up for up, link in sw.in_links.items()}
         record["switches"][name] = {
-            "scan": [[slot, vc, port.upstream]
-                     for slot, vc, __, port in sw._scan],
+            "scan": [[slot, vc, upstream_of[link]]
+                     for slot, vc, __, link in sw._scan],
             "outputs": list(sw._sorted_outputs),
             "out_index": sorted(sw.out_index.items()),
             "out_links": [link.name for link in sw._out_links],

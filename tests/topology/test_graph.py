@@ -156,6 +156,17 @@ class TestRoute:
         with pytest.raises(ValueError):
             Route(("c0",))
 
+    def test_route_is_slotted_and_survives_pickle(self):
+        """A table keeps one Route per computed pair: no instance dict,
+        not even after a pickle round trip (a checkpoint)."""
+        import pickle
+
+        r = Route(("c0", "s0", "c1"))
+        copy = pickle.loads(pickle.dumps(r))
+        assert copy == r
+        for route in (r, copy):
+            assert not hasattr(route, "__dict__")
+
 
 class TestRoutingTable:
     def test_set_and_get(self, small):
