@@ -30,6 +30,13 @@ is freed after the cycle's link phase).  Credit and ON/OFF links never
 call ``accept`` unless their count guarantees space; the ACK/NACK link
 probes with ``try_accept`` semantics (accept returns False when full)
 and ignores returned slots.
+
+A credit or ON/OFF link is a fixed-delay pipe, so the event kernel
+never ticks a clean one: the owner of the port takes the flits that
+have landed (``_in_flight`` entries due by then) when it next acts, and
+a faulty link only decides the fate of each flit on its due cycle
+(:meth:`Link.decide`).  The reference kernel ticks every link, and its
+``tick`` hands landed flits to ``accept`` at once.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ class Link(Slotted):
 
     __slots__ = (
         "name", "delay_cycles", "num_vcs", "receiver", "wheel", "token",
-        "wakeup", "_in_flight", "_last_send_cycle", "flits_carried",
+        "lag", "wakeup", "_in_flight", "_last_send_cycle", "flits_carried",
         "failed", "flits_dropped", "_burst_until", "_burst_probability",
         "_burst_rng", "_poisoned",
     )
@@ -76,13 +83,16 @@ class Link(Slotted):
         self.receiver: Optional[Receiver] = None
         # Event-kernel hooks (see repro.sim.event_wheel); None outside
         # the event kernel and never pickled (the scheduler reinstalls
-        # them).  A credit or ON/OFF link posts each flit's delivery
-        # cycle from send(), under its ``token``, on the scheduler's
-        # ``wheel`` of ``cycle -> [token]`` buckets (missing buckets
-        # are created on first use); an ACK/NACK link, which has
-        # per-cycle protocol work while busy, calls ``wakeup()``.
+        # them).  A credit or ON/OFF link posts its receiver's
+        # ``token`` from send() on the scheduler's ``wheel`` of
+        # ``cycle -> [token]`` buckets (missing buckets are created on
+        # first use), at the cycle the receiver can first act on the
+        # flit: ``lag`` cycles after it lands.  ``wakeup()`` activates
+        # the link itself: an ACK/NACK link has per-cycle protocol work
+        # while busy, a faulty link decides each flit's fate.
         self.wheel: Optional[Dict[int, List[int]]] = None
         self.token = -1
+        self.lag = 0
         self.wakeup: Optional[Callable[[], None]] = None
         self._in_flight: List[Tuple[int, Flit]] = []  # (deliver_at, flit)
         self._last_send_cycle = -1
@@ -146,7 +156,12 @@ class Link(Slotted):
 
     def _lose_in_flight(self, cycle: int) -> None:
         """Every flit on the wire vanishes (a fault, or its repair)."""
+        for due, flit in self._in_flight:
+            self._lost(flit, cycle, due)
         self._in_flight.clear()
+
+    def _lost(self, flit: Flit, cycle: int, due: int) -> None:
+        """Subclass hook: ``flit``, due in ``due``, died in ``cycle``."""
 
     def _on_repair(self, cycle: int) -> None:
         """Subclass hook: protocol state to restart after a repair."""
@@ -164,6 +179,11 @@ class Link(Slotted):
         self._burst_until = until_cycle
         self._burst_probability = probability
         self._burst_rng = rng
+
+    def faulty(self, cycle: int) -> bool:
+        """Whether a flit due in ``cycle`` may die here: the link is
+        down, a packet is poisoned, or a burst window is open."""
+        return self.failed or bool(self._poisoned) or cycle < self._burst_until
 
     def _burst_corrupts(self, cycle: int) -> bool:
         return (
@@ -183,16 +203,19 @@ class Link(Slotted):
         purged = 0
         for at, flit in self._in_flight:
             if predicate(flit.packet):
-                self._discard(flit, cycle)
+                self._discard(flit, cycle, at)
                 purged += 1
             else:
                 keep.append((at, flit))
-        self._in_flight = keep
+        # In place: the receiving switch holds this list (it takes
+        # landed flits off it).
+        self._in_flight[:] = keep
         return purged
 
-    def _discard(self, flit: Flit, cycle: int) -> None:
+    def _discard(self, flit: Flit, cycle: int, due: int) -> None:
         """Drop one flit at the receiver boundary (CRC fail / dead sink)."""
         self.flits_dropped += 1
+        self._lost(flit, cycle, due)
 
     # -- sender interface ------------------------------------------------
     def can_send(self, vc: int, cycle: int) -> bool:
@@ -214,8 +237,11 @@ class Link(Slotted):
         at = cycle + self.delay_cycles
         self._in_flight.append((at, flit))
         self.flits_carried += 1
-        if self.wheel is not None:
-            self.wheel[at].append(self.token)
+        wheel = self.wheel
+        if wheel is not None:
+            wheel[at + self.lag].append(self.token)
+            if self.wakeup is not None:
+                self.wakeup()
 
     # -- per-cycle update -------------------------------------------------
     def _drops(self, flit: Flit, cycle: int) -> bool:
@@ -223,13 +249,13 @@ class Link(Slotted):
         packet_id = flit.packet.packet_id
         poisoned = self._poisoned
         if self.failed:
-            self._discard(flit, cycle)
+            self._discard(flit, cycle, cycle)
         elif poisoned and packet_id in poisoned:
-            self._discard(flit, cycle)
+            self._discard(flit, cycle, cycle)
             if flit.is_tail:
                 poisoned.discard(packet_id)
         elif flit.is_head and self._burst_corrupts(cycle):
-            self._discard(flit, cycle)
+            self._discard(flit, cycle, cycle)
             if not flit.is_tail:
                 if poisoned is None:
                     self._poisoned = poisoned = set()
@@ -239,7 +265,8 @@ class Link(Slotted):
         return True
 
     def tick(self, cycle: int) -> None:
-        """Deliver flits whose traversal completes this cycle."""
+        """Deliver flits whose traversal completes this cycle (the
+        reference kernel's link phase)."""
         in_flight = self._in_flight
         if not in_flight:
             return
@@ -247,14 +274,36 @@ class Link(Slotted):
         # due flit with no per-flit fault bookkeeping.  The test is
         # loop-invariant: nothing inside a clean delivery can fail the
         # link, poison a packet, or open a burst window.
-        clean = not self.failed and not self._poisoned and cycle >= self._burst_until
+        clean = not self.faulty(cycle)
         while in_flight and in_flight[0][0] <= cycle:
             flit = in_flight.pop(0)[1]
             if clean or not self._drops(flit, cycle):
                 self._deliver(flit, cycle)
 
     def _deliver(self, flit: Flit, cycle: int) -> None:
-        raise NotImplementedError
+        # Flow control keeps the receiver from filling up.
+        if not self.receiver.accept(flit, cycle):  # pragma: no cover
+            raise RuntimeError(f"link {self.name}: receiver overflow")
+
+    def decide(self, cycle: int) -> bool:
+        """Decide the fate of the flit due in ``cycle`` (event kernel).
+
+        A flit a fault kills leaves the wire; a survivor stays on it for
+        the receiver to take.  Returns whether flits due later still
+        wait for a decision here.
+        """
+        if not self.faulty(cycle):
+            return False
+        in_flight = self._in_flight
+        for k, (at, flit) in enumerate(in_flight):
+            if at >= cycle:
+                if at == cycle and self._drops(flit, cycle):
+                    del in_flight[k]
+                break
+        return (
+            bool(in_flight) and in_flight[-1][0] > cycle
+            and self.faulty(cycle + 1)
+        )
 
     @property
     def busy(self) -> bool:
@@ -321,28 +370,11 @@ class CreditLink(Link):
             self.credits[vc] += 1
             self.pool += 1
 
-    def tick(self, cycle: int) -> None:
-        self._collect_credits(cycle)
-        super().tick(cycle)
-
-    def _deliver(self, flit: Flit, cycle: int) -> None:
-        accepted = self.receiver.accept(flit, cycle)
-        if not accepted:  # pragma: no cover - credits prevent this
-            raise RuntimeError(
-                f"link {self.name}: receiver overflow under credit flow control"
-            )
-
-    def _discard(self, flit: Flit, cycle: int) -> None:
-        # The flit dies at the receiver boundary without occupying a
-        # buffer slot, so the credit the sender spent flows back (the
-        # receiver's CRC check frees the reserved slot immediately).
-        self.flits_dropped += 1
+    def _lost(self, flit: Flit, cycle: int, due: int) -> None:
+        # The flit dies without occupying a buffer slot, so the credit
+        # the sender spent flows back (the receiver's CRC check frees
+        # the reserved slot immediately).
         self.return_credit(flit.vc, cycle)
-
-    def _lose_in_flight(self, cycle: int) -> None:
-        for __, flit in self._in_flight:
-            self.return_credit(flit.vc, cycle)
-        self._in_flight.clear()
 
 
 class OnOffLink(Link):
@@ -354,23 +386,25 @@ class OnOffLink(Link):
     flits, so the downstream buffer can never overflow.  The OFF
     threshold reserves slots to absorb flits already in the pipeline.
 
-    The link works that count out itself: the receiver's capacity, less
-    this link's deliveries, plus the slots the receiver returned
-    (:meth:`return_credit`).  The wire carries the count as of each
-    cycle's link phase, so a delivery or a slot freed before the phase
-    (a switch pop, a switch death) counts from its own cycle, and a slot
-    freed after it (a target drain, a purge) from the next; the sender
-    sees either ``delay_cycles`` later.  Before the link's first cycle
-    the sender sees ``buffer_depth`` (or its share, if smaller).  The
-    count stays exact across a failure and its repair: flits lost on
-    the wire never reached the receiver, and the slots it still holds
-    come back as it frees them.  No receiver state is read, so the link
-    has work only on its delivery cycles.
+    The link works that count out from its own sends and the slots the
+    receiver returns (:meth:`return_credit`), with no delivery events:
+    a live flit lands exactly ``delay_cycles`` after it is sent.  So in
+    cycle ``c`` the sender reads the capacity, plus the slots returned
+    by ``c - delay_cycles``, less the live flits sent, plus the live
+    flits that landed in ``(c - delay_cycles, c - 1]`` (at most
+    ``delay_cycles - 1`` of them, so none for a one-cycle link).  The
+    wire carries the count as of each cycle's link phase, so a slot
+    freed before the phase (a switch pop, a switch death) counts from
+    its own cycle, and one freed after it (a target drain, a purge) from
+    the next.  A flit lost on the wire gives its slot back in the cycle
+    it is lost.  Before the link's first cycle the sender sees
+    ``buffer_depth`` (or its share, if smaller).  No receiver state is
+    read, and the count stays exact across a failure and its repair.
     """
 
     __slots__ = (
-        "buffer_depth", "threshold", "share", "_off_floor", "_fresh",
-        "_count_of", "_free", "_in_flight_count", "_changes",
+        "buffer_depth", "threshold", "share", "_off_floor", "_early",
+        "_count_of", "_free", "_changes", "_landing",
     )
 
     def __init__(
@@ -392,14 +426,18 @@ class OnOffLink(Link):
         # can_send() runs once per hop per flit on both sides of the
         # grant; the OFF comparison point never changes after init.
         self._off_floor = threshold - 1
-        self._fresh = buffer_depth  # what the sender reads before cycle 0
-        # Per count (one per VC, or one for a shared buffer): the free
-        # slots as of ``cycle - delay_cycles``, the flits in flight, and
-        # the changes still to take effect, oldest first.
+        # What the sender reads before cycle ``delay_cycles``, less the
+        # capacity (nonzero only for a share above the buffer depth).
+        self._early = 0
+        # Per count (one per VC, or one for a shared buffer): the
+        # capacity plus the slots returned so far as of ``cycle -
+        # delay_cycles``, less the live flits sent; the returns still to
+        # take effect, oldest first; and, on a pipelined link, the
+        # landing cycle of every live flit not yet a delay past it.
         self._count_of = list(range(num_vcs))
         self._free = [buffer_depth] * num_vcs
-        self._in_flight_count = [0] * num_vcs
-        self._changes: List[Tuple[int, int, int]] = []  # (stamp, count, +-1)
+        self._changes: List[Tuple[int, int]] = []  # (stamp, count)
+        self._landing: List[Tuple[int, int]] = []  # (due, count)
 
     def connect(self, receiver: Receiver, share: Optional[int] = None) -> None:
         super().connect(receiver)
@@ -412,27 +450,33 @@ class OnOffLink(Link):
             self.share = share
             self._count_of = [0] * self.num_vcs
             self._free = [share]
-            self._in_flight_count = [0]
-            self._fresh = min(self.buffer_depth, share)
+            self._early = min(self.buffer_depth, share) - share
 
     def can_send(self, vc: int, cycle: int) -> bool:
         if self.failed:
             return True  # blackhole: the flit will be dropped on arrival
         at = cycle - self.delay_cycles
+        free = self._free
+        changes = self._changes
+        while changes and changes[0][0] <= at:
+            free[changes.pop(0)[1]] += 1
         i = self._count_of[vc]
+        count = free[i]
         if at < 0:
-            free = self._fresh
-        else:
-            changes = self._changes
-            while changes and changes[0][0] <= at:
-                __, j, delta = changes.pop(0)
-                self._free[j] += delta
-            free = self._free[i]
-        return free - self._in_flight_count[i] > self._off_floor
+            count += self._early
+        landing = self._landing
+        if landing:
+            while landing and landing[0][0] <= at:
+                landing.pop(0)
+            for due, j in landing:
+                if due >= cycle:
+                    break
+                if j == i:
+                    count += 1
+        return count > self._off_floor
 
-    # send() and tick() run once per flit-hop, so each does its work in
-    # one frame: Link.send and the wheel post inline, and each delivery
-    # inline.
+    # send() runs once per flit-hop, so it does its work in one frame:
+    # Link.send and the wheel post inline.
     def send(self, flit: Flit, cycle: int) -> None:
         if self._last_send_cycle == cycle:
             raise RuntimeError(f"link {self.name}: second send in cycle {cycle}")
@@ -440,43 +484,24 @@ class OnOffLink(Link):
         at = cycle + self.delay_cycles
         self._in_flight.append((at, flit))
         self.flits_carried += 1
-        self._in_flight_count[self._count_of[flit.vc]] += 1
+        i = self._count_of[flit.vc]
+        self._free[i] -= 1
+        if self.delay_cycles > 1:
+            self._landing.append((at, i))
         wheel = self.wheel
         if wheel is not None:
-            wheel[at].append(self.token)
+            wheel[at + self.lag].append(self.token)
+            if self.wakeup is not None:
+                self.wakeup()
 
     def return_credit(self, vc: int, cycle: int, after_links: bool = False) -> None:
-        self._changes.append((cycle + after_links, self._count_of[vc], 1))
+        self._changes.append((cycle + after_links, self._count_of[vc]))
 
-    def tick(self, cycle: int) -> None:
-        """Deliver due flits; each one leaves the sender's free count."""
-        in_flight = self._in_flight
-        if not in_flight or in_flight[0][0] > cycle:
-            return
-        clean = not self.failed and not self._poisoned and cycle >= self._burst_until
-        accept = self.receiver.accept
-        count_of = self._count_of
-        in_flight_count = self._in_flight_count
-        changes = self._changes
-        while in_flight and in_flight[0][0] <= cycle:
-            flit = in_flight.pop(0)[1]
-            if not clean and self._drops(flit, cycle):
-                continue
-            i = count_of[flit.vc]
-            in_flight_count[i] -= 1
-            if not accept(flit, cycle):  # pragma: no cover - conservative gating prevents this
-                raise RuntimeError(
-                    f"link {self.name}: receiver overflow under ON/OFF flow control"
-                )
-            changes.append((cycle, i, -1))
-
-    def _discard(self, flit: Flit, cycle: int) -> None:
-        self._in_flight_count[self._count_of[flit.vc]] -= 1
-        self.flits_dropped += 1
-
-    def _lose_in_flight(self, cycle: int) -> None:
-        super()._lose_in_flight(cycle)
-        self._in_flight_count = [0] * len(self._in_flight_count)
+    def _lost(self, flit: Flit, cycle: int, due: int) -> None:
+        i = self._count_of[flit.vc]
+        self._free[i] += 1
+        if self.delay_cycles > 1:
+            self._landing.remove((due, i))
 
 
 class AckNackLink(Link):

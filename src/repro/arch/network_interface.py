@@ -25,7 +25,7 @@ from typing import (
     TYPE_CHECKING, Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple,
 )
 
-from repro.arch.link import Link
+from repro.arch.link import AckNackLink, Link
 from repro.arch.packet import EndToEndAck, Flit, MessageClass, Packet
 from repro.arch.parameters import NocParameters
 from repro.arch.slots import Slotted
@@ -494,7 +494,8 @@ class InitiatorNI(Slotted):
 class EjectionPort(Slotted):
     """A target's ejection buffer (at most ``depth`` flits of any VC),
     which its ejection links deliver into.  ``wakeup`` (the event
-    kernel's hook) lets the target drain from the cycle a flit lands."""
+    kernel's hook) lets the target drain from the cycle a flit is
+    delivered through ``accept`` (by an ACK/NACK link, or ``step()``)."""
 
     __slots__ = ("buffer", "depth", "wakeup")
     _unpickled = ("wakeup",)
@@ -526,8 +527,11 @@ class TargetNI(Slotted):
     share, ``ejection_depth // len(ejection_links)`` slots, so the links
     never overflow the buffer together; a drain returns the slot to the
     link the flit arrived on.  A link that cannot work within its share
-    is refused.  The pending-response queue and the set of seen
-    transfers are created on first use: most targets never need them.
+    is refused.  Each tick first takes the flits landed on its credit
+    and ON/OFF links by then, in upstream-name order (the reference
+    kernel's link order; there the links have delivered them already).
+    The pending-response queue and the set of seen transfers are
+    created on first use: most targets never need them.
 
     A completed packet is logged in ``stats`` (the simulator's
     collector, or one of the target's own) and let go.
@@ -537,7 +541,7 @@ class TargetNI(Slotted):
         "core", "params", "port", "_responder", "trace", "_service_cycles",
         "_pending_responses", "response_ni", "stats", "flits_received",
         "_seen_transfers", "duplicates_discarded", "acks_sent",
-        "ejection_links",
+        "ejection_links", "_wires",
     )
     # A recorder's and the memory model's callbacks: the simulator
     # re-wires both on restore (the pending responses are data).
@@ -568,6 +572,13 @@ class TargetNI(Slotted):
         self.ejection_links: Dict[str, Link] = dict(ejection_links)
         for link in self.ejection_links.values():
             link.connect(self.port, share=ejection_depth // len(ejection_links))
+        #: the credit and ON/OFF links' ``_in_flight`` lists, in the
+        #: order the link phase delivers
+        self._wires = [
+            self.ejection_links[up]._in_flight
+            for up in sorted(self.ejection_links)
+            if not isinstance(self.ejection_links[up], AckNackLink)
+        ]
 
     @property
     def idle(self) -> bool:
@@ -604,7 +615,14 @@ class TargetNI(Slotted):
 
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        """Drain one flit; complete packets at their tail flit."""
+        """Take landed flits, drain one, and complete packets at their
+        tail flit."""
+        buffer = self.port.buffer
+        for wire in self._wires:
+            while wire and wire[0][0] <= cycle:
+                if len(buffer) >= self.port.depth:  # pragma: no cover - flow control prevents this
+                    raise RuntimeError(f"target NI {self.core!r}: receiver overflow")
+                buffer.append(wire.pop(0)[1])
         # Release responses whose service latency has elapsed.
         pending = self._pending_responses
         while pending and pending[0][0] <= cycle:
@@ -615,7 +633,6 @@ class TargetNI(Slotted):
                     "response initiator NI"
                 )
             self.response_ni.enqueue(response)
-        buffer = self.port.buffer
         if not buffer:
             return
         flit = buffer.pop(0)

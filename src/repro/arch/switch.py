@@ -18,7 +18,11 @@ The model is an input-queued wormhole switch with per-(port, VC) FIFOs:
   and ON/OFF links count on it, ACK/NACK links probe the buffer on
   delivery instead.  The switch holds those links itself
   (``in_links``): a link delivers into an input port, and the port
-  holds nothing that leads back.
+  holds nothing that leads back;
+* each tick first takes the flits that landed on its credit and ON/OFF
+  in-links in earlier cycles into the port FIFOs (under the event
+  kernel nothing else delivers them; under the reference kernel the
+  links have already delivered them, and the take finds nothing).
 
 Switch state is int-indexed.  Output ports are numbered in sorted
 downstream-name order (the arbitration order), input VC *slots* as
@@ -34,7 +38,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.arch.arbiter import RoundRobinArbiter, TdmaArbiter
-from repro.arch.link import Link
+from repro.arch.link import AckNackLink, Link
 from repro.arch.packet import Flit, MessageClass
 from repro.arch.parameters import ArbitrationKind, NocParameters
 from repro.arch.slots import Slotted
@@ -55,7 +59,8 @@ class InputPort(Slotted):
     delaying eligibility, not by extra buffer structures.  A FIFO is a
     plain list: it never holds more than ``buffer_depth`` flits, so
     popping its head is cheap.  ``wakeup`` is the event kernel's hook,
-    fired on every accept so a delivery activates the switch.
+    fired on every accept (an ACK/NACK link's delivery, or a link phase
+    run by ``step()``) so the delivery activates the switch.
     """
 
     __slots__ = ("depth", "_latency", "buffers", "peak_occupancy", "wakeup")
@@ -105,17 +110,18 @@ class SwitchModel(Slotted):
     keeps the ports as ``inputs``.
 
     The flat ``_scan`` list drives tick()'s sweep over every (input, VC)
-    FIFO.  Caching the FIFO lists is safe because they are created once
-    per port and only ever mutated in place (purge/fail clear-and-extend,
-    never rebind), so the references stay live across faults, purges
-    and checkpoint restores.
+    FIFO, and ``_wires`` pairs each credit or ON/OFF in-link's
+    ``_in_flight`` list with its port.  Caching these lists is safe
+    because they are created once and only ever mutated in place
+    (purge/fail clear-and-extend, never rebind), so the references stay
+    live across faults, purges and checkpoint restores.
     """
 
     __slots__ = (
         "name", "params", "inputs", "in_links", "outputs", "_tdma", "trace",
         "flits_forwarded", "failed", "flits_dropped", "contention_losers",
         "lock_hold_cycles", "locks_taken", "_sorted_outputs", "out_index",
-        "_out_links", "_scan", "_nvcs", "_nslots", "_rr", "_locks",
+        "_out_links", "_scan", "_wires", "_nvcs", "_nslots", "_rr", "_locks",
         "_lock_owner", "_lock_since", "_arbiters", "_tdma_at", "_requests",
         "_stalls", "_stall_mark", "_contention",
     )
@@ -155,6 +161,11 @@ class SwitchModel(Slotted):
             (i * nvcs + vc, vc, self.inputs[up].buffers[vc], self.in_links[up])
             for i, up in enumerate(sorted(self.inputs))
             for vc in range(nvcs)
+        ]
+        self._wires = [
+            (link._in_flight, self.inputs[up])
+            for up, link in self.in_links.items()
+            if not isinstance(link, AckNackLink)
         ]
         nout = len(self._sorted_outputs)
         self._nvcs = nvcs
@@ -199,6 +210,19 @@ class SwitchModel(Slotted):
         switch).  The event kernel keeps the switch active while it
         does; the reference kernel ignores the return value.
         """
+        # Take what landed before this cycle, as land() does but inline
+        # (a call per tick costs more than the take).  A dead switch's
+        # ports fill too; its death and repair decide what becomes of
+        # the flits.
+        for wire, port in self._wires:
+            while wire and wire[0][0] < cycle:
+                due, flit = wire.pop(0)
+                buf = port.buffers[flit.vc]
+                if len(buf) >= port.depth:  # pragma: no cover - flow control prevents this
+                    raise RuntimeError(f"switch {self.name}: receiver overflow")
+                buf.append((flit, due + port._latency))
+                if len(buf) > port.peak_occupancy:
+                    port.peak_occupancy = len(buf)
         if self.failed:
             return False
         out_links = self._out_links
@@ -303,6 +327,19 @@ class SwitchModel(Slotted):
                 if self.trace is not None:
                     self.trace(cycle, flit)
         return held > 0
+
+    def land(self, cycle: int) -> None:
+        """Take every flit that landed before ``cycle`` into its FIFO,
+        as the link phase of its landing cycle would have."""
+        for wire, port in self._wires:
+            while wire and wire[0][0] < cycle:
+                due, flit = wire.pop(0)
+                buf = port.buffers[flit.vc]
+                if len(buf) >= port.depth:  # pragma: no cover - flow control prevents this
+                    raise RuntimeError(f"switch {self.name}: receiver overflow")
+                buf.append((flit, due + port._latency))
+                if len(buf) > port.peak_occupancy:
+                    port.peak_occupancy = len(buf)
 
     def _arbitrate(
         self,

@@ -260,17 +260,17 @@ def _run_load_point(job: Job) -> dict:
     interval = p.get("metrics_interval") or (
         obs.metrics_interval if obs is not None else None
     )
+    # (simulator, probe) pairs: the probe holds its simulator weakly, so
+    # the job keeps the simulator until the probe has finalized.
     probes = []
     on_sim = None
     if interval or (obs is not None and obs.trace_sink is not None):
         def on_sim(sim):
             if interval:
-                probes.append(
-                    sim.enable_metrics(
-                        interval=interval,
-                        sink=obs.metrics_sink if obs is not None else None,
-                    )
-                )
+                probes.append((sim, sim.enable_metrics(
+                    interval=interval,
+                    sink=obs.metrics_sink if obs is not None else None,
+                )))
             if obs is not None and obs.trace_sink is not None:
                 sim.enable_tracing(obs.trace_sink)
     point = _run_point(
@@ -288,9 +288,10 @@ def _run_load_point(job: Job) -> dict:
     )
     result = {"point": None if point is None else load_point_to_dict(point)}
     if probes:
-        probes[0].finalize()
+        __, probe = probes[0]
+        probe.finalize()
         if p.get("metrics_interval"):
-            result["metrics"] = probes[0].compact_summary()
+            result["metrics"] = probe.compact_summary()
     return result
 
 

@@ -17,6 +17,7 @@ work only at sampling boundaries, amortized by the interval.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricRegistry
@@ -47,7 +48,8 @@ class MetricsProbe:
     ):
         if interval < 1:
             raise ValueError("sampling interval must be >= 1 cycle")
-        self.sim = sim
+        # The simulator holds its probe, so the probe holds it weakly.
+        self._sim = weakref.ref(sim)
         self.interval = interval
         self.registry = registry if registry is not None else MetricRegistry()
         self.sink = sink
@@ -109,6 +111,11 @@ class MetricsProbe:
     # ------------------------------------------------------------------
     # Driven by the simulator
     # ------------------------------------------------------------------
+    @property
+    def sim(self):
+        """The observed simulator (None once it is gone)."""
+        return self._sim()
+
     def on_cycle(self, cycle: int) -> None:
         """End-of-cycle hook; closes the window at interval boundaries."""
         if cycle + 1 - self._window_start >= self.interval:

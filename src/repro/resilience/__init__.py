@@ -33,12 +33,8 @@ enters a job's cache key, and a checkpointing-off run is byte-identical
 to one that never heard of this module.
 """
 
-from repro.resilience.chaos import (
-    ChaosConfig,
-    ChaosReport,
-    build_campaign_jobs,
-    run_chaos_campaign,
-)
+from importlib import import_module
+
 from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointCorruptError,
@@ -60,14 +56,32 @@ from repro.resilience.integrity import (
     atomic_write_text,
     payload_digest,
 )
-from repro.resilience.supervise import (
-    QUARANTINE_KEY,
-    CancelToken,
-    RetryPolicy,
-    is_quarantined,
-    quarantine_payload,
-    run_supervised,
-)
+
+#: Names resolved on first use: chaos campaigns and supervision pull in
+#: the lab, the core flow, logging, sockets and multiprocessing, none of
+#: which a checkpoint needs.
+_LAZY = {
+    "ChaosConfig": "chaos",
+    "ChaosReport": "chaos",
+    "build_campaign_jobs": "chaos",
+    "run_chaos_campaign": "chaos",
+    "QUARANTINE_KEY": "supervise",
+    "CancelToken": "supervise",
+    "RetryPolicy": "supervise",
+    "is_quarantined": "supervise",
+    "quarantine_payload": "supervise",
+    "run_supervised": "supervise",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CHECKPOINT_VERSION",

@@ -73,7 +73,11 @@ from repro.resilience.integrity import (
 #: NIs write; targets keep no delivered packets.
 #: 12: components refer to each other one way and pickle as slot-value
 #: tuples; a target NI's ejection buffer is its own port.
-CHECKPOINT_VERSION = 12
+#: 13: receivers take landed flits off their links (a link carries a
+#: ``lag``, switches and targets their in-links' flit lists); an ON/OFF
+#: link counts from its sends and returns, with no in-flight count or
+#: delivery entries; a recovery controller pickles unbound.
+CHECKPOINT_VERSION = 13
 
 _MAGIC = b"repro-ckpt\x00"
 _VERSION = struct.Struct(">I")

@@ -5,29 +5,47 @@ removes the polling: components **post wakeups** when their state
 changes, each executed cycle touches only the components with pending
 work, and *provably quiescent* stretches are jumped over whole.
 
-Two structures drive the run loop:
+Two kinds of structure drive the run loop:
 
-* a :class:`WakeupWheel` of **link** deliveries — every ``Link.send``
-  posts the flit's delivery cycle, so an idle pipelined link is never
-  ticked between send and delivery;
+* two :class:`WakeupWheel` s of **receivers**, filled by the links'
+  sends.  A credit or ON/OFF link is a fixed-delay pipe, so a flit's
+  landing cycle is known when it is sent: ``Link.send`` posts the
+  receiving switch on :attr:`EventScheduler.wheel` at the cycle its
+  pipeline makes the flit eligible (landing plus the switch latency),
+  and the receiving target NI on :attr:`EventScheduler.target_wheel`
+  at the landing cycle.  Phases 1 and 4 merge their bucket into the
+  active set, and the receiver takes what has landed itself (see
+  :class:`repro.arch.switch.SwitchModel` and
+  :class:`repro.arch.network_interface.TargetNI`);
 * per-class **active sets** (switches, initiator NIs, links, target
   NIs) holding the *level-triggered* wakeups: a component enters its
   set when work arrives and leaves when its own tick finds the work
   gone.
 
+Phase 3 ticks only the links with work of their own: ACK/NACK links
+(per-cycle protocol work while busy) and faulty links (down, a packet
+poisoned, or in a burst window) that still hold an undecided flit.  A
+faulty link only decides fates (:meth:`repro.arch.link.Link.decide`)
+and leaves survivors for the receiver, so a target fed by a faulty and
+a clean link keeps link order in its shared buffer.  No clean credit or
+ON/OFF link is ever ticked: an ON/OFF link works out its backpressure
+count from its own sends and the slots its receiver returns (see
+:class:`repro.arch.link.OnOffLink`).
+
 Wakeups are posted by the components themselves, through the optional
 hooks this scheduler installs:
 
-* ``InputPort.accept`` wakes its switch, ``EjectionPort.accept`` its
-  target (a port holds only its buffers and this hook, and the delivery
-  cycle comes from the link, so neither keeps a clock of its own);
+* ``Link.send`` posts the receiver (credit and ON/OFF links, through
+  ``Link.wheel``, ``Link.token`` and ``Link.lag``) and, on a link
+  faulty at the last :meth:`EventScheduler.rescan` or an ACK/NACK link,
+  activates the link (``Link.wakeup``);
+* a delivery through a port's ``accept`` (an ACK/NACK link's own tick,
+  or the link phase of a ``step()``) wakes the receiving switch or
+  target;
 * ``InitiatorNI.enqueue`` wakes the initiator — covering traffic
-  injections, responses, end-to-end acks, and retransmission copies;
-* ``Link.send`` posts the delivery cycle on the link wheel itself
-  (credit and ON/OFF links, through ``Link.wheel``) or activates the
-  link (ACK/NACK links, which have per-cycle protocol work while busy).
+  injections, responses, end-to-end acks, and retransmission copies.
 
-Byte-identity with the reference kernel rests on two invariants that
+Byte-identity with the reference kernel rests on three invariants that
 ``tests/sim/test_kernel_invariants.py`` audits:
 
 * **ordering** — within each phase the active subset is ticked in the
@@ -35,20 +53,22 @@ Byte-identity with the reference kernel rests on two invariants that
   draws (burst corruption, ACK/NACK error injection) and shared-
   receiver interactions happen in the reference order;
 * **no lost wakeup** — a component with pending work is always in its
-  active set or on the wheel (:meth:`EventScheduler.find_lost_wakeups`
-  is the detector).
+  active set or on a wheel (:meth:`EventScheduler.find_lost_wakeups`
+  is the detector);
+* **settled buffers** — wherever switch buffers are read or rewritten
+  outside the switch's own tick (fault events, a recovery controller's
+  action, a metrics sample, the end of a ``run()``), the switches first
+  take everything landed by then (:meth:`EventScheduler.settle`), so
+  state between runs equals the reference kernel's.
 
 A switch stays active while it holds flits.  With a multi-stage
 pipeline (``switch_latency_cycles > 1``) that includes the cycles its
 head flits wait out the pipeline; those ticks find no *ready* head and
 mutate nothing (stall and contention counters only move when an
-eligible flit exists), so they cost time, not results.  An ON/OFF
-link needs no tick between deliveries: it works out the free-slot count
-its backpressure wire carries from its own deliveries and the slots its
-receiver returns (see :class:`repro.arch.link.OnOffLink`).
+eligible flit exists), so they cost time, not results.
 
 The scheduler lives as long as its simulator: one ``run()`` call picks
-up the wheel and active sets where the last one left them.  Everything
+up the wheels and active sets where the last one left them.  Everything
 it holds is derivable from component state, and whatever changes that
 state behind the hooks triggers a full :meth:`EventScheduler.rescan`:
 fault events and recovery inside a cycle rescan at once, and the public
@@ -56,7 +76,7 @@ mutators that act outside the hooks (``step()``, ``purge_packets``,
 ``hot_swap_routing`` and ``recover_from``) mark the scheduler
 :attr:`~EventScheduler.stale`, so the next ``run()`` rescans on entry.
 Checkpoint capsules do not carry the scheduler: a restored simulator
-builds a fresh one, which rebuilds the wheel and the active sets
+builds a fresh one, which rebuilds the wheels and the active sets
 exactly, and continues byte-identically (``tests/resilience/
 test_event_checkpoint.py``).
 """
@@ -79,9 +99,10 @@ class WakeupWheel:
 
     The run loop executes every cycle from the current one forward
     (jumps are bounded by :meth:`next_cycle`), so each bucket is popped
-    exactly once, at its own cycle.  Stale tokens — a link whose
-    in-flight flits were purged or dropped by a fault after posting —
-    are harmless: ticking a link with nothing due is a no-op.
+    exactly once, at its own cycle (or earlier, by a settle).  Stale
+    tokens — a receiver whose flit was purged or dropped by a fault
+    after the send posted it — are harmless: ticking a receiver with
+    nothing landed is a no-op.
     """
 
     __slots__ = ("_buckets",)
@@ -90,14 +111,6 @@ class WakeupWheel:
         # A missing bucket springs into being on its first post, so the
         # links that post on every send do it in one subscript.
         self._buckets: Dict[int, List[int]] = defaultdict(list)
-
-    def post(self, cycle: int, token: int) -> None:
-        self._buckets[cycle].append(token)
-
-    def pop_due(self, cycle: int):
-        """Drain and return the bucket at ``cycle`` (empty when none)."""
-        bucket = self._buckets.pop(cycle, None)
-        return bucket if bucket is not None else ()
 
     def clear(self) -> None:
         self._buckets.clear()
@@ -108,16 +121,6 @@ class WakeupWheel:
             return None
         return min(self._buckets)
 
-    def tokens(self) -> Set[int]:
-        """Every token currently posted (for the lost-wakeup audit)."""
-        out: Set[int] = set()
-        for bucket in self._buckets.values():
-            out.update(bucket)
-        return out
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
-
 
 class EventScheduler:
     """Wakeup registry and run-loop core for ``kernel="event"``.
@@ -127,7 +130,7 @@ class EventScheduler:
     (see module docstring).
 
     The simulator owns its scheduler, and the wakeup hooks the
-    components hold reach the scheduler's sets and wheel; so the
+    components hold reach the scheduler's sets and wheels; so the
     scheduler refers back to the simulator only weakly, and neither it
     nor a hook forms a reference cycle through the simulator.  A
     simulator dropped after its run is freed at once, by reference
@@ -136,7 +139,10 @@ class EventScheduler:
 
     def __init__(self, sim):
         self._sim = weakref.ref(sim)
-        self.wheel = WakeupWheel()    # link delivery cycles
+        #: switches, by the cycle a landed flit becomes eligible
+        self.wheel = WakeupWheel()
+        #: target NIs, by the cycle a flit lands
+        self.target_wheel = WakeupWheel()
         self.active_switches: Set[int] = set()
         self.active_initiators: Set[int] = set()
         self.active_targets: Set[int] = set()
@@ -146,11 +152,12 @@ class EventScheduler:
         self.rt_watch: Set[int] = set()
 
         #: ACK/NACK links have per-cycle protocol work while busy and
-        #: are level-active; every other link is wheel-managed (its
-        #: deliveries are its only events).
+        #: are level-active; every other link posts its receiver.
         self._acknack = [
             isinstance(link, AckNackLink) for link in sim._link_seq
         ]
+        #: A switch can act on a flit this many cycles after it lands.
+        self._lag = sim.params.switch_latency_cycles
         #: Set when component state changed behind the hooks between
         #: runs; the next ``run()`` rescans before its first cycle.
         self.stale = False
@@ -165,30 +172,39 @@ class EventScheduler:
     # ------------------------------------------------------------------
     # Wakeup hooks
     # ------------------------------------------------------------------
-    # The hooks hold the active sets and the wheel's buckets directly
+    # The hooks hold the active sets and the wheels' buckets directly
     # (``rescan`` mutates them in place rather than rebinding, to keep
-    # these references valid): wakeups fire on every send and delivery,
-    # so each must cost a set or dict operation, not a Python frame.
-    # A switch's input ports, a target's ejection port and ACK/NACK
-    # links get a bound ``set.add``; a wheel-managed link posts on the
-    # buckets inside its own ``send``.
+    # these references valid): posts fire on every send, so each must
+    # cost a dict subscript, not a Python frame.  A switch's input ports
+    # and a target's ejection port get a bound ``set.add``, which a
+    # delivery through ``accept`` (an ACK/NACK link, or a ``step()``)
+    # fires.  Nothing is allocated per clean link: a credit or ON/OFF
+    # link gets its receiver's bucket map, index and lag; only ACK/NACK
+    # links (and, at rescan, faulty links) get a waker of their own.
     def _install_wakers(self) -> None:
         sim = self.sim
+        index_of = {}
         for i, sw in enumerate(sim._switch_seq):
+            index_of[sw.name] = i
             waker = partial(self.active_switches.add, i)
             for port in sw.inputs.values():
                 port.wakeup = waker
-        for i, ni in enumerate(sim._initiator_seq):
-            ni.wakeup = self._make_initiator_waker(i)
         for i, tgt in enumerate(sim._target_seq):
+            index_of[tgt.core] = i
             tgt.port.wakeup = partial(self.active_targets.add, i)
-        buckets = self.wheel._buckets
         for i, link in enumerate(sim._link_seq):
+            receiver = sim._link_order[i][1]
             if self._acknack[i]:
                 link.wakeup = partial(self.active_links.add, i)
+                continue
+            link.token = index_of[receiver]
+            if receiver in sim.switches:
+                link.wheel = self.wheel._buckets
+                link.lag = self._lag
             else:
-                link.wheel = buckets
-                link.token = i
+                link.wheel = self.target_wheel._buckets
+        for i, ni in enumerate(sim._initiator_seq):
+            ni.wakeup = self._make_initiator_waker(i)
 
     def _make_initiator_waker(self, i: int):
         active = self.active_initiators
@@ -203,21 +219,23 @@ class EventScheduler:
     # Reconstruction (first run, post-fault, post-recovery, stale entry)
     # ------------------------------------------------------------------
     def rescan(self) -> None:
-        """Rebuild the wheel and active sets from component state.
+        """Rebuild the wheels and active sets from component state.
 
         Every scheduling fact is derivable: buffered flits, queued
-        packets, in-flight deliveries and unacknowledged transfers.
-        Called when the scheduler is built (the first event-kernel
-        ``run()``, and the first after a checkpoint restore), after
-        fault events (failures drop buffered work wholesale), after
-        recovery-controller actions (purges empty buffers and hot-swap
-        routes behind the hooks' back), and on a ``run()`` entry that
-        finds the scheduler :attr:`stale`.  Changes that go through the
-        hooks (direct ``inject``, responses) need no rescan.
+        packets, in-flight flits, unacknowledged transfers and fault
+        state.  Called when the scheduler is built (the first
+        event-kernel ``run()``, and the first after a checkpoint
+        restore), after fault events (failures drop buffered work
+        wholesale), after recovery-controller actions (purges empty
+        buffers and hot-swap routes behind the hooks' back), and on a
+        ``run()`` entry that finds the scheduler :attr:`stale`.  Each
+        runs on settled buffers, so every flit still on a link is yet
+        to land.  Changes that go through the hooks (direct ``inject``,
+        responses) need no rescan.
         """
         self.stale = False
         sim = self.sim
-        # The wheel and active sets are mutated in place, never
+        # The wheels and active sets are mutated in place, never
         # rebound: the wakeup hooks hold direct references to them.
         self.active_switches.clear()
         self.active_switches.update(
@@ -237,30 +255,48 @@ class EventScheduler:
             if ni.pending_transfers
         )
         self.wheel.clear()
+        self.target_wheel.clear()
         self.active_links.clear()
+        c = sim.cycle
         for i, link in enumerate(sim._link_seq):
             if self._acknack[i]:
                 if link.busy:
                     self.active_links.add(i)
+                continue
+            in_flight = link._in_flight
+            if link.faulty(c):
+                link.wakeup = partial(self.active_links.add, i)
+                if in_flight:
+                    self.active_links.add(i)
             else:
-                for deliver_at, __ in link._in_flight:
-                    self.wheel.post(deliver_at, i)
+                link.wakeup = None
+            for due, __ in in_flight:
+                link.wheel[due + link.lag].append(link.token)
 
     # ------------------------------------------------------------------
     # One executed cycle (the reference step(), on the active subset)
     # ------------------------------------------------------------------
     def execute_cycle(self, c: int) -> None:
         sim = self._sim()
-        if sim._fault_schedule is not None and sim._apply_due_faults(c):
-            # Fault events change components wholesale (failures drop
-            # buffered and in-flight work, an ACK/NACK link's repair
-            # restarts its protocol); rebuild rather than patch.
-            self.rescan()
+        faults = sim._fault_schedule
+        if faults is not None:
+            nxt = faults.next_cycle()
+            if nxt is not None and nxt <= c:
+                # Fault events change components wholesale (failures
+                # drop buffered and in-flight work, an ACK/NACK link's
+                # repair restarts its protocol); rebuild rather than
+                # patch.
+                self.settle(c - 1)
+                sim._apply_due_faults(c)
+                self.rescan()
 
-        # Phase 1: switches arbitrate and forward.  tick() reports
-        # whether the switch still holds flits; a dead switch reports
-        # False (accepts keep waking it, and its repair forces a
-        # rescan), so the empty and failed cases demote alike.
+        # Phase 1: switches take landed flits, arbitrate and forward.
+        # tick() reports whether the switch still holds flits; a dead
+        # switch reports False (posts keep waking it, and its repair
+        # forces a rescan), so the empty and failed cases demote alike.
+        bucket = self.wheel._buckets.pop(c, None)
+        if bucket is not None:
+            self.active_switches.update(bucket)
         if self.active_switches:
             seq = sim._switch_seq
             done = []
@@ -281,36 +317,29 @@ class EventScheduler:
                     done.append(i)
             self.active_initiators.difference_update(done)
 
-        # Phase 3: links deliver (the active ACK/NACK links merged with
-        # the wheel's due bucket, in sorted link order).  No link
-        # appears twice: a wheel link sends at most once per cycle at a
-        # fixed delay, so it posts each delivery cycle once, and
-        # ACK/NACK links are never on the wheel.  No delivery activates
-        # a link, and an ACK/NACK link's protocol state only changes
-        # inside its own tick during this phase, so its deactivation
-        # verdict is final right after that tick.
-        order = self.wheel.pop_due(c)
+        # Phase 3: ACK/NACK links run their protocol and faulty links
+        # decide the fate of the flit due now, in sorted link order.
+        # Neither kind is activated by this phase, so each verdict is
+        # final right after the link's own tick.
         if self.active_links:
-            order = [*order, *self.active_links]
-        if order:
-            if len(order) > 1:
-                order = sorted(order)
             seq = sim._link_seq
             acknack = self._acknack
-            done = None
-            for i in order:
+            done = []
+            for i in sorted(self.active_links):
                 link = seq[i]
-                link.tick(c)
-                if acknack[i] and not link.busy:
-                    if done is None:
-                        done = [i]
-                    else:
+                if acknack[i]:
+                    link.tick(c)
+                    if not link.busy:
                         done.append(i)
-            if done is not None:
-                self.active_links.difference_update(done)
+                elif not link.decide(c):
+                    done.append(i)
+            self.active_links.difference_update(done)
 
-        # Phase 4: target NIs drain, and each logs the packets it
-        # completes in the simulator's stats itself.
+        # Phase 4: target NIs take landed flits and drain, and each
+        # logs the packets it completes in the simulator's stats itself.
+        bucket = self.target_wheel._buckets.pop(c, None)
+        if bucket is not None:
+            self.active_targets.update(bucket)
         if self.active_targets:
             seq = sim._target_seq
             done = []
@@ -356,6 +385,7 @@ class EventScheduler:
         if controller is not None:
             nxt = controller.next_wakeup(c)
             if nxt is not None and nxt <= c:
+                self.settle(c)
                 before_rec = getattr(controller, "recoveries", None)
                 controller.tick(c)
                 if getattr(controller, "recoveries", None) != before_rec:
@@ -363,11 +393,34 @@ class EventScheduler:
 
         # Phase 7: metrics probe window boundaries.
         if sim._obs is not None and c >= sim._obs.next_sample_cycle():
+            self.settle(c)
             sim._obs.on_cycle(c)
 
+        sim.cycle = c + 1
         if sim._event_audit is not None:
             sim._event_audit(c)
-        sim.cycle = c + 1
+
+    def settle(self, cycle: int) -> None:
+        """Every switch takes the flits landed by ``cycle``.
+
+        Those are exactly the switches posted for the cycles up to
+        ``cycle`` plus the switch latency; their posts are consumed, and
+        each stays active while it holds flits.  Afterwards the switch
+        buffers are those of the reference kernel after ``cycle``'s
+        link phase.
+        """
+        buckets = self.wheel._buckets
+        last = cycle + self._lag
+        due = [k for k in buckets if k <= last]
+        if not due:
+            return
+        seq = self.sim._switch_seq
+        woken = set()
+        for k in due:
+            woken.update(buckets.pop(k))
+        for i in woken:
+            seq[i].land(cycle + 1)
+        self.active_switches.update(woken)
 
     # ------------------------------------------------------------------
     # Quiescence: advance the clock to the next populated bucket
@@ -385,7 +438,7 @@ class EventScheduler:
         """Jump target ``t`` with ``cycle < t <= limit``, or None.
 
         Only called when :meth:`quiescent` holds; the timed terms — the
-        wheel's next bucket, retransmission deadlines, scheduled
+        wheels' next buckets, retransmission deadlines, scheduled
         faults, the controller's wakeup, the probe's window boundary,
         and the traffic lookahead — bound the jump from above.  A jump
         never lands past the earliest of them, so every skipped cycle
@@ -396,9 +449,10 @@ class EventScheduler:
         if limit <= c + 1:
             return None
         horizon = limit
-        nxt = self.wheel.next_cycle()
-        if nxt is not None and nxt < horizon:
-            horizon = nxt
+        for wheel in (self.wheel, self.target_wheel):
+            nxt = wheel.next_cycle()
+            if nxt is not None and nxt < horizon:
+                horizon = nxt
         if self.rt_watch:
             stale = []
             for i in self.rt_watch:
@@ -441,6 +495,7 @@ class EventScheduler:
     def find_lost_wakeups(self) -> List[str]:
         """Components holding work with no wheel entry or active-set
         membership — the failure mode that silently freezes traffic.
+        Called between executed cycles (``sim.cycle`` is the next one).
 
         Returns human-readable descriptions (empty = invariant holds);
         the property tests fail the run on any entry.
@@ -471,14 +526,38 @@ class EventScheduler:
                     f"target {tgt.core}: buffered/pending work "
                     "but no wakeup"
                 )
-        wheel_tokens = self.wheel.tokens()
+        c = sim.cycle
         for i, link in enumerate(sim._link_seq):
             if self._acknack[i]:
                 if link.busy and i not in self.active_links:
                     lost.append(f"link {link.name}: busy but not active")
-            elif link._in_flight and i not in wheel_tokens:
+                continue
+            in_flight = link._in_flight
+            if not in_flight:
+                continue
+            if (in_flight[-1][0] >= c and link.faulty(c)
+                    and i not in self.active_links):
                 lost.append(
-                    f"link {link.name}: in-flight flit(s) "
-                    "but no wheel entry"
+                    f"link {link.name}: undecided flit(s) on a faulty "
+                    "link but not active"
                 )
+            if sim._link_order[i][1] in sim.switches:
+                buckets, active = self.wheel._buckets, self.active_switches
+                lag = self._lag
+            else:
+                buckets, active = self.target_wheel._buckets, self.active_targets
+                lag = 0
+            # A landed flit may wait for an active receiver; one still
+            # on the wire needs the post its send made.
+            for due, __ in in_flight:
+                if link.token in buckets.get(due + lag, ()) or (
+                    due < c and link.token in active
+                ):
+                    continue
+                landed = "landed" if due < c else "in-flight"
+                lost.append(
+                    f"link {link.name}: {landed} flit due at {due}, but "
+                    "its receiver is neither posted nor active"
+                )
+                break
         return lost

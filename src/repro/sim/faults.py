@@ -28,6 +28,7 @@ survival statistics.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -251,6 +252,10 @@ class RecoveryController:
     :class:`~repro.reliability.faults.FaultScenario`; when reconfiguration
     becomes impossible even partially, the controller gives up and the
     run degrades to best-effort loss.
+
+    The simulator holds its controller (and the NIs its callbacks), so
+    the controller holds the simulator it is bound to weakly, and a
+    capsule carries it unbound: the restored simulator binds it again.
     """
 
     def __init__(
@@ -278,7 +283,7 @@ class RecoveryController:
         self.max_recoveries = max_recoveries
         self.exoneration_window_cycles = exoneration_window_cycles
 
-        self.simulator = None
+        self._simulator: Optional[weakref.ref] = None
         self.scenario = FaultScenario()  # cumulative blame across recoveries
         self.recoveries = 0
         self.gave_up = False
@@ -294,7 +299,18 @@ class RecoveryController:
 
     # ------------------------------------------------------------------
     def bind(self, simulator) -> None:
-        self.simulator = simulator
+        self._simulator = weakref.ref(simulator)
+
+    @property
+    def simulator(self):
+        """The bound simulator, or None."""
+        ref = self._simulator
+        return ref() if ref is not None else None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_simulator"] = None
+        return state
 
     def note_timeout(self, source: str, destination: str, cycle: int) -> None:
         """An NI transfer missed its ack deadline (wired to ``on_timeout``)."""

@@ -29,9 +29,10 @@ Two run kernels share the per-cycle semantics of ``step()``:
   the oracle the differential tests compare against;
 * ``kernel="event"`` (the default) — components *post wakeups* instead
   of being polled: an :class:`repro.sim.event_wheel.EventScheduler`
-  keeps active sets plus a bucketed delivery wheel, a delivery
-  activates its switch or target NI until that component's own tick
-  finds it empty, each executed cycle ticks only the components with
+  keeps active sets plus bucketed receiver wheels, a send posts the
+  switch or target NI it lands in, which takes the flit itself and
+  stays active until its own tick finds it empty, no clean link is
+  ticked, each executed cycle ticks only the components with
   pending work (in the reference kernel's sorted phase order), and
   when the network is fully quiescent the clock jumps straight to the
   earliest cycle at which any traffic generator, in-flight link
@@ -442,9 +443,11 @@ class NocSimulator:
     def __setstate__(self, state):
         _check_kernel(state["kernel"])
         self.__dict__.update(state)
-        # Components pickle their host hooks as None; re-wire the
-        # controller and memory hooks from the durable records.
+        # Components pickle their host hooks as None, and the controller
+        # its simulator; re-wire the controller and memory hooks from
+        # the durable records.
         if self._controller is not None:
+            self._controller.bind(self)
             for ni in self.initiators.values():
                 ni.on_timeout = self._controller.note_timeout
                 ni.on_ack = self._controller.note_ack
@@ -487,14 +490,15 @@ class NocSimulator:
 
         Called directly on an event-kernel simulator, this polls every
         component behind the scheduler's back, so the next event-kernel
-        ``run()`` rebuilds the scheduler first.  Until then the wheel is
-        dead weight: it is emptied on every step, so the hooks' posts
+        ``run()`` rebuilds the scheduler first.  Until then the wheels are
+        dead weight: they are emptied on every step, so the hooks' posts
         cannot pile up over a long stepping loop.
         """
         sched = self._event_sched
         if sched is not None:
             sched.stale = True
             sched.wheel.clear()
+            sched.target_wheel.clear()
         c = self.cycle
         if self._fault_schedule is not None:
             self._apply_due_faults(c)
@@ -596,8 +600,11 @@ class NocSimulator:
                         self._skip_to(target)
                         continue
                 sched.execute_cycle(self.cycle)
-            if not self.idle:
-                raise self._drain_timeout_error(max_drain_cycles)
+        # Between runs the switch buffers hold what the reference
+        # kernel's would: step(), purges and checkpoints read them.
+        sched.settle(self.cycle - 1)
+        if drain and not self.idle:
+            raise self._drain_timeout_error(max_drain_cycles)
         return self.stats
 
     def _mark_schedule_stale(self) -> None:

@@ -409,10 +409,11 @@ class TestEventWakeupAudit:
 
     def test_lost_wakeup_detector_fails_the_run(self):
         """The detector is only worth trusting if it actually trips:
-        sabotage one busy switch mid-run by stripping its ports' wakeup
-        hooks and its active-set entry — the exact bug class the detector
-        exists for (a component that never posts) — and the audit hook
-        must abort the run, not let the network stall silently."""
+        sabotage one busy switch mid-run by stripping its in-links'
+        posts (what wakes a switch) and its active-set entry — the exact
+        bug class the detector exists for (a component that is never
+        posted) — and the audit hook must abort the run, not let the
+        network stall silently."""
         reset_packet_ids()
         sim, __ = _fresh_sim("mesh", 4, "on_off", "event")
         state = {"sabotaged_at": None}
@@ -423,8 +424,8 @@ class TestEventWakeupAudit:
                 for i in sorted(sched.active_switches):
                     sw = sim._switch_seq[i]
                     if sw.occupancy:
-                        for port in sw.inputs.values():
-                            port.wakeup = None  # "never installed"
+                        for link in sw.in_links.values():
+                            link.wheel = None  # "never installed"
                         sched.active_switches.discard(i)
                         state["sabotaged_at"] = cycle
                         break

@@ -187,7 +187,7 @@ class TestUtilities:
             sim.run(-1)
 
 
-def _freed_without_the_cyclic_gc(build, traffic):
+def _freed_without_the_cyclic_gc(build, traffic, drain=True):
     """Run the simulator ``build()`` makes, drop it, and check that
     reference counting alone freed it and everything it held."""
     import gc
@@ -197,7 +197,7 @@ def _freed_without_the_cyclic_gc(build, traffic):
     gc.disable()
     try:
         sim = build()
-        sim.run(300, traffic, drain=True)
+        sim.run(300, traffic, drain=drain)
         assert sim.stats.packets_delivered > 0
         ref = weakref.ref(sim)
         del sim, traffic
@@ -253,6 +253,41 @@ class TestReclamation:
             traffic = RequestResponseTraffic(cores[:4], [cores[5]], 0.1,
                                              seed=3)
         _freed_without_the_cyclic_gc(build, traffic)
+
+    @pytest.mark.parametrize("kernel", ["event", "reference"])
+    def test_recovery_controller_forms_no_cycle(self, mesh44, kernel):
+        """The controller, which the simulator and its NIs' callbacks
+        hold, holds the simulator weakly."""
+        from repro.sim import (
+            FaultEvent, FaultKind, FaultSchedule, RecoveryController,
+        )
+
+        m, table = mesh44
+
+        def build():
+            sim = NocSimulator(m, table, kernel=kernel)
+            sim.attach_fault_schedule(FaultSchedule([
+                FaultEvent(100, FaultKind.SWITCH_DOWN, "s_1_1"),
+            ]))
+            sim.attach_recovery_controller(RecoveryController())
+            return sim
+
+        _freed_without_the_cyclic_gc(
+            build, SyntheticTraffic("uniform", 0.05, 4, seed=3), drain=False,
+        )
+
+    @pytest.mark.parametrize("kernel", ["event", "reference"])
+    def test_metrics_probe_forms_no_cycle(self, mesh44, kernel):
+        m, table = mesh44
+
+        def build():
+            sim = NocSimulator(m, table, kernel=kernel)
+            sim.enable_metrics(interval=50)
+            return sim
+
+        _freed_without_the_cyclic_gc(
+            build, SyntheticTraffic("uniform", 0.05, 4, seed=3), drain=False,
+        )
 
 
     @pytest.mark.parametrize("kernel", ["event", "reference"])
